@@ -24,7 +24,7 @@ from .groups import (
     Char,
     Elem,
     GroupSpec,
-    check_char,
+    char_tuple,
     check_elem,
     coords_table,
     enumeration_cap,
@@ -33,6 +33,7 @@ from .groups import (
     phase_table,
     torus_norm,
 )
+from .spectral import _block_rows
 
 FORM_CHAR = "character-distance"
 FORM_TORUS = "torus-norm"
@@ -51,13 +52,13 @@ class BohrSpec:
     center: Elem | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "freqs", tuple(self.freqs))
         if self.form not in (FORM_CHAR, FORM_TORUS):
             raise DomainError(f"unknown Bohr form {self.form!r}")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise DomainError(f"radius must be positive and finite, got {self.radius}")
-        for t in self.freqs:
-            check_char(self.group, t)
+        # One array check; a CharTuple (as extract and the loader build) is
+        # kept as is, so dataclasses.replace re-checks without rebuilding.
+        object.__setattr__(self, "freqs", char_tuple(self.group, self.freqs))
         if self.center is not None:
             check_elem(self.group, self.center)
 
@@ -66,7 +67,8 @@ class BohrSpec:
         return len(self.freqs)
 
     def freq_matrix(self) -> np.ndarray:
-        return np.array([t.freq for t in self.freqs], dtype=np.int64).reshape(-1, self.group.ndim)
+        """The validated (k, d) frequency matrix, read-only and shared with ``freqs``."""
+        return self.freqs.rows
 
 
 @dataclass(frozen=True)
@@ -145,24 +147,33 @@ def bohr_member(b: BohrSpec, z: Elem, guard: float = DEFAULT_GUARD) -> bool:
 
 
 def members_mask(b: BohrSpec, guard: float = DEFAULT_GUARD) -> np.ndarray:
-    """Boolean membership table over the whole group, canonical order."""
+    """Boolean membership table over the whole group, canonical order.
+
+    Frequency rows are taken in blocks of the definitional paths' size, with
+    a running AND, so memory is one block's phase table rather than (k, N, d).
+    Every block is checked against the guard band, so a boundary distance
+    anywhere still raises, naming the first one in (frequency, element) order.
+    """
     g = b.group
-    n = g.order
-    if b.dimension == 0:
-        return np.ones(n, dtype=bool)
-    phases = phase_table(g, b.freq_matrix(), coords_table(g))
-    if b.form == FORM_CHAR:
-        dists = 2.0 * np.sin(np.pi * phases)
-    else:
-        dists = np.minimum(phases, 1.0 - phases)
-    near = np.abs(dists - b.radius) <= guard
-    if near.any():
-        t_idx, z_idx = np.argwhere(near)[0]
-        raise AmbiguousBoundary(
-            f"distance {dists[t_idx, z_idx]!r} at element rank {z_idx} "
-            f"(frequency {b.freqs[t_idx]}) is within {guard} of radius {b.radius!r}"
-        )
-    return (dists < b.radius).all(axis=0)
+    coords = coords_table(g)
+    freqs = b.freq_matrix()
+    members = np.ones(g.order, dtype=bool)
+    step = _block_rows(g)
+    for start in range(0, len(freqs), step):
+        phases = phase_table(g, freqs[start : start + step], coords)
+        if b.form == FORM_CHAR:
+            dists = 2.0 * np.sin(np.pi * phases)
+        else:
+            dists = np.minimum(phases, 1.0 - phases)
+        near = np.abs(dists - b.radius) <= guard
+        if near.any():
+            t_idx, z_idx = np.argwhere(near)[0]
+            raise AmbiguousBoundary(
+                f"distance {dists[t_idx, z_idx]!r} at element rank {z_idx} "
+                f"(frequency {b.freqs[start + t_idx]}) is within {guard} of radius {b.radius!r}"
+            )
+        members &= (dists < b.radius).all(axis=0)
+    return members
 
 
 def bohr_enumerate(

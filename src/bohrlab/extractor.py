@@ -12,11 +12,18 @@ The certificate then asserts that a0 plus the Bohr set on frequencies S1 with
 radius c / |S1| (character-distance form) sits inside supp h.  Every numbered
 bound the construction promises is recorded and re-checked; a violation is an
 internal error, never a silently weaker certificate.
+
+The pipeline is array-native: f-hat and g-hat are computed once each, S1 is
+a rank array, the remainder zeroes those ranks in one step, and ``TrigPoly``
+is a thin wrapper over a frequency matrix and a coefficient array.  The
+``Char`` objects of S1 are built once, when the spectrum is cut, and the
+same tuple serves the certificate and both of its Bohr forms.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +36,18 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .groups import Char, Elem, GroupSpec, char_at, char_eval, elem_at, rank_of_char
+from .groups import (
+    TWO_PI,
+    Char,
+    Elem,
+    GroupSpec,
+    char_tuple,
+    chars_from_rows,
+    check_elem,
+    elem_at,
+    ranks_of_rows,
+    rows_at,
+)
 from .spectral import DensityFn, Spectrum, dft, idft, triple_convolve
 
 BOUND_SLACK = 1e-9
@@ -38,33 +56,77 @@ RADIUS_SLACK = 1e-12
 MEAN_TOLERANCE = 1e-12
 
 
+def _running_sum(start: float, values: np.ndarray) -> float:
+    """Left-to-right float sum, one addition per value, as a scalar loop would do."""
+    acc = float(start)
+    for x in values.tolist():
+        acc += x
+    return acc
+
+
 @dataclass(frozen=True, eq=False)
 class TrigPoly:
-    """A finite trigonometric polynomial: constant_shift + sum of coeff * chi."""
+    """A finite trigonometric polynomial: constant_shift + sum of coeff * chi.
+
+    A thin array wrapper: ``support`` holds the characters (kept as a CharTuple, so their frequency
+    matrix travels with them) and ``coeffs`` the matching complex array.
+    Terms are stored in canonical rank order, which makes evaluation sums
+    reproducible.
+    """
 
     group: GroupSpec
-    terms: dict[Char, complex]
+    support: tuple[Char, ...]
+    coeffs: np.ndarray
     constant_shift: float = 0.0
 
     def __post_init__(self) -> None:
-        for t in self.terms:
-            if len(t.freq) != self.group.ndim:
-                raise ShapeError(f"frequency {t.freq} does not fit group {self.group}")
-        # Canonical term order makes evaluation sums reproducible.
-        ordered = dict(
-            sorted(self.terms.items(), key=lambda kv: rank_of_char(self.group, kv[0]))
-        )
-        object.__setattr__(self, "terms", ordered)
+        support = char_tuple(self.group, self.support)
+        coeffs = np.array(self.coeffs, dtype=np.complex128).reshape(-1)
+        if coeffs.shape != (len(support),):
+            raise ShapeError(
+                f"{coeffs.size} coefficients for {len(support)} frequencies"
+            )
+        ranks = ranks_of_rows(self.group, support.rows)
+        steps = np.diff(ranks)
+        if (steps < 0).any():
+            order = np.argsort(ranks, kind="stable")
+            support = chars_from_rows(support.rows[order])
+            coeffs, steps = coeffs[order], np.diff(ranks[order])
+        if (steps == 0).any():
+            raise DomainError("a trigonometric polynomial lists a frequency twice")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def support(self) -> tuple[Char, ...]:
-        return tuple(self.terms)
+    @classmethod
+    def from_terms(
+        cls, group: GroupSpec, terms: Mapping[Char, complex], constant_shift: float = 0.0
+    ) -> "TrigPoly":
+        """Build from a {character: coefficient} mapping, in any order."""
+        return cls(group, tuple(terms), list(terms.values()), constant_shift)
 
     def evaluate(self, z: Elem) -> complex:
-        acc = complex(self.constant_shift)
-        for t, coeff in self.terms.items():
-            acc += coeff * char_eval(self.group, t, z)
-        return acc
+        """The value at z, summed term by term in rank order.
+
+        Each term is computed as the scalar route would: the pairing phase
+        accumulated factor by factor, ``math.cos``/``math.sin`` of 2 pi times
+        it, the complex product written out in separate real operations, then
+        a left-to-right sum starting from the shift.  The result does not
+        depend on how numpy vectorizes or reduces.
+        """
+        check_elem(self.group, z)
+        rows = self.support.rows
+        phase = np.zeros(len(rows))
+        for j, (zj, n) in enumerate(zip(z.coords, self.group.factors)):
+            phase = phase + ((rows[:, j] * zj) % n) / n
+        angle = (TWO_PI * (phase % 1.0)).tolist()
+        cos = np.fromiter(map(math.cos, angle), dtype=np.float64, count=len(angle))
+        sin = np.fromiter(map(math.sin, angle), dtype=np.float64, count=len(angle))
+        a, b = self.coeffs.real, self.coeffs.imag
+        return complex(
+            _running_sum(self.constant_shift, a * cos - b * sin),
+            _running_sum(0.0, a * sin + b * cos),
+        )
 
 
 def normalize_means(f: DensityFn, g: DensityFn) -> tuple[DensityFn, DensityFn, float]:
@@ -94,17 +156,25 @@ def normalize_means(f: DensityFn, g: DensityFn) -> tuple[DensityFn, DensityFn, f
     return f, g.scaled(delta / mg), delta
 
 
-def large_spectrum(f: DensityFn, threshold: float) -> list[Char]:
+def _spectrum_and_mean(x: DensityFn | Spectrum) -> tuple[Spectrum, float]:
+    """A density's transform and mean; a spectrum passes through, its mean read off t = 0."""
+    if isinstance(x, Spectrum):
+        return x, float(x.coeffs[0].real)
+    return dft(x), x.mean
+
+
+def large_spectrum(f: DensityFn | Spectrum, threshold: float) -> tuple[Char, ...]:
     """Characters whose Fourier coefficient has modulus >= threshold.
 
-    Returned in canonical character order.  The trivial character is always
-    included whenever threshold <= mean(f).
+    ``f`` is a density or, when the caller has it already, its spectrum.
+    Returned in canonical character order, as a CharTuple.  The trivial
+    character is always included whenever threshold <= mean(f).
     """
     if not threshold > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold}")
-    coeffs = dft(f).coeffs
-    ranks = np.flatnonzero(np.abs(coeffs) >= threshold)
-    return [char_at(f.group, int(r)) for r in ranks]
+    spectrum, _ = _spectrum_and_mean(f)
+    ranks = np.flatnonzero(np.abs(spectrum.coeffs) >= threshold)
+    return chars_from_rows(rows_at(spectrum.group, ranks))
 
 
 def find_witness(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
@@ -131,26 +201,26 @@ def find_witness(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
     return a0, h_at_a0
 
 
-def remainder_bound_check(f: DensityFn, g: DensityFn, s1: list[Char]) -> float:
+def remainder_bound_check(
+    f: DensityFn | Spectrum, g: DensityFn | Spectrum, s1: tuple[Char, ...]
+) -> float:
     """Max modulus of h minus its S1 truncation; must stay under delta^4 / 4.
 
     h-hat factors as f-hat * |g-hat|^2, so the remainder is the inverse
-    transform of that product with the S1 coefficients zeroed out.
+    transform of that product with the S1 coefficients zeroed out.  ``f`` and
+    ``g`` are densities or their spectra.
     """
-    if f.group != g.group:
-        raise ShapeError(f"inputs live on different groups: {f.group} vs {g.group}")
-    grp = f.group
-    if abs(f.mean - g.mean) > BOUND_SLACK:
-        raise DomainError(
-            f"inputs are not mean-normalized: means {f.mean} vs {g.mean}"
-        )
-    delta = min(f.mean, g.mean)
-    hhat = dft(f).coeffs * np.abs(dft(g).coeffs) ** 2
-    rest = hhat.copy()
-    for t in s1:
-        rest[rank_of_char(grp, t)] = 0.0
-    r = idft(Spectrum(grp, rest))
-    r_max = float(np.abs(r).max())
+    fhat, mf = _spectrum_and_mean(f)
+    ghat, mg = _spectrum_and_mean(g)
+    if fhat.group != ghat.group:
+        raise ShapeError(f"inputs live on different groups: {fhat.group} vs {ghat.group}")
+    grp = fhat.group
+    if abs(mf - mg) > BOUND_SLACK:
+        raise DomainError(f"inputs are not mean-normalized: means {mf} vs {mg}")
+    delta = min(mf, mg)
+    rest = fhat.coeffs * np.abs(ghat.coeffs) ** 2
+    rest[ranks_of_rows(grp, char_tuple(grp, s1).rows)] = 0.0
+    r_max = float(np.abs(idft(Spectrum(grp, rest))).max())
     bound = 0.25 * delta**4 + BOUND_SLACK
     if r_max > bound:
         raise InvariantBreach(
@@ -164,19 +234,21 @@ def bohr_from_trigpoly(p: TrigPoly, a: Elem, c: float) -> BohrSpec:
 
     Valid whenever each coefficient has modulus at most 1 and Re p(a) >= c:
     then |p(z + a) - p(a)| < c for every member z, by telescoping the
-    character distances.  Violated preconditions raise.
+    character distances.  Violated preconditions raise.  The Bohr set shares
+    the polynomial's support tuple.
     """
     if not (math.isfinite(c) and c > 0.0):
         raise DomainError(f"level c must be positive and finite, got {c}")
-    for t, coeff in p.terms.items():
-        if abs(coeff) > 1.0 + RADIUS_SLACK:
-            raise PreconditionError(
-                f"coefficient at {t.freq} has modulus {abs(coeff)} > 1"
-            )
+    moduli = np.abs(p.coeffs)
+    big = np.flatnonzero(moduli > 1.0 + RADIUS_SLACK)
+    if big.size:
+        raise PreconditionError(
+            f"coefficient at {p.support[big[0]].freq} has modulus {moduli[big[0]]} > 1"
+        )
     re_pa = p.evaluate(a).real
     if re_pa < c - RADIUS_SLACK:
         raise PreconditionError(f"Re p(a) = {re_pa} is below the level c = {c}")
-    k = len(p.terms)
+    k = len(p.support)
     radius = c / k if k else c
     return BohrSpec(p.group, p.support, radius, FORM_CHAR, center=a)
 
@@ -214,16 +286,18 @@ def extract(f: DensityFn, g: DensityFn) -> Certificate:
     """
     f1, g1, delta = normalize_means(f, g)
     grp = f1.group
-    h = triple_convolve(f1, g1)
-    s1 = large_spectrum(f1, 0.25 * delta**3)
-    k = len(s1)
-    a0, h_at_a0 = find_witness(h, f1)
+    a0, h_at_a0 = find_witness(triple_convolve(f1, g1), f1)
 
-    hhat = dft(f1).coeffs * np.abs(dft(g1).coeffs) ** 2
-    terms = {t: complex(hhat[rank_of_char(grp, t)]) for t in s1}
-    q = TrigPoly(grp, terms, constant_shift=-0.25 * delta**4)
+    fhat, ghat = dft(f1), dft(g1)
+    s1 = large_spectrum(fhat, 0.25 * delta**3)
+    k = len(s1)
+    ranks = ranks_of_rows(grp, s1.rows)
+    # Elementwise, so these are the very bits of h-hat at the S1 ranks.
+    coeffs = fhat.coeffs[ranks] * np.abs(ghat.coeffs[ranks]) ** 2
+    q = TrigPoly(grp, s1, coeffs, constant_shift=-0.25 * delta**4)
     c = q.evaluate(a0).real
-    r_max = remainder_bound_check(f1, g1, s1)
+    r_max = remainder_bound_check(fhat, ghat, s1)
+    del fhat, ghat
 
     bohr_char = bohr_from_trigpoly(q, a0, c)
     bohr_torus = char_form_to_torus_form(bohr_char)
@@ -252,7 +326,7 @@ def extract(f: DensityFn, g: DensityFn) -> Certificate:
         group=grp,
         delta=delta,
         a0=a0,
-        s1=tuple(s1),
+        s1=bohr_char.freqs,
         c=c,
         k=k,
         h_at_a0=h_at_a0,

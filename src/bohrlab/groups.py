@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -77,7 +79,7 @@ def parse_group(text: str) -> GroupSpec:
     return GroupSpec(factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Elem:
     """A group element, one coordinate per cyclic factor."""
 
@@ -92,7 +94,7 @@ class Elem:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Char:
     """A character of the group, identified by its frequency tuple."""
 
@@ -223,6 +225,76 @@ def rank_of_char(g: GroupSpec, t: Char) -> int:
 
 def char_at(g: GroupSpec, rank: int) -> Char:
     return Char(elem_at(g, rank).coords)
+
+
+# --- characters in bulk --------------------------------------------------------
+
+class CharTuple(tuple):
+    """A tuple of characters that keeps their (k, d) frequency matrix as ``rows``.
+
+    Array code reads ``rows`` instead of walking the characters; the tuple is
+    immutable, so the matrix (read-only) can never go stale.
+    """
+
+    rows: np.ndarray
+
+
+def chars_from_rows(rows: np.ndarray) -> CharTuple:
+    """The characters of a (k, d) integer matrix, each built exactly once.
+
+    No group is involved: range checks belong to :func:`char_tuple`.
+    """
+    rows = np.array(rows, dtype=np.int64)
+    if rows.ndim != 2:
+        raise ShapeError(f"frequency rows must form a (k, d) matrix, got shape {rows.shape}")
+    rows.flags.writeable = False
+    # The columns' entries are Python ints already, so Char's per-entry
+    # coercion is skipped; both maps call builtins, so no Python frame runs
+    # per character.
+    freqs = zip(*(col.tolist() for col in rows.T)) if rows.shape[1] else repeat(())
+    out = CharTuple(map(object.__new__, repeat(Char, len(rows))))
+    deque(map(object.__setattr__, out, repeat("freq"), freqs), maxlen=0)
+    out.rows = rows
+    return out
+
+
+def char_tuple(g: GroupSpec, chars) -> CharTuple:
+    """``chars`` validated against ``g`` by one array check, as a CharTuple.
+
+    A CharTuple is checked through the matrix it carries and returned as is;
+    any other sequence is converted once.  Ragged, wrong-length and
+    out-of-range frequencies raise :class:`ShapeError`.
+    """
+    rows = getattr(chars, "rows", None)
+    if rows is None:
+        chars = tuple(chars)
+        try:
+            rows = np.array([t.freq for t in chars] or np.zeros((0, g.ndim)), dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise ShapeError(f"frequencies are ragged or out of range for group {g}") from exc
+    k, d = rows.shape
+    if k and d != g.ndim:
+        raise ShapeError(f"character {chars[0]} has {d} coords, group {g} has {g.ndim}")
+    bad = np.argwhere((rows < 0) | (rows >= np.asarray(g.factors, dtype=np.int64)))
+    if bad.size:
+        i, j = bad[0]
+        raise ShapeError(f"frequency {rows[i, j]} out of range for factor Z_{g.factors[j]}")
+    if isinstance(chars, CharTuple):
+        return chars
+    rows.flags.writeable = False
+    out = CharTuple(chars)
+    out.rows = rows
+    return out
+
+
+def ranks_of_rows(g: GroupSpec, rows: np.ndarray) -> np.ndarray:
+    """Canonical ranks of validated (k, d) coordinate or frequency rows."""
+    return np.ravel_multi_index(tuple(rows.T), g.factors).astype(np.int64, copy=False)
+
+
+def rows_at(g: GroupSpec, ranks: np.ndarray) -> np.ndarray:
+    """The (k, d) coordinate rows of canonical ranks; inverse of :func:`ranks_of_rows`."""
+    return np.stack(np.unravel_index(ranks, g.factors), axis=1).astype(np.int64, copy=False)
 
 
 def enumerate_elems(g: GroupSpec, cap: int | None = None) -> list[Elem]:

@@ -3,16 +3,28 @@
 Every real number is written as a decimal string with 17 significant digits,
 which round-trips IEEE doubles exactly and keeps the files byte-stable across
 platforms.  Field order is fixed by construction (insertion order).
+
+Certificates are written in exactly the layout of ``json.dumps(..., indent=2)``,
+but the frequency lists, which make up nearly all of a large certificate, are
+rendered straight from their integer matrices, and a list that both Bohr
+forms share is rendered once.  The loader type-checks and converts each
+distinct frequency list once, as an array, and the Bohr forms reuse the
+characters of S1 when their lists equal it.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from collections.abc import Callable
+from itertools import chain
+
+import numpy as np
 
 from .bohr import BohrSpec
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .extractor import BoundCheck, Certificate
-from .groups import Char, Elem, GroupSpec, parse_group
+from .groups import Char, CharTuple, Elem, GroupSpec, chars_from_rows, parse_group
 
 CERT_SCHEMA = "bohrlab-cert/1"
 
@@ -38,16 +50,56 @@ def _coords_list(value, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def bohr_spec_to_dict(b: BohrSpec) -> dict:
+def _freq_lists(chars: tuple[Char, ...]) -> list[list[int]]:
+    return [list(t.freq) for t in chars]
+
+
+def bohr_spec_to_dict(
+    b: BohrSpec, freqs: Callable[[tuple[Char, ...]], object] = _freq_lists
+) -> dict:
+    """The JSON object of a Bohr spec; ``freqs`` renders its frequency tuple."""
     return {
         "form": b.form,
-        "freqs": [list(t.freq) for t in b.freqs],
+        "freqs": freqs(b.freqs),
         "radius": fmt_real(b.radius),
         "center": list(b.center.coords) if b.center is not None else None,
     }
 
 
-def bohr_spec_from_dict(d: dict, g: GroupSpec) -> BohrSpec:
+def _char_tuple(value, what: str, ndim: int, parsed: list) -> CharTuple:
+    """Characters of a JSON list of integer lists, converted once per distinct list.
+
+    Every entry is type-checked, with ``isinstance`` semantics (so a bool
+    counts as an integer); ``parsed`` holds (list, characters) pairs already
+    converted, and an equal list reuses its characters.  Ragged rows and
+    integers outside int64 raise ShapeError; range checks are the group's.
+    """
+    if not isinstance(value, list):
+        raise DomainError(f"{what} rows must be a list, got {value!r}")
+    # Type sets are gathered at C speed; the slow scan runs only to name the culprit.
+    if not (
+        all(issubclass(t, list) for t in set(map(type, value)))
+        and all(issubclass(t, int) for t in set(map(type, chain.from_iterable(value))))
+    ):
+        bad = next(
+            r for r in value
+            if not (isinstance(r, list) and all(isinstance(x, int) for x in r))
+        )
+        raise DomainError(f"{what} must be a list of integers, got {bad!r}")
+    for seen, chars in parsed:
+        if seen == value:
+            return chars
+    try:
+        rows = np.array(value or np.zeros((0, ndim)), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise ShapeError(f"{what} rows are ragged or exceed int64: {exc}") from exc
+    chars = chars_from_rows(rows)
+    parsed.append((value, chars))
+    return chars
+
+
+def bohr_spec_from_dict(d: dict, g: GroupSpec, parsed: list | None = None) -> BohrSpec:
+    """Inverse of :func:`bohr_spec_to_dict`; ``parsed`` shares converted frequency lists."""
     try:
         form = d["form"]
         freqs = d["freqs"]
@@ -55,25 +107,26 @@ def bohr_spec_from_dict(d: dict, g: GroupSpec) -> BohrSpec:
         center = d.get("center")
     except (KeyError, TypeError, AttributeError) as exc:
         raise DomainError(f"malformed Bohr spec object: {d!r}") from exc
-    if not isinstance(freqs, list):
-        raise DomainError(f"freqs must be a list, got {freqs!r}")
-    chars = tuple(Char(_coords_list(t, "frequency")) for t in freqs)
+    chars = _char_tuple(freqs, "frequency", g.ndim, [] if parsed is None else parsed)
     elem = Elem(_coords_list(center, "center")) if center is not None else None
     return BohrSpec(g, chars, parse_real(radius), form, center=elem)
 
 
-def certificate_to_dict(cert: Certificate) -> dict:
+def certificate_to_dict(
+    cert: Certificate, freqs: Callable[[tuple[Char, ...]], object] = _freq_lists
+) -> dict:
+    """The JSON object of a certificate; ``freqs`` renders each frequency tuple."""
     return {
         "schema": CERT_SCHEMA,
         "group": str(cert.group),
         "delta": fmt_real(cert.delta),
         "a0": list(cert.a0.coords),
-        "s1": [list(t.freq) for t in cert.s1],
+        "s1": freqs(cert.s1),
         "c": fmt_real(cert.c),
         "k": cert.k,
         "h_at_a0": fmt_real(cert.h_at_a0),
-        "bohr_char_form": bohr_spec_to_dict(cert.bohr_char_form),
-        "bohr_torus_form": bohr_spec_to_dict(cert.bohr_torus_form),
+        "bohr_char_form": bohr_spec_to_dict(cert.bohr_char_form, freqs),
+        "bohr_torus_form": bohr_spec_to_dict(cert.bohr_torus_form, freqs),
         "bounds": {
             name: {
                 "value": fmt_real(check.value),
@@ -94,7 +147,8 @@ def certificate_from_dict(d: dict) -> Certificate:
     try:
         g = parse_group(d["group"])
         a0 = Elem(_coords_list(d["a0"], "a0"))
-        s1 = tuple(Char(_coords_list(t, "S1 entry")) for t in d["s1"])
+        parsed: list = []
+        s1 = _char_tuple(d["s1"], "S1 entry", g.ndim, parsed)
         bounds_raw = d["bounds"]
         cert = Certificate(
             group=g,
@@ -104,8 +158,8 @@ def certificate_from_dict(d: dict) -> Certificate:
             c=parse_real(d["c"]),
             k=int(d["k"]),
             h_at_a0=parse_real(d["h_at_a0"]),
-            bohr_char_form=bohr_spec_from_dict(d["bohr_char_form"], g),
-            bohr_torus_form=bohr_spec_from_dict(d["bohr_torus_form"], g),
+            bohr_char_form=bohr_spec_from_dict(d["bohr_char_form"], g, parsed),
+            bohr_torus_form=bohr_spec_from_dict(d["bohr_torus_form"], g, parsed),
             bounds={
                 name: BoundCheck(
                     value=parse_real(entry["value"]),
@@ -120,8 +174,60 @@ def certificate_from_dict(d: dict) -> Certificate:
     return cert
 
 
+# A frequency tuple stands in the skeleton as this string, numbered.
+_MARK = "\x00freqs:"
+_MARKED = re.compile(r'^( *)("[^"\n]*": )"\\u0000freqs:(\d+)"', re.MULTILINE)
+
+
+def _rows_json(chars: tuple[Char, ...], indent: str) -> str:
+    """``json.dumps(rows, indent=2)`` as it reads on a line indented by ``indent``.
+
+    A CharTuple is rendered from its matrix with string joins; anything else
+    (user-built, possibly ragged) goes through the stdlib encoder.
+    """
+    rows = getattr(chars, "rows", None)
+    if rows is None or rows.shape[1] == 0:
+        return json.dumps(_freq_lists(chars), indent=2).replace("\n", "\n" + indent)
+    if rows.shape[0] == 0:
+        return "[]"
+    row, entry = indent + "  ", indent + "    "
+    row_open, row_close = row + "[\n" + entry, "\n" + row + "]"
+    entries = iter(map(str, rows.ravel().tolist()))
+    body = map((",\n" + entry).join, zip(*[entries] * rows.shape[1]))
+    return (
+        "[\n" + row_open + (row_close + ",\n" + row_open).join(body) + row_close
+        + "\n" + indent + "]"
+    )
+
+
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+    """``json.dumps(certificate_to_dict(cert), indent=2)`` plus a newline, byte for byte.
+
+    The small fields go through the stdlib encoder with each frequency tuple
+    replaced by a numbered mark; the marks are then replaced by the rendered
+    lists.  Each distinct tuple is rendered once: where it recurs at another
+    depth (S1 and the Bohr forms share one tuple), only the indentation after
+    each newline changes.
+    """
+    tuples: list[tuple[Char, ...]] = []
+
+    def mark(chars: tuple[Char, ...]) -> str:
+        tuples.append(chars)
+        return f"{_MARK}{len(tuples) - 1}"
+
+    skeleton = json.dumps(certificate_to_dict(cert, mark), indent=2)
+    rendered: dict[int, tuple[str, str]] = {}  # id of a tuple -> (indent, text)
+
+    def fill(m: re.Match) -> str:
+        indent, key, chars = m.group(1), m.group(2), tuples[int(m.group(3))]
+        if id(chars) not in rendered:
+            rendered[id(chars)] = (indent, _rows_json(chars, indent))
+        at, text = rendered[id(chars)]
+        if at != indent:
+            text = text.replace("\n" + at, "\n" + indent)
+        return indent + key + text
+
+    return _MARKED.sub(fill, skeleton) + "\n"
 
 
 def certificate_from_json(text: str) -> Certificate:

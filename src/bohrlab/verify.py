@@ -21,16 +21,17 @@ from .bohr import (
     halve_radius,
     members_mask,
 )
-from .errors import CapacityError, DomainError, EmptyInputError, ShapeError
+from .errors import AmbiguousBoundary, CapacityError, DomainError, EmptyInputError, ShapeError
 from .extractor import BOUND_SLACK, RADIUS_SLACK, Certificate
 from .groups import (
     TWO_PI,
     GroupSpec,
+    char_tuple,
     coords_table,
     elem_at,
     enumeration_cap,
-    rank_of_char,
     rank_of_elem,
+    ranks_of_rows,
 )
 from .sets import GroupSubset, sumset_ABmB
 from .spectral import (
@@ -88,9 +89,10 @@ def verify_certificate(
 
     The checks, in report order: the witness lies in A; the translated Bohr
     set sits inside the enumerated sumset; torus-form members are a subset of
-    char-form members; the dimension, witness-value, level and remainder
-    bounds; then internal consistency (delta, spectrum, radii, centers)
-    against the definitional recomputation.
+    char-form members (these two become one failed ``undecidable`` check
+    when a member distance lands in the guard band); the dimension,
+    witness-value, level and remainder bounds; then internal consistency
+    (delta, spectrum, radii, centers) against the definitional recomputation.
     """
     if A.group != cert.group or B.group != cert.group:
         raise ShapeError(
@@ -109,18 +111,24 @@ def verify_certificate(
     hhat_def = dft_definitional(h_def).coeffs
 
     a0_rank = rank_of_elem(grp, cert.a0)
-    s1_ranks = np.asarray([rank_of_char(grp, t) for t in cert.s1], dtype=np.int64)
-    k = len(cert.s1)
+    freq_rows = char_tuple(grp, cert.s1).rows
+    s1_ranks = ranks_of_rows(grp, freq_rows)
+    k = len(freq_rows)
 
-    freq_rows = np.asarray([t.freq for t in cert.s1], dtype=np.int64).reshape(-1, grp.ndim)
     p_vals = synthesize(grp, freq_rows, hhat_def[s1_ranks])
     c_def = float(p_vals[a0_rank].real) - 0.25 * delta**4
     h_at_a0_def = float(h_def.values[a0_rank])
     r_max_def = float(np.abs(h_def.values - p_vals).max())
 
     sumset = sumset_ABmB(A, B)
-    char_members = members_mask(cert.bohr_char_form, guard)
-    torus_members = members_mask(cert.bohr_torus_form, guard)
+    try:
+        char_members = members_mask(cert.bohr_char_form, guard)
+        torus_members = members_mask(cert.bohr_torus_form, guard)
+        undecidable = None
+    except AmbiguousBoundary as exc:
+        # A distance inside the guard band: membership, and with it
+        # containment, cannot be decided, so the certificate is refuted.
+        undecidable = str(exc)
 
     checks: list[CheckResult] = []
 
@@ -132,24 +140,27 @@ def verify_certificate(
         )
     )
 
-    shifted = np.roll(
-        char_members.reshape(grp.factors), cert.a0.coords, axis=tuple(range(grp.ndim))
-    ).ravel()
-    escapees = np.flatnonzero(shifted & ~sumset.mask)
-    if escapees.size:
-        first = elem_at(grp, int(escapees[0]))
-        detail = f"element {first.coords} lies outside the sumset"
+    if undecidable is not None:
+        checks.append(CheckResult("undecidable", False, undecidable))
     else:
-        detail = f"{int(char_members.sum())} members, all contained after shifting by a0"
-    checks.append(CheckResult("containment", escapees.size == 0, detail))
+        shifted = np.roll(
+            char_members.reshape(grp.factors), cert.a0.coords, axis=tuple(range(grp.ndim))
+        ).ravel()
+        escapees = np.flatnonzero(shifted & ~sumset.mask)
+        if escapees.size:
+            first = elem_at(grp, int(escapees[0]))
+            detail = f"element {first.coords} lies outside the sumset"
+        else:
+            detail = f"{int(char_members.sum())} members, all contained after shifting by a0"
+        checks.append(CheckResult("containment", escapees.size == 0, detail))
 
-    stray = np.flatnonzero(torus_members & ~char_members)
-    if stray.size:
-        first = elem_at(grp, int(stray[0]))
-        detail = f"torus member {first.coords} is not a char-form member"
-    else:
-        detail = f"{int(torus_members.sum())} torus members inside {int(char_members.sum())}"
-    checks.append(CheckResult("torus-subset", stray.size == 0, detail))
+        stray = np.flatnonzero(torus_members & ~char_members)
+        if stray.size:
+            first = elem_at(grp, int(stray[0]))
+            detail = f"torus member {first.coords} is not a char-form member"
+        else:
+            detail = f"{int(torus_members.sum())} torus members inside {int(char_members.sum())}"
+        checks.append(CheckResult("torus-subset", stray.size == 0, detail))
 
     k_limit = 16.0 * delta**-5
     checks.append(
@@ -199,7 +210,7 @@ def verify_certificate(
     moduli = np.abs(fhat_def)
     required = set(np.flatnonzero(moduli >= threshold + BOUND_SLACK).tolist())
     allowed = set(np.flatnonzero(moduli >= threshold - BOUND_SLACK).tolist())
-    claimed = set(int(r) for r in s1_ranks)
+    claimed = set(s1_ranks.tolist())
     spectrum_ok = required <= claimed <= allowed and len(claimed) == k
     missing = sorted(required - claimed)
     excess = sorted(claimed - allowed)

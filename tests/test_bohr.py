@@ -236,3 +236,30 @@ def test_pullback_drops_center():
     h = Hom(z4, z8, (Elem((2,)),))
     b = BohrSpec(z8, (Char((1,)),), 0.3, FORM_CHAR, center=Elem((5,)))
     assert pullback(b, h).center is None
+
+
+def test_spec_shares_validated_frequency_tuple():
+    g = GroupSpec((8,))
+    b = BohrSpec(g, (Char((0,)), Char((4,))), 0.5, FORM_CHAR)
+    torus = char_form_to_torus_form(b)
+    assert torus.freqs is b.freqs and halve_radius(b).freqs is b.freqs
+    assert b.freq_matrix() is b.freqs.rows
+    assert b.freq_matrix().tolist() == [[0], [4]]
+
+
+def test_members_mask_blocking_changes_nothing(monkeypatch):
+    from bohrlab import spectral
+
+    g = GroupSpec((4, 3, 2))
+    rng = np.random.default_rng(8)
+    freqs = tuple(Char(tuple(int(x) for x in rng.integers(0, (4, 3, 2)))) for _ in range(7))
+    specs = [BohrSpec(g, freqs, r, form) for r in (0.9, 1.7) for form in (FORM_CHAR, FORM_TORUS)]
+    whole = [members_mask(b) for b in specs]
+    edge = BohrSpec(g, (Char((0, 0, 0)), Char((2, 0, 0))), 2.0, FORM_CHAR)
+    with pytest.raises(AmbiguousBoundary) as unblocked:
+        members_mask(edge)
+    monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)  # one frequency row per block
+    assert all(np.array_equal(members_mask(b), m) for b, m in zip(specs, whole))
+    with pytest.raises(AmbiguousBoundary) as blocked:
+        members_mask(edge)
+    assert str(blocked.value) == str(unblocked.value)

@@ -1,0 +1,64 @@
+"""Per-character work stays out of the pipeline: a deterministic count of the
+scalar group helpers, in place of a timing gate.
+
+Each helper is replaced at every place a bohrlab module binds it by a wrapper
+that counts calls.  Extract plus a JSON round trip must make the same number
+of calls whether S1 holds a handful of characters or thousands.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import numpy as np
+
+from bohrlab import groups
+from bohrlab.extractor import extract
+from bohrlab.serialize import certificate_from_json, certificate_to_json
+from bohrlab.sets import GroupSubset, random_nonempty_subset
+
+COUNTED = ("check_char", "rank_of_char", "char_eval", "pairing", "elem_at", "char_at")
+Z4096 = groups.GroupSpec((4096,))
+
+
+def _count_calls(monkeypatch, run) -> Counter:
+    calls: Counter = Counter()
+    for name in COUNTED:
+        original = getattr(groups, name)
+
+        def wrapper(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "bohrlab"]:
+            for site, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, site, wrapper)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return calls
+
+
+def _pipeline(A: GroupSubset, B: GroupSubset, ks: list[int]):
+    def run():
+        cert = extract(A.indicator(), B.indicator())
+        loaded = certificate_from_json(certificate_to_json(cert))
+        ks.append(loaded.k)
+
+    return run
+
+
+def test_scalar_helper_calls_do_not_grow_with_k(monkeypatch):
+    ks: list[int] = []
+    # Multiples of 8: a subgroup, so S1 is its 8 annihilating characters.
+    sub = GroupSubset(Z4096, np.arange(4096) % 8 == 0)
+    few = _count_calls(monkeypatch, _pipeline(sub, sub, ks))
+    A = random_nonempty_subset(Z4096, 0.1, 5)
+    B = random_nonempty_subset(Z4096, 0.1, 6)
+    many = _count_calls(monkeypatch, _pipeline(A, B, ks))
+    assert ks[0] <= 10 and ks[1] > 1000
+    assert sum(many.values()) == sum(few.values())
+    assert sum(many.values()) <= len(COUNTED)

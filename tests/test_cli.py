@@ -193,3 +193,21 @@ def test_help_exits_0():
 def test_missing_required_flag_exits_2():
     code, _, _ = run_cli("extract", "--group", "8")
     assert code == 2
+
+
+def test_verify_ambiguous_boundary_exits_1(tmp_path, evens_cert_file, evens_file):
+    # Radius 2 equals |chi_4(1) - 1| exactly: membership of 1 is undecidable.
+    import math
+
+    payload = json.loads(open(evens_cert_file).read())
+    payload["bohr_char_form"]["radius"] = "2"
+    payload["bohr_torus_form"]["radius"] = format(2 / (2 * math.pi), ".17g")
+    tampered = tmp_path / "ambiguous.json"
+    tampered.write_text(json.dumps(payload))
+    code, out, err = run_cli("verify", "--cert", str(tampered), "--set-a", evens_file, "--set-b", evens_file)
+    assert code == 1, err
+    assert "internal error" not in err
+    assert "undecidable" in err
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert checks["undecidable"] is False
+    assert "containment" not in checks

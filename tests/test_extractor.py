@@ -24,7 +24,7 @@ from bohrlab.extractor import (
     normalize_means,
     remainder_bound_check,
 )
-from bohrlab.groups import Char, Elem, GroupSpec, char_eval, elem_at
+from bohrlab.groups import Char, Elem, GroupSpec, char_at, char_eval, elem_at, rank_of_char
 from bohrlab.sets import GroupSubset, random_nonempty_subset
 from bohrlab.spectral import DensityFn, constant_density, triple_convolve
 
@@ -128,24 +128,24 @@ def test_remainder_requires_matching_means():
 
 
 def test_trigpoly_evaluate():
-    p = TrigPoly(Z8, {Char((0,)): 0.5 + 0j, Char((4,)): 0.25 + 0j}, constant_shift=-0.1)
+    p = TrigPoly.from_terms(Z8, {Char((0,)): 0.5 + 0j, Char((4,)): 0.25 + 0j}, constant_shift=-0.1)
     for z in range(8):
         want = -0.1 + 0.5 + 0.25 * char_eval(Z8, Char((4,)), Elem((z,)))
         assert p.evaluate(Elem((z,))) == pytest.approx(want, abs=1e-12)
 
 
 def test_trigpoly_orders_terms_canonically():
-    p = TrigPoly(Z8, {Char((4,)): 1 + 0j, Char((0,)): 2 + 0j})
+    p = TrigPoly.from_terms(Z8, {Char((4,)): 1 + 0j, Char((0,)): 2 + 0j})
     assert p.support == (Char((0,)), Char((4,)))
 
 
 def test_trigpoly_rejects_foreign_frequency():
     with pytest.raises(ShapeError):
-        TrigPoly(Z8, {Char((0, 0)): 1 + 0j})
+        TrigPoly.from_terms(Z8, {Char((0, 0)): 1 + 0j})
 
 
 def test_bohr_from_trigpoly_basic():
-    p = TrigPoly(Z8, {Char((0,)): 0.5 + 0j, Char((4,)): 0.5 + 0j}, constant_shift=-1 / 64)
+    p = TrigPoly.from_terms(Z8, {Char((0,)): 0.5 + 0j, Char((4,)): 0.5 + 0j}, constant_shift=-1 / 64)
     a = Elem((0,))
     c = p.evaluate(a).real
     b = bohr_from_trigpoly(p, a, c)
@@ -156,14 +156,14 @@ def test_bohr_from_trigpoly_basic():
 
 
 def test_bohr_from_trigpoly_empty_support_falls_back():
-    p = TrigPoly(Z8, {}, constant_shift=0.5)
+    p = TrigPoly.from_terms(Z8, {}, constant_shift=0.5)
     b = bohr_from_trigpoly(p, Elem((0,)), 0.5)
     assert b.dimension == 0
     assert b.radius == 0.5
 
 
 def test_bohr_from_trigpoly_rejects_bad_level():
-    p = TrigPoly(Z8, {Char((0,)): 0.5 + 0j})
+    p = TrigPoly.from_terms(Z8, {Char((0,)): 0.5 + 0j})
     with pytest.raises(DomainError):
         bohr_from_trigpoly(p, Elem((0,)), 0.0)
     with pytest.raises(DomainError):
@@ -171,13 +171,13 @@ def test_bohr_from_trigpoly_rejects_bad_level():
 
 
 def test_bohr_from_trigpoly_rejects_large_coefficients():
-    p = TrigPoly(Z8, {Char((1,)): 1.5 + 0j})
+    p = TrigPoly.from_terms(Z8, {Char((1,)): 1.5 + 0j})
     with pytest.raises(PreconditionError):
         bohr_from_trigpoly(p, Elem((0,)), 0.5)
 
 
 def test_bohr_from_trigpoly_rejects_level_above_value():
-    p = TrigPoly(Z8, {Char((0,)): 0.5 + 0j})
+    p = TrigPoly.from_terms(Z8, {Char((0,)): 0.5 + 0j})
     with pytest.raises(PreconditionError):
         bohr_from_trigpoly(p, Elem((0,)), 0.9)
 
@@ -249,3 +249,23 @@ def test_extract_mean_scaling_changes_delta():
     B = GroupSubset.from_ranks(g, [0, 4, 8, 12])  # density 1/4
     cert = extract(A.indicator(), B.indicator())
     assert cert.delta == 0.25
+
+
+def test_trigpoly_evaluate_matches_scalar_route_exactly():
+    g = GroupSpec((2,) * 9)
+    rng = np.random.default_rng(4)
+    chars = [char_at(g, int(r)) for r in rng.choice(g.order, size=300, replace=False)]
+    coeffs = rng.normal(size=300) + 1j * rng.normal(size=300)
+    p = TrigPoly.from_terms(g, dict(zip(chars, coeffs)), constant_shift=-0.3)
+    for z in (elem_at(g, int(r)) for r in rng.integers(g.order, size=5)):
+        want = complex(-0.3)
+        for t, coeff in sorted(zip(chars, coeffs), key=lambda tc: rank_of_char(g, tc[0])):
+            want += complex(coeff) * char_eval(g, t, z)
+        assert p.evaluate(z) == want
+
+
+def test_trigpoly_rejects_malformed_arrays():
+    with pytest.raises(ShapeError):
+        TrigPoly(Z8, (Char((0,)), Char((4,))), [1.0])
+    with pytest.raises(DomainError):
+        TrigPoly(Z8, (Char((4,)), Char((4,))), [1.0, 2.0])

@@ -13,9 +13,12 @@ from bohrlab.errors import CapacityError, DomainError, ShapeError
 from bohrlab.groups import (
     Char,
     Elem,
+    CharTuple,
     GroupSpec,
     char_at,
     char_eval,
+    char_tuple,
+    chars_from_rows,
     check_char,
     check_elem,
     coords_table,
@@ -32,6 +35,8 @@ from bohrlab.groups import (
     phase_table,
     rank_of_char,
     rank_of_elem,
+    ranks_of_rows,
+    rows_at,
     torus_norm,
     zero_elem,
 )
@@ -209,3 +214,43 @@ def test_one_point_group_degenerates():
     assert g.order == 1
     assert enumerate_elems(g) == [Elem((0,))]
     assert pairing(g, Char((0,)), Elem((0,))) == 0.0
+
+
+def test_chars_from_rows_builds_equal_chars_once():
+    g = GroupSpec((4, 3))
+    rows = coords_table(g)
+    chars = chars_from_rows(rows)
+    assert isinstance(chars, CharTuple)
+    assert chars == tuple(enumerate_chars(g))
+    assert all(type(x) is int for t in chars for x in t.freq)
+    assert np.array_equal(chars.rows, rows) and not chars.rows.flags.writeable
+    assert char_tuple(g, chars) is chars  # already carries a matrix: checked, not rebuilt
+    assert chars_from_rows(np.zeros((0, 2), dtype=np.int64)) == ()
+
+
+def test_char_tuple_validates_in_one_array_check():
+    g = GroupSpec((4, 3))
+    plain = (Char((3, 2)), Char((0, 1)))
+    wrapped = char_tuple(g, plain)
+    assert wrapped == plain and wrapped.rows.tolist() == [[3, 2], [0, 1]]
+    assert char_tuple(g, ()).rows.shape == (0, 2)
+    for bad in (
+        (Char((0, 3)),),  # out of range
+        (Char((-1, 0)),),  # negative
+        (Char((0,)),),  # wrong length
+        (Char((0, 0)), Char((1,))),  # ragged
+        (Char((2**63, 0)),),  # beyond int64
+    ):
+        with pytest.raises(ShapeError):
+            char_tuple(g, bad)
+    with pytest.raises(ShapeError):
+        char_tuple(g, chars_from_rows(np.array([[4, 0]])))
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=str)
+def test_rows_and_ranks_agree_with_scalar_ranking(g):
+    ranks = np.arange(g.order)
+    rows = rows_at(g, ranks)
+    assert [tuple(r) for r in rows.tolist()] == [char_at(g, int(r)).freq for r in ranks]
+    assert np.array_equal(ranks_of_rows(g, rows), ranks)
+    assert ranks_of_rows(g, rows[:0]).shape == (0,)

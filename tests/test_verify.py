@@ -115,6 +115,25 @@ def test_oversized_bohr_set_escapes_containment(evens_cert):
     assert "outside the sumset" in check.detail
 
 
+def test_ambiguous_boundary_is_a_failed_check(evens_cert):
+    # radius 2 is exactly the distance of the odd elements under t=4
+    edge = dataclasses.replace(evens_cert.bohr_char_form, radius=2.0)
+    edge_torus = dataclasses.replace(evens_cert.bohr_torus_form, radius=2.0 / (2 * np.pi))
+    bad = dataclasses.replace(evens_cert, bohr_char_form=edge, bohr_torus_form=edge_torus)
+    report = verify_certificate(bad, EVENS, EVENS)
+    assert not report.passed
+    assert report.first_failure().name == "undecidable"
+    assert "within" in report.first_failure().detail
+    names = [c.name for c in report.checks]
+    assert "containment" not in names and "torus-subset" not in names
+
+
+def test_out_of_range_s1_raises_shape_error(evens_cert):
+    for s1 in ((Char((0,)), Char((8,))), (Char((0,)), Char((-1,))), (Char((0, 0)),)):
+        with pytest.raises(ShapeError):
+            verify_certificate(dataclasses.replace(evens_cert, s1=s1), EVENS, EVENS)
+
+
 def test_tampered_spectrum_detected(evens_cert):
     swapped = (Char((0,)), Char((3,)))  # 3 carries no mass for the evens
     forms = [
