@@ -13,15 +13,11 @@ from bohrlab import (
     Char,
     Elem,
     GroupSpec,
-    Hom,
     bohr_enumerate,
     bohr_member,
     char_form_to_torus_form,
     elem_add,
-    enumerate_elems,
     halve_radius,
-    hom_apply,
-    pullback,
 )
 
 g = GroupSpec((8,))
@@ -46,13 +42,3 @@ for x in small:
     for y in small:
         assert bohr_member(b, elem_add(g, x, y))
 print("sum of any two halved members lands back in the parent set")
-
-# pulling back along a homomorphism Z4 -> Z8, x -> 2x: composing chi_3
-# with the map gives a character of Z4, computed exactly in rationals
-b3 = BohrSpec(group=g, freqs=(Char((3,)),), radius=1.0, form=FORM_CHAR, center=Elem((0,)))
-phi = Hom(GroupSpec((4,)), g, images=(Elem((2,)),))
-pb = pullback(b3, phi)
-print(f"pullback of a freq-3 set to Z4: freqs {[str(t) for t in pb.freqs]}, radius {pb.radius}")
-print("  members:", [str(e) for e in bohr_enumerate(pb)])
-for x in enumerate_elems(GroupSpec((4,))):
-    assert bohr_member(pb, x) == bohr_member(b3, hom_apply(phi, x))

@@ -9,16 +9,11 @@ from .bohr import (
     FORM_CHAR,
     FORM_TORUS,
     BohrSpec,
-    Hom,
     bohr_enumerate,
     bohr_member,
     char_form_to_torus_form,
     halve_radius,
-    hom_apply,
-    identity_hom,
     members_mask,
-    pullback,
-    zero_hom,
 )
 from .errors import (
     AmbiguousBoundary,

@@ -56,6 +56,7 @@ _SWEEP_COLUMNS = (
     "h_at_a0",
     "good_shift_fraction",
     "pass",
+    "error",
 )
 
 
@@ -98,7 +99,11 @@ def _derive_seed(*parts: int) -> int:
 
 
 def _sweep_trial(n: int, delta: float, trial: int, master_seed: int) -> dict:
-    """One (N, delta, trial) cell; failures land in the row, not as exceptions."""
+    """One (N, delta, trial) cell; failures land in the row, not as exceptions.
+
+    ``error`` is empty on success and ``ExcType: message`` when the cell
+    raised, running out of memory included.
+    """
     g = GroupSpec((n,))
     delta_key = int(round(delta * 10**9))
     row: dict = {
@@ -112,6 +117,7 @@ def _sweep_trial(n: int, delta: float, trial: int, master_seed: int) -> dict:
         "h_at_a0": None,
         "good_shift_fraction": None,
         "pass": False,
+        "error": "",
     }
     try:
         A = random_nonempty_subset(g, delta, _derive_seed(master_seed, n, delta_key, trial, 0))
@@ -129,13 +135,9 @@ def _sweep_trial(n: int, delta: float, trial: int, master_seed: int) -> dict:
                 "pass": report.passed,
             }
         )
-    except (*_INPUT_ERRORS, *_INTERNAL_ERRORS):
-        pass
+    except (*_INPUT_ERRORS, *_INTERNAL_ERRORS, MemoryError) as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
     return row
-
-
-def _sweep_cell(task: tuple[int, float, int, int]) -> dict:
-    return _sweep_trial(*task)
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -162,39 +164,25 @@ def _rows_to_json(rows: list[dict]) -> str:
     return json.dumps({"rows": rows}, indent=2) + "\n"
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, convert) -> list:
+    """Comma-separated values through ``convert``; blank parts are skipped."""
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         try:
-            out.append(int(part))
+            out.append(convert(part))
         except ValueError as exc:
-            raise DomainError(f"not an integer: {part!r}") from exc
-    if not out:
-        raise DomainError(f"empty list: {text!r}")
-    return out
-
-
-def _parse_float_list(text: str) -> list[float]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(float(part))
-        except ValueError as exc:
-            raise DomainError(f"not a number: {part!r}") from exc
+            raise DomainError(f"not a valid {convert.__name__}: {part!r}") from exc
     if not out:
         raise DomainError(f"empty list: {text!r}")
     return out
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    ns = _parse_int_list(args.n)
-    deltas = _parse_float_list(args.delta)
+    ns = _parse_list(args.n, int)
+    deltas = _parse_list(args.delta, float)
     for n in ns:
         if n < 1:
             raise DomainError(f"group order must be >= 1, got {n}")
@@ -211,11 +199,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     tasks = [
         (n, d, t, args.seed) for n in ns for d in deltas for t in range(args.trials)
     ]
+    columns = zip(*tasks)
     if args.jobs == 1:
-        rows = [_sweep_cell(task) for task in tasks]
+        rows = list(map(_sweep_trial, *columns))
     else:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, tasks, chunksize=1))
+            rows = list(pool.map(_sweep_trial, *columns, chunksize=1))
     rows.sort(key=lambda r: (r["N"], r["delta"], r["trial"]))
 
     text = _rows_to_json(rows) if args.format == "json" else _rows_to_csv(rows)

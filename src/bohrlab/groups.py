@@ -40,6 +40,17 @@ def enumeration_cap() -> int:
     return cap
 
 
+def require_within_cap(g: GroupSpec) -> None:
+    """Raise :class:`CapacityError` if ``g`` is larger than the enumeration cap.
+
+    The one capacity check: every call that enumerates the group or runs an
+    O(N^2) oracle on it makes it before doing any work.
+    """
+    cap = enumeration_cap()
+    if g.order > cap:
+        raise CapacityError(f"group order {g.order} exceeds enumeration cap {cap}")
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A finite abelian group given as an ordered product of cyclic factors."""
@@ -199,7 +210,7 @@ def coords_table(g: GroupSpec) -> np.ndarray:
     """All N coordinate tuples in canonical order, as an (N, d) int array.
 
     Plumbing for the dense numerical paths; the user-facing enumeration ops
-    apply the capacity cap, this accessor does not.
+    call :func:`require_within_cap`, this accessor does not.
     """
     return _coords_table(g.factors)
 
@@ -297,19 +308,15 @@ def rows_at(g: GroupSpec, ranks: np.ndarray) -> np.ndarray:
     return np.stack(np.unravel_index(ranks, g.factors), axis=1).astype(np.int64, copy=False)
 
 
-def enumerate_elems(g: GroupSpec, cap: int | None = None) -> list[Elem]:
+def enumerate_elems(g: GroupSpec) -> list[Elem]:
     """All N elements exactly once, lexicographic on coordinates."""
-    cap = enumeration_cap() if cap is None else cap
-    if g.order > cap:
-        raise CapacityError(f"group order {g.order} exceeds enumeration cap {cap}")
+    require_within_cap(g)
     return [Elem(tuple(row)) for row in _coords_table(g.factors)]
 
 
-def enumerate_chars(g: GroupSpec, cap: int | None = None) -> list[Char]:
+def enumerate_chars(g: GroupSpec) -> list[Char]:
     """All N characters in the same lexicographic order as the elements."""
-    cap = enumeration_cap() if cap is None else cap
-    if g.order > cap:
-        raise CapacityError(f"group order {g.order} exceeds enumeration cap {cap}")
+    require_within_cap(g)
     return [Char(tuple(row)) for row in _coords_table(g.factors)]
 
 

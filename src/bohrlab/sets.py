@@ -15,19 +15,17 @@ from pathlib import Path
 import numpy as np
 
 from .bohr import BohrSpec, members_mask
-from .errors import CapacityError, DomainError, RetryExhausted, ShapeError
+from .errors import DomainError, RetryExhausted, ShapeError
 from .groups import (
     Elem,
     GroupSpec,
     check_elem,
     coords_table,
-    enumeration_cap,
     rank_of_elem,
+    require_within_cap,
     strides,
 )
 from .spectral import DensityFn
-
-DEFAULT_ORACLE_CAP = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +62,8 @@ class GroupSubset:
     def ranks(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
-    def members(self, cap: int | None = None) -> list[Elem]:
-        cap = enumeration_cap() if cap is None else cap
-        if self.group.order > cap:
-            raise CapacityError(f"group order {self.group.order} exceeds cap {cap}")
+    def members(self) -> list[Elem]:
+        require_within_cap(self.group)
         coords = coords_table(self.group)
         return [Elem(tuple(row)) for row in coords[self.mask]]
 
@@ -106,18 +102,16 @@ def _translate_union(g: GroupSpec, base_nd: np.ndarray, shifts: np.ndarray) -> n
     return out
 
 
-def sumset_ABmB(A: GroupSubset, B: GroupSubset, cap: int | None = None) -> GroupSubset:
+def sumset_ABmB(A: GroupSubset, B: GroupSubset) -> GroupSubset:
     """The exact sumset {a + b - c : a in A, b, c in B}, by enumeration.
 
     Computed in two passes: the difference set B - B first, then its translates
     along A.  O(N * (|A| + |B|)) bit-table work.
     """
-    if A.group != B.group:
-        raise ShapeError(f"subsets live on different groups: {A.group} vs {B.group}")
     g = A.group
-    cap = DEFAULT_ORACLE_CAP if cap is None else cap
-    if g.order > cap:
-        raise CapacityError(f"group order {g.order} exceeds sumset oracle cap {cap}")
+    require_within_cap(g)
+    if B.group != g:
+        raise ShapeError(f"subsets live on different groups: {g} vs {B.group}")
     coords = coords_table(g)
     b_nd = B.mask.reshape(g.factors)
     # B - B as the union of B - c over c in B.
@@ -128,41 +122,37 @@ def sumset_ABmB(A: GroupSubset, B: GroupSubset, cap: int | None = None) -> Group
     return GroupSubset(g, out_nd.ravel())
 
 
-def random_subset(
-    g: GroupSpec, density: float, seed: int, max_retries: int = 16
-) -> GroupSubset:
+def random_subset(g: GroupSpec, density: float, seed: int) -> GroupSubset:
     """Bernoulli(density) subset, deterministic under the seed.
 
-    Draws are redrawn (from the same stream) until the empirical density lands
-    within five binomial standard deviations of the target.
+    Draws are redrawn (from the same stream, at most 16 times) until the
+    empirical density lands within five binomial standard deviations of the
+    target.
     """
     if not 0.0 < density <= 1.0:
         raise DomainError(f"density must lie in (0, 1], got {density}")
     rng = np.random.default_rng(int(seed))
     band = 5.0 * math.sqrt(density * (1.0 - density) / g.order)
-    for _ in range(max_retries):
+    for _ in range(16):
         mask = rng.random(g.order) < density
         if abs(mask.mean() - density) <= band:
             return GroupSubset(g, mask)
-    raise RetryExhausted(
-        f"no draw within {band:.3g} of density {density} after {max_retries} tries"
-    )
+    raise RetryExhausted(f"no draw within {band:.3g} of density {density} after 16 tries")
 
 
-def random_nonempty_subset(
-    g: GroupSpec, density: float, seed: int, max_retries: int = 32
-) -> GroupSubset:
+def random_nonempty_subset(g: GroupSpec, density: float, seed: int) -> GroupSubset:
     """Like :func:`random_subset` but also redraws empty results.
 
     The extraction pipeline needs positive mass, so sweep harnesses sample
-    with this variant.  Retries are derived deterministically from the seed.
+    with this variant.  Up to 32 retries are derived deterministically from
+    the seed.
     """
-    for attempt in range(max_retries):
+    for attempt in range(32):
         sub_seed = int(np.random.SeedSequence([int(seed), attempt]).generate_state(1)[0])
         subset = random_subset(g, density, sub_seed)
         if subset.size > 0:
             return subset
-    raise RetryExhausted(f"all {max_retries} draws at density {density} were empty")
+    raise RetryExhausted(f"all 32 draws at density {density} were empty")
 
 
 # --- structured generators ---------------------------------------------------
@@ -197,10 +187,9 @@ def progression_subset(g: GroupSpec, start: Elem, step: Elem, length: int) -> Gr
 
 
 def bohr_subset(g: GroupSpec, spec: BohrSpec) -> GroupSubset:
+    require_within_cap(g)
     if spec.group != g:
         raise ShapeError(f"Bohr spec lives on {spec.group}, requested group is {g}")
-    if g.order > enumeration_cap():
-        raise CapacityError(f"group order {g.order} exceeds enumeration cap")
     return GroupSubset(g, members_mask(spec))
 
 

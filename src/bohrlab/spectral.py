@@ -27,6 +27,20 @@ from .groups import TWO_PI, GroupSpec, coords_table, phase_table
 _BLOCK_CELLS = 1 << 21
 
 
+def phase_blocks(g: GroupSpec, rows: np.ndarray, cols: np.ndarray):
+    """Yield ``(block, phase_table(g, rows[block], cols))`` over consecutive row slices.
+
+    Blocks hold as many rows as fit ``_BLOCK_CELLS`` against all N elements, so
+    memory stays bounded for any ``cols`` of at most N rows.  Every blocked
+    O(N^2)-style walk (the definitional transforms, synthesis, Bohr membership)
+    goes through here.
+    """
+    step = max(1, _BLOCK_CELLS // max(1, g.order * g.ndim))
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        yield block, phase_table(g, rows[block], cols)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityFn:
     """A real table over the group, indexed by element in canonical order."""
@@ -103,34 +117,20 @@ def idft(spectrum: Spectrum) -> np.ndarray:
     return np.fft.ifftn(spectrum.as_nd()).ravel() * g.order
 
 
-def _block_rows(g: GroupSpec) -> int:
-    return max(1, _BLOCK_CELLS // max(1, g.order * g.ndim))
-
-
 def dft_definitional(f: DensityFn) -> Spectrum:
     """The analysis sum evaluated directly, blocked to bound memory."""
     g = f.group
     coords = coords_table(g)
     out = np.empty(g.order, dtype=np.complex128)
-    step = _block_rows(g)
-    for start in range(0, g.order, step):
-        freq_block = coords[start : start + step]
-        phases = phase_table(g, freq_block, coords)
-        kernel = np.exp(-1j * TWO_PI * phases)
-        out[start : start + step] = kernel @ f.values / g.order
+    for block, phases in phase_blocks(g, coords, coords):
+        out[block] = np.exp(-1j * TWO_PI * phases) @ f.values / g.order
     return Spectrum(g, out)
 
 
 def idft_definitional(spectrum: Spectrum) -> np.ndarray:
+    """The synthesis sum over every character, evaluated directly."""
     g = spectrum.group
-    coords = coords_table(g)
-    out = np.empty(g.order, dtype=np.complex128)
-    step = _block_rows(g)
-    for start in range(0, g.order, step):
-        elem_block = coords[start : start + step]
-        phases = phase_table(g, elem_block, coords)
-        out[start : start + step] = np.exp(1j * TWO_PI * phases) @ spectrum.coeffs
-    return out
+    return synthesize(g, coords_table(g), spectrum.coeffs)
 
 
 def synthesize(g: GroupSpec, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -142,15 +142,9 @@ def synthesize(g: GroupSpec, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if freqs.shape[0] != coeffs.shape[0]:
         raise ShapeError("one coefficient per frequency row is required")
-    coords = coords_table(g)
-    out = np.zeros(g.order, dtype=np.complex128)
-    if freqs.shape[0] == 0:
-        return out
-    step = _block_rows(g)
-    for start in range(0, g.order, step):
-        elem_block = coords[start : start + step]
-        phases = phase_table(g, elem_block, freqs)
-        out[start : start + step] = np.exp(1j * TWO_PI * phases) @ coeffs
+    out = np.empty(g.order, dtype=np.complex128)
+    for block, phases in phase_blocks(g, coords_table(g), freqs):
+        out[block] = np.exp(1j * TWO_PI * phases) @ coeffs
     return out
 
 

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bohr import (
-    DEFAULT_GUARD,
     FORM_CHAR,
     FORM_TORUS,
     BohrSpec,
     halve_radius,
     members_mask,
 )
-from .errors import AmbiguousBoundary, CapacityError, DomainError, EmptyInputError, ShapeError
+from .errors import AmbiguousBoundary, DomainError, EmptyInputError, ShapeError
 from .extractor import BOUND_SLACK, RADIUS_SLACK, Certificate
 from .groups import (
     TWO_PI,
@@ -29,9 +28,9 @@ from .groups import (
     char_tuple,
     coords_table,
     elem_at,
-    enumeration_cap,
     rank_of_elem,
     ranks_of_rows,
+    require_within_cap,
 )
 from .sets import GroupSubset, sumset_ABmB
 from .spectral import (
@@ -82,9 +81,7 @@ def _close(x: float, y: float, rel: float = RADIUS_SLACK) -> bool:
     return math.isclose(x, y, rel_tol=rel, abs_tol=rel)
 
 
-def verify_certificate(
-    cert: Certificate, A: GroupSubset, B: GroupSubset, guard: float = DEFAULT_GUARD
-) -> VerificationReport:
+def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> VerificationReport:
     """Audit every claim in the certificate against A and B from scratch.
 
     The checks, in report order: the witness lies in A; the translated Bohr
@@ -93,7 +90,10 @@ def verify_certificate(
     when a member distance lands in the guard band); the dimension,
     witness-value, level and remainder bounds; then internal consistency
     (delta, spectrum, radii, centers) against the definitional recomputation.
+    A group above the enumeration cap raises :class:`CapacityError` before
+    any O(N^2) work.
     """
+    require_within_cap(cert.group)
     if A.group != cert.group or B.group != cert.group:
         raise ShapeError(
             f"certificate is for {cert.group}, sets are on {A.group} and {B.group}"
@@ -122,8 +122,8 @@ def verify_certificate(
 
     sumset = sumset_ABmB(A, B)
     try:
-        char_members = members_mask(cert.bohr_char_form, guard)
-        torus_members = members_mask(cert.bohr_torus_form, guard)
+        char_members = members_mask(cert.bohr_char_form)
+        torus_members = members_mask(cert.bohr_torus_form)
         undecidable = None
     except AmbiguousBoundary as exc:
         # A distance inside the guard band: membership, and with it
@@ -266,14 +266,14 @@ def good_shift_set(A: GroupSubset, B: GroupSubset, b: BohrSpec) -> GroupSubset:
 
     Halving the radius is what makes the property hereditary: two half-radius
     members sum to a full-radius member, so every shift found here admits its
-    own Bohr neighborhood inside A+B-B.
+    own Bohr neighborhood inside A+B-B.  Raises :class:`AmbiguousBoundary`
+    when a distance of the half-radius set lands in the guard band, and
+    :class:`CapacityError` above the enumeration cap.
     """
-    if A.group != b.group or B.group != b.group:
-        raise ShapeError(f"sets on {A.group}/{B.group} but Bohr spec on {b.group}")
     g = b.group
-    cap = enumeration_cap()
-    if g.order > cap:
-        raise CapacityError(f"group order {g.order} exceeds enumeration cap {cap}")
+    require_within_cap(g)
+    if A.group != g or B.group != g:
+        raise ShapeError(f"sets on {A.group}/{B.group} but Bohr spec on {g}")
     sumset = sumset_ABmB(A, B)
     half = members_mask(halve_radius(b))
     s_nd = sumset.mask.reshape(g.factors)

@@ -129,13 +129,13 @@ def test_sweep_writes_sorted_rows(tmp_path):
     )
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "N,delta,trial,k,k_limit,c,eta,h_at_a0,good_shift_fraction,pass"
+    assert lines[0] == "N,delta,trial,k,k_limit,c,eta,h_at_a0,good_shift_fraction,pass,error"
     assert len(lines) == 1 + 2 * 2 * 2
     keys = []
     for line in lines[1:]:
         parts = line.split(",")
         keys.append((int(parts[0]), float(parts[1]), int(parts[2])))
-        assert parts[-1] == "true"
+        assert parts[-2:] == ["true", ""]
     assert keys == sorted(keys)
 
 
@@ -153,6 +153,52 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert run_cli(*args, "--out", str(a), "--jobs", "1")[0] == 0
     assert run_cli(*args, "--out", str(b), "--jobs", "2")[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _sweep_rows_with_failing_n(monkeypatch, tmp_path, name, exc):
+    """Sweep N = 16, 32 with ``bohrlab.cli.<name>`` raising ``exc`` on Z_16 only."""
+    from bohrlab import cli
+
+    real = getattr(cli, name)
+
+    def failing_on_16(first, *args):
+        if first.group.order == 16:
+            raise exc
+        return real(first, *args)
+
+    monkeypatch.setattr(cli, name, failing_on_16)
+    out = tmp_path / "sweep.json"
+    code, stdout, _ = run_cli(
+        "sweep", "--n", "16,32", "--delta", "0.5", "--trials", "2",
+        "--seed", "1", "--out", str(out), "--format", "json",
+    )
+    assert code == 1
+    assert "2 failed" in stdout
+    return json.loads(out.read_text())["rows"]
+
+
+def test_sweep_row_records_ambiguous_boundary(monkeypatch, tmp_path):
+    from bohrlab.errors import AmbiguousBoundary
+
+    rows = _sweep_rows_with_failing_n(
+        monkeypatch, tmp_path, "good_shift_set", AmbiguousBoundary("distance 2.0 is on the radius")
+    )
+    for row in rows:
+        if row["N"] == 16:
+            assert row["pass"] is False
+            assert row["error"] == "AmbiguousBoundary: distance 2.0 is on the radius"
+        else:
+            assert row["pass"] is True and row["error"] == ""
+
+
+def test_sweep_row_records_memory_error(monkeypatch, tmp_path):
+    rows = _sweep_rows_with_failing_n(monkeypatch, tmp_path, "extract", MemoryError("no room"))
+    for row in rows:
+        if row["N"] == 16:
+            assert row["pass"] is False and row["k"] is None
+            assert row["error"] == "MemoryError: no room"
+        else:
+            assert row["pass"] is True and row["error"] == ""
 
 
 def test_sweep_json_format(tmp_path):

@@ -92,11 +92,12 @@ def test_sumset_subgroup_is_closed():
     assert list(sumset_ABmB(evens, evens).ranks()) == [0, 2, 4, 6]
 
 
-def test_sumset_cap():
+def test_sumset_cap(monkeypatch):
     g = GroupSpec((32,))
     s = GroupSubset.full(g)
+    monkeypatch.setenv("BOHRLAB_ENUM_CAP", "16")
     with pytest.raises(CapacityError):
-        sumset_ABmB(s, s, cap=16)
+        sumset_ABmB(s, s)
 
 
 def test_sumset_group_mismatch():

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
 from bohrlab.bohr import FORM_CHAR, BohrSpec
-from bohrlab.errors import DomainError, EmptyInputError, ShapeError
+from bohrlab.errors import AmbiguousBoundary, DomainError, EmptyInputError, ShapeError
 from bohrlab.extractor import extract
 from bohrlab.groups import Char, Elem, GroupSpec
+from bohrlab.serialize import certificate_from_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset
 from bohrlab.spectral import DensityFn, constant_density, convolve, dft, reflect
 from bohrlab.verify import (
@@ -227,6 +229,15 @@ def test_good_shift_monotone_in_radius():
         small = good_shift_set(A, B, BohrSpec(g, freqs, r / 3, FORM_CHAR))
         # shrinking the radius can only add good shifts
         assert not (big.mask & ~small.mask).any()
+
+
+def test_good_shift_raises_on_guard_band():
+    # Char radius 4 halves to 2 = |chi_4(1) - 1|: membership of 1 is undecidable.
+    golden = pathlib.Path(__file__).parent / "data" / "z8_evens_cert.json"
+    cert = certificate_from_json(golden.read_text(encoding="utf-8"))
+    b = dataclasses.replace(cert.bohr_char_form, radius=4.0)
+    with pytest.raises(AmbiguousBoundary, match="within 1e-12 of radius 2.0"):
+        good_shift_set(EVENS, EVENS, b)
 
 
 def test_good_shift_group_mismatch():
