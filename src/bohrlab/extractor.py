@@ -70,8 +70,8 @@ class TrigPoly:
 
     A thin array wrapper: ``support`` holds the characters (kept as a CharTuple, so their frequency
     matrix travels with them) and ``coeffs`` the matching complex array.
-    Terms are stored in canonical rank order, which makes evaluation sums
-    reproducible.
+    The support must be distinct characters in increasing rank order, which
+    makes evaluation sums reproducible; :meth:`from_terms` sorts.
     """
 
     group: GroupSpec
@@ -86,14 +86,8 @@ class TrigPoly:
             raise ShapeError(
                 f"{coeffs.size} coefficients for {len(support)} frequencies"
             )
-        ranks = ranks_of_rows(self.group, support.rows)
-        steps = np.diff(ranks)
-        if (steps < 0).any():
-            order = np.argsort(ranks, kind="stable")
-            support = chars_from_rows(support.rows[order])
-            coeffs, steps = coeffs[order], np.diff(ranks[order])
-        if (steps == 0).any():
-            raise DomainError("a trigonometric polynomial lists a frequency twice")
+        if (np.diff(ranks_of_rows(self.group, support.rows)) <= 0).any():
+            raise DomainError("frequencies must be distinct and in increasing rank order")
         coeffs.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "coeffs", coeffs)
@@ -103,7 +97,10 @@ class TrigPoly:
         cls, group: GroupSpec, terms: Mapping[Char, complex], constant_shift: float = 0.0
     ) -> "TrigPoly":
         """Build from a {character: coefficient} mapping, in any order."""
-        return cls(group, tuple(terms), list(terms.values()), constant_shift)
+        rows = char_tuple(group, tuple(terms)).rows
+        order = np.argsort(ranks_of_rows(group, rows), kind="stable")
+        coeffs = np.array(list(terms.values()), dtype=np.complex128)[order]
+        return cls(group, chars_from_rows(rows[order]), coeffs, constant_shift)
 
     def evaluate(self, z: Elem) -> complex:
         """The value at z, summed term by term in rank order.
@@ -156,23 +153,15 @@ def normalize_means(f: DensityFn, g: DensityFn) -> tuple[DensityFn, DensityFn, f
     return f, g.scaled(delta / mg), delta
 
 
-def _spectrum_and_mean(x: DensityFn | Spectrum) -> tuple[Spectrum, float]:
-    """A density's transform and mean; a spectrum passes through, its mean read off t = 0."""
-    if isinstance(x, Spectrum):
-        return x, float(x.coeffs[0].real)
-    return dft(x), x.mean
-
-
-def large_spectrum(f: DensityFn | Spectrum, threshold: float) -> tuple[Char, ...]:
+def large_spectrum(spectrum: Spectrum, threshold: float) -> tuple[Char, ...]:
     """Characters whose Fourier coefficient has modulus >= threshold.
 
-    ``f`` is a density or, when the caller has it already, its spectrum.
     Returned in canonical character order, as a CharTuple.  The trivial
-    character is always included whenever threshold <= mean(f).
+    character is always included whenever threshold <= the mean, which is
+    the coefficient at t = 0.
     """
     if not threshold > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold}")
-    spectrum, _ = _spectrum_and_mean(f)
     ranks = np.flatnonzero(np.abs(spectrum.coeffs) >= threshold)
     return chars_from_rows(rows_at(spectrum.group, ranks))
 
@@ -201,20 +190,17 @@ def find_witness(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
     return a0, h_at_a0
 
 
-def remainder_bound_check(
-    f: DensityFn | Spectrum, g: DensityFn | Spectrum, s1: tuple[Char, ...]
-) -> float:
+def remainder_bound_check(fhat: Spectrum, ghat: Spectrum, s1: tuple[Char, ...]) -> float:
     """Max modulus of h minus its S1 truncation; must stay under delta^4 / 4.
 
     h-hat factors as f-hat * |g-hat|^2, so the remainder is the inverse
-    transform of that product with the S1 coefficients zeroed out.  ``f`` and
-    ``g`` are densities or their spectra.
+    transform of that product with the S1 coefficients zeroed out.  The
+    means are the coefficients at t = 0.
     """
-    fhat, mf = _spectrum_and_mean(f)
-    ghat, mg = _spectrum_and_mean(g)
     if fhat.group != ghat.group:
         raise ShapeError(f"inputs live on different groups: {fhat.group} vs {ghat.group}")
     grp = fhat.group
+    mf, mg = float(fhat.coeffs[0].real), float(ghat.coeffs[0].real)
     if abs(mf - mg) > BOUND_SLACK:
         raise DomainError(f"inputs are not mean-normalized: means {mf} vs {mg}")
     delta = min(mf, mg)
@@ -276,6 +262,12 @@ class Certificate:
     bohr_char_form: BohrSpec
     bohr_torus_form: BohrSpec
     bounds: dict[str, BoundCheck]
+
+    def __post_init__(self) -> None:
+        # One array check, as BohrSpec does for its frequencies; a CharTuple
+        # (as extract and the loader build) is kept as is.
+        object.__setattr__(self, "s1", char_tuple(self.group, self.s1))
+        check_elem(self.group, self.a0)
 
 
 def extract(f: DensityFn, g: DensityFn) -> Certificate:

@@ -250,12 +250,18 @@ class CharTuple(tuple):
     rows: np.ndarray
 
 
-def chars_from_rows(rows: np.ndarray) -> CharTuple:
+def chars_from_rows(rows) -> CharTuple:
     """The characters of a (k, d) integer matrix, each built exactly once.
 
-    No group is involved: range checks belong to :func:`char_tuple`.
+    The one conversion of frequency rows: ``rows`` is an array or a sequence
+    of integer sequences, and ragged rows or integers beyond int64 raise
+    :class:`ShapeError`.  No group is involved: range checks belong to
+    :func:`char_tuple`.
     """
-    rows = np.array(rows, dtype=np.int64)
+    try:
+        rows = np.array(rows, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise ShapeError(f"frequency rows are ragged or exceed int64: {exc}") from exc
     if rows.ndim != 2:
         raise ShapeError(f"frequency rows must form a (k, d) matrix, got shape {rows.shape}")
     rows.flags.writeable = False
@@ -273,16 +279,13 @@ def char_tuple(g: GroupSpec, chars) -> CharTuple:
     """``chars`` validated against ``g`` by one array check, as a CharTuple.
 
     A CharTuple is checked through the matrix it carries and returned as is;
-    any other sequence is converted once.  Ragged, wrong-length and
-    out-of-range frequencies raise :class:`ShapeError`.
+    any other sequence of characters goes through :func:`chars_from_rows`
+    once.  Ragged, wrong-length and out-of-range frequencies raise
+    :class:`ShapeError`.
     """
-    rows = getattr(chars, "rows", None)
-    if rows is None:
-        chars = tuple(chars)
-        try:
-            rows = np.array([t.freq for t in chars] or np.zeros((0, g.ndim)), dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
-            raise ShapeError(f"frequencies are ragged or out of range for group {g}") from exc
+    if not isinstance(chars, CharTuple):
+        chars = chars_from_rows([t.freq for t in chars] or np.zeros((0, g.ndim)))
+    rows = chars.rows
     k, d = rows.shape
     if k and d != g.ndim:
         raise ShapeError(f"character {chars[0]} has {d} coords, group {g} has {g.ndim}")
@@ -290,12 +293,7 @@ def char_tuple(g: GroupSpec, chars) -> CharTuple:
     if bad.size:
         i, j = bad[0]
         raise ShapeError(f"frequency {rows[i, j]} out of range for factor Z_{g.factors[j]}")
-    if isinstance(chars, CharTuple):
-        return chars
-    rows.flags.writeable = False
-    out = CharTuple(chars)
-    out.rows = rows
-    return out
+    return chars
 
 
 def ranks_of_rows(g: GroupSpec, rows: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ from itertools import chain
 import numpy as np
 
 from .bohr import BohrSpec
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .extractor import BoundCheck, Certificate
-from .groups import Char, CharTuple, Elem, GroupSpec, chars_from_rows, parse_group
+from .groups import CharTuple, Elem, GroupSpec, chars_from_rows, parse_group
 
 CERT_SCHEMA = "bohrlab-cert/1"
 
@@ -50,13 +50,7 @@ def _coords_list(value, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _freq_lists(chars: tuple[Char, ...]) -> list[list[int]]:
-    return [list(t.freq) for t in chars]
-
-
-def bohr_spec_to_dict(
-    b: BohrSpec, freqs: Callable[[tuple[Char, ...]], object] = _freq_lists
-) -> dict:
+def bohr_spec_to_dict(b: BohrSpec, freqs: Callable[[CharTuple], object]) -> dict:
     """The JSON object of a Bohr spec; ``freqs`` renders its frequency tuple."""
     return {
         "form": b.form,
@@ -71,8 +65,9 @@ def _char_tuple(value, what: str, ndim: int, parsed: list) -> CharTuple:
 
     Every entry is type-checked, with ``isinstance`` semantics (so a bool
     counts as an integer); ``parsed`` holds (list, characters) pairs already
-    converted, and an equal list reuses its characters.  Ragged rows and
-    integers outside int64 raise ShapeError; range checks are the group's.
+    converted, and an equal list reuses its characters.  The conversion, and
+    with it the ShapeError for ragged rows and integers outside int64, is
+    :func:`~bohrlab.groups.chars_from_rows`; range checks are the group's.
     """
     if not isinstance(value, list):
         raise DomainError(f"{what} rows must be a list, got {value!r}")
@@ -89,16 +84,12 @@ def _char_tuple(value, what: str, ndim: int, parsed: list) -> CharTuple:
     for seen, chars in parsed:
         if seen == value:
             return chars
-    try:
-        rows = np.array(value or np.zeros((0, ndim)), dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise ShapeError(f"{what} rows are ragged or exceed int64: {exc}") from exc
-    chars = chars_from_rows(rows)
+    chars = chars_from_rows(value or np.zeros((0, ndim)))
     parsed.append((value, chars))
     return chars
 
 
-def bohr_spec_from_dict(d: dict, g: GroupSpec, parsed: list | None = None) -> BohrSpec:
+def bohr_spec_from_dict(d: dict, g: GroupSpec, parsed: list) -> BohrSpec:
     """Inverse of :func:`bohr_spec_to_dict`; ``parsed`` shares converted frequency lists."""
     try:
         form = d["form"]
@@ -107,14 +98,12 @@ def bohr_spec_from_dict(d: dict, g: GroupSpec, parsed: list | None = None) -> Bo
         center = d.get("center")
     except (KeyError, TypeError, AttributeError) as exc:
         raise DomainError(f"malformed Bohr spec object: {d!r}") from exc
-    chars = _char_tuple(freqs, "frequency", g.ndim, [] if parsed is None else parsed)
+    chars = _char_tuple(freqs, "frequency", g.ndim, parsed)
     elem = Elem(_coords_list(center, "center")) if center is not None else None
     return BohrSpec(g, chars, parse_real(radius), form, center=elem)
 
 
-def certificate_to_dict(
-    cert: Certificate, freqs: Callable[[tuple[Char, ...]], object] = _freq_lists
-) -> dict:
+def certificate_to_dict(cert: Certificate, freqs: Callable[[CharTuple], object]) -> dict:
     """The JSON object of a certificate; ``freqs`` renders each frequency tuple."""
     return {
         "schema": CERT_SCHEMA,
@@ -179,15 +168,10 @@ _MARK = "\x00freqs:"
 _MARKED = re.compile(r'^( *)("[^"\n]*": )"\\u0000freqs:(\d+)"', re.MULTILINE)
 
 
-def _rows_json(chars: tuple[Char, ...], indent: str) -> str:
-    """``json.dumps(rows, indent=2)`` as it reads on a line indented by ``indent``.
-
-    A CharTuple is rendered from its matrix with string joins; anything else
-    (user-built, possibly ragged) goes through the stdlib encoder.
-    """
-    rows = getattr(chars, "rows", None)
-    if rows is None or rows.shape[1] == 0:
-        return json.dumps(_freq_lists(chars), indent=2).replace("\n", "\n" + indent)
+def _rows_json(chars: CharTuple, indent: str) -> str:
+    """``json.dumps(rows, indent=2)`` as it reads on a line indented by ``indent``,
+    rendered from the validated frequency matrix with string joins."""
+    rows = chars.rows
     if rows.shape[0] == 0:
         return "[]"
     row, entry = indent + "  ", indent + "    "
@@ -201,7 +185,7 @@ def _rows_json(chars: tuple[Char, ...], indent: str) -> str:
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    """``json.dumps(certificate_to_dict(cert), indent=2)`` plus a newline, byte for byte.
+    """The certificate as ``json.dumps(..., indent=2)`` writes it, plus a newline, byte for byte.
 
     The small fields go through the stdlib encoder with each frequency tuple
     replaced by a numbered mark; the marks are then replaced by the rendered
@@ -209,9 +193,9 @@ def certificate_to_json(cert: Certificate) -> str:
     depth (S1 and the Bohr forms share one tuple), only the indentation after
     each newline changes.
     """
-    tuples: list[tuple[Char, ...]] = []
+    tuples: list[CharTuple] = []
 
-    def mark(chars: tuple[Char, ...]) -> str:
+    def mark(chars: CharTuple) -> str:
         tuples.append(chars)
         return f"{_MARK}{len(tuples) - 1}"
 

@@ -25,14 +25,13 @@ from .extractor import BOUND_SLACK, RADIUS_SLACK, Certificate
 from .groups import (
     TWO_PI,
     GroupSpec,
-    char_tuple,
     coords_table,
     elem_at,
     rank_of_elem,
     ranks_of_rows,
     require_within_cap,
 )
-from .sets import GroupSubset, sumset_ABmB
+from .sets import GroupSubset, _translate_union, sumset_ABmB
 from .spectral import (
     DensityFn,
     convolve,
@@ -111,7 +110,7 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     hhat_def = dft_definitional(h_def).coeffs
 
     a0_rank = rank_of_elem(grp, cert.a0)
-    freq_rows = char_tuple(grp, cert.s1).rows
+    freq_rows = cert.s1.rows
     s1_ranks = ranks_of_rows(grp, freq_rows)
     k = len(freq_rows)
 
@@ -276,12 +275,9 @@ def good_shift_set(A: GroupSubset, B: GroupSubset, b: BohrSpec) -> GroupSubset:
         raise ShapeError(f"sets on {A.group}/{B.group} but Bohr spec on {g}")
     sumset = sumset_ABmB(A, B)
     half = members_mask(halve_radius(b))
-    s_nd = sumset.mask.reshape(g.factors)
-    good_nd = np.ones(g.factors, dtype=bool)
-    axes = tuple(range(g.ndim))
-    for row in coords_table(g)[half]:
-        good_nd &= np.roll(s_nd, tuple(int(-x) for x in row), axis=axes)
-    return GroupSubset(g, good_nd.ravel() & A.mask)
+    # a is bad when a + z misses the sumset for some half-radius member z.
+    bad = _translate_union(g, ~sumset.mask.reshape(g.factors), -coords_table(g)[half])
+    return GroupSubset(g, A.mask & ~bad.ravel())
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from bohrlab.extractor import (
 )
 from bohrlab.groups import Char, Elem, GroupSpec, char_at, char_eval, elem_at, rank_of_char
 from bohrlab.sets import GroupSubset, random_nonempty_subset
-from bohrlab.spectral import DensityFn, constant_density, triple_convolve
+from bohrlab.spectral import DensityFn, constant_density, dft, triple_convolve
 
 Z8 = GroupSpec((8,))
 EVENS = DensityFn(Z8, [1, 0, 1, 0, 1, 0, 1, 0])
@@ -66,18 +66,18 @@ def test_normalize_means_errors():
 
 def test_large_spectrum_evens():
     # coefficients are exactly 1/2 at t in {0, 4}, zero elsewhere
-    assert [t.freq for t in large_spectrum(EVENS, 0.25)] == [(0,), (4,)]
-    assert [t.freq for t in large_spectrum(EVENS, 0.5)] == [(0,), (4,)]  # >= is inclusive
-    assert [t.freq for t in large_spectrum(EVENS, 0.500001)] == []
+    assert [t.freq for t in large_spectrum(dft(EVENS), 0.25)] == [(0,), (4,)]
+    assert [t.freq for t in large_spectrum(dft(EVENS), 0.5)] == [(0,), (4,)]  # >= is inclusive
+    assert [t.freq for t in large_spectrum(dft(EVENS), 0.500001)] == []
     with pytest.raises(DomainError):
-        large_spectrum(EVENS, 0.0)
+        large_spectrum(dft(EVENS), 0.0)
 
 
 def test_large_spectrum_canonical_order():
     g = GroupSpec((4, 3))
     rng = np.random.default_rng(3)
     f = DensityFn(g, rng.random(12))
-    chars = large_spectrum(f, 1e-6)
+    chars = large_spectrum(dft(f), 1e-6)
     ranks = [t.freq for t in chars]
     assert ranks == sorted(ranks)
 
@@ -112,19 +112,19 @@ def test_find_witness_low_value_is_breach():
 
 
 def test_remainder_zero_when_s1_complete():
-    r = remainder_bound_check(EVENS, EVENS, [Char((0,)), Char((4,))])
+    r = remainder_bound_check(dft(EVENS), dft(EVENS), [Char((0,)), Char((4,))])
     assert r == 0.0
 
 
 def test_remainder_breach_when_s1_drops_mass():
     # dropping t=4 leaves a coefficient of 1/8 in the tail, far over the cap
     with pytest.raises(InvariantBreach):
-        remainder_bound_check(EVENS, EVENS, [Char((0,))])
+        remainder_bound_check(dft(EVENS), dft(EVENS), [Char((0,))])
 
 
 def test_remainder_requires_matching_means():
     with pytest.raises(DomainError):
-        remainder_bound_check(EVENS, constant_density(Z8, 0.25), [Char((0,))])
+        remainder_bound_check(dft(EVENS), dft(constant_density(Z8, 0.25)), [Char((0,))])
 
 
 def test_trigpoly_evaluate():

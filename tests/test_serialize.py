@@ -1,23 +1,28 @@
 """Certificate JSON: byte identity with the stdlib layout, exact round trips,
-and the loader's outcomes on malformed frequency rows."""
+the loader's outcomes on malformed frequency rows and witnesses, and the
+extract -> JSON -> verify contract over random multi-factor groups."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from bohrlab import verify
 from bohrlab.cli import main
 from bohrlab.errors import DomainError, ShapeError
 from bohrlab.extractor import extract, normalize_means
-from bohrlab.groups import GroupSpec, char_eval, rank_of_char
-from bohrlab.serialize import certificate_from_json, certificate_to_json
+from bohrlab.groups import Char, GroupSpec, char_eval, rank_of_char, rows_at
+from bohrlab.serialize import certificate_from_json, certificate_to_json, fmt_real
 from bohrlab.sets import GroupSubset, write_set_file
 from bohrlab.spectral import dft
 from bohrlab.verify import verify_certificate
@@ -78,19 +83,17 @@ def test_loader_shares_one_character_tuple():
 
 
 def test_writer_handles_user_built_tuples():
-    import dataclasses
-
     cert = certificate_from_json(GOLDEN.read_text())
-    plain = tuple(cert.s1)  # not a CharTuple: rendered by the stdlib encoder
+    plain = tuple(cert.s1)  # not a CharTuple: converted where the certificate is built
     forms = [dataclasses.replace(b, freqs=plain) for b in (cert.bohr_char_form, cert.bohr_torus_form)]
     rebuilt = dataclasses.replace(cert, s1=plain, bohr_char_form=forms[0], bohr_torus_form=forms[1])
     assert certificate_to_json(rebuilt) == GOLDEN.read_text()
 
 
-# --- malformed frequency rows ---------------------------------------------------
+# --- malformed frequency rows and witnesses --------------------------------------
 
-def _tampered(edit) -> str:
-    payload = json.loads(GOLDEN.read_text())
+def _tampered(edit, text: str | None = None) -> str:
+    payload = json.loads(GOLDEN.read_text() if text is None else text)
     edit(payload)
     return json.dumps(payload)
 
@@ -110,6 +113,13 @@ def _set_s1(rows):
     return edit
 
 
+def _set_a0(coords):
+    def edit(p):
+        p["a0"] = coords
+
+    return edit
+
+
 def _set_all(rows):
     def edit(p):
         _set_s1(rows)(p)
@@ -118,7 +128,16 @@ def _set_all(rows):
     return edit
 
 
-LOAD_ERRORS = [
+# Once refused only by the verifier, after its O(N^2) transforms; now refused at load.
+LOAD_TIME_REFUSALS = [
+    ("negative s1 entry", _set_s1([[0], [-4]]), ShapeError),
+    ("wrong-length rows in s1", _set_s1([[0, 0], [4, 0]]), ShapeError),
+    ("zero-width row in s1", _set_s1([[]]), ShapeError),
+    ("out-of-range a0", _set_a0([8]), ShapeError),
+    ("wrong-length a0", _set_a0([0, 0]), ShapeError),
+]
+
+LOAD_ERRORS = LOAD_TIME_REFUSALS + [
     ("float entry in s1", _set_s1([[0], [4.0]]), DomainError),
     ("float entry in freqs", _set_freqs([[0], [4.0]]), DomainError),
     ("string row in s1", _set_s1([[0], "4"]), DomainError),
@@ -129,6 +148,7 @@ LOAD_ERRORS = [
     ("out-of-range freqs", _set_freqs([[0], [8]]), ShapeError),
     ("integer >= 2^63 in freqs", _set_freqs([[0], [2**63]]), ShapeError),
     ("integer >= 2^63 in s1", _set_s1([[0], [2**63]]), ShapeError),
+    ("ragged rows in s1", _set_s1([[0], [4, 0]]), ShapeError),
 ]
 
 
@@ -145,11 +165,26 @@ def test_loader_accepts_bools_as_ints():
     assert verify_certificate(cert, EVENS, EVENS).passed
 
 
-def test_negative_s1_entry_loads_then_verify_rejects_it():
-    cert = certificate_from_json(_tampered(_set_s1([[0], [-4]])))
-    assert [t.freq for t in cert.s1] == [(0,), (-4,)]
+def test_negative_s1_entry_is_refused_at_load():
     with pytest.raises(ShapeError):
-        verify_certificate(cert, EVENS, EVENS)
+        certificate_from_json(_tampered(_set_s1([[0], [-4]])))
+    cert = certificate_from_json(GOLDEN.read_text())
+    with pytest.raises(ShapeError):
+        dataclasses.replace(cert, s1=(Char((0,)), Char((-4,))))
+
+
+def _no_definitional_work(*args, **kwargs):
+    raise AssertionError("a definitional transform ran on a malformed certificate")
+
+
+@pytest.mark.parametrize(
+    "label,edit,error", LOAD_TIME_REFUSALS, ids=[c[0] for c in LOAD_TIME_REFUSALS]
+)
+def test_malformed_certificate_is_refused_before_any_transform(monkeypatch, label, edit, error):
+    monkeypatch.setattr(verify, "dft_definitional", _no_definitional_work)
+    monkeypatch.setattr(verify, "triple_convolve_definitional", _no_definitional_work)
+    with pytest.raises(error):
+        verify_certificate(certificate_from_json(_tampered(edit)), EVENS, EVENS)
 
 
 def run_cli(*argv):
@@ -159,14 +194,7 @@ def run_cli(*argv):
     return code, err.getvalue()
 
 
-CLI_CASES = LOAD_ERRORS + [
-    ("negative s1 entry", _set_s1([[0], [-4]]), ShapeError),
-    ("wrong-length rows in s1", _set_s1([[0, 0], [4, 0]]), ShapeError),
-    ("ragged rows in s1", _set_s1([[0], [4, 0]]), ShapeError),
-]
-
-
-@pytest.mark.parametrize("label,edit,error", CLI_CASES, ids=[c[0] for c in CLI_CASES])
+@pytest.mark.parametrize("label,edit,error", LOAD_ERRORS, ids=[c[0] for c in LOAD_ERRORS])
 def test_cli_verify_exits_2_on_malformed_rows(tmp_path, label, edit, error):
     sets = tmp_path / "evens.txt"
     write_set_file(EVENS, sets)
@@ -175,3 +203,91 @@ def test_cli_verify_exits_2_on_malformed_rows(tmp_path, label, edit, error):
     code, err = run_cli("verify", "--cert", str(cert), "--set-a", str(sets), "--set-b", str(sets))
     assert code == 2, err
     assert error.__name__ in err
+
+
+# --- properties over random multi-factor groups, N <= 512 ------------------------
+
+SMALL_GROUPS = st.one_of(
+    st.lists(st.integers(2, 8), min_size=2, max_size=4)
+    .map(tuple)
+    .filter(lambda f: math.prod(f) <= 512),
+    st.integers(2, 512).map(lambda n: (n,)),
+    st.sampled_from([(2,) * 9, (3,) * 5, (4, 2, 2, 2, 2, 2, 2)]),
+)
+INSTANCES = dict(
+    factors=SMALL_GROUPS,
+    density_a=st.floats(0.02, 1.0),
+    density_b=st.floats(0.02, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _instance(factors, density_a, density_b, seed):
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    A, B = (_exact_size_subset(g, d, rng) for d in (density_a, density_b))
+    return A, B, rng
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**INSTANCES)
+def test_verify_passes_what_extract_certifies(factors, density_a, density_b, seed):
+    A, B, _ = _instance(factors, density_a, density_b, seed)
+    assert verify_certificate(extract(A.indicator(), B.indicator()), A, B).passed
+
+
+def _shift(key):
+    def edit(p):
+        p[key] = fmt_real(float(p[key]) + 1e-6)
+
+    return edit
+
+
+def _double_char_radius(p):
+    form = p["bohr_char_form"]
+    form["radius"] = fmt_real(2.0 * float(form["radius"]))
+
+
+def _bump_k(p):
+    p["k"] += 1
+
+
+def _drop_s1_row(index):
+    def edit(p):
+        for rows in (p["s1"], p["bohr_char_form"]["freqs"], p["bohr_torus_form"]["freqs"]):
+            del rows[index % len(rows)]
+
+    return edit
+
+
+def _tampers(A: GroupSubset, index: int) -> dict:
+    """Single-field edits of a certificate's JSON object, each of which a verifier must refute."""
+    edits = {
+        "delta": _shift("delta"),
+        "c": _shift("c"),
+        "h_at_a0": _shift("h_at_a0"),
+        "k": _bump_k,
+        "char radius": _double_char_radius,
+        "s1 row": _drop_s1_row(index),
+    }
+    outside = np.flatnonzero(~A.mask)
+    if outside.size:
+        edits["a0"] = _set_a0(rows_at(A.group, outside[[index % outside.size]])[0].tolist())
+    return edits
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**INSTANCES)
+def test_single_field_tamper_makes_cli_verify_exit_1(factors, density_a, density_b, seed):
+    A, B, rng = _instance(factors, density_a, density_b, seed)
+    text = certificate_to_json(extract(A.indicator(), B.indicator()))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [pathlib.Path(tmp) / name for name in ("a.txt", "b.txt", "cert.json")]
+        write_set_file(A, paths[0])
+        write_set_file(B, paths[1])
+        for name, edit in _tampers(A, int(rng.integers(1 << 30))).items():
+            paths[2].write_text(_tampered(edit, text))
+            code, err = run_cli(
+                "verify", "--cert", str(paths[2]), "--set-a", str(paths[0]), "--set-b", str(paths[1])
+            )
+            assert code == 1, (name, err)
