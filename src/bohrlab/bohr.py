@@ -21,7 +21,7 @@ import numpy as np
 from .errors import AmbiguousBoundary, DomainError
 from .groups import (
     TWO_PI,
-    Char,
+    CharTuple,
     Elem,
     GroupSpec,
     char_tuple,
@@ -44,7 +44,7 @@ class BohrSpec:
     """Frequencies, radius and form of a Bohr set; optionally a center."""
 
     group: GroupSpec
-    freqs: tuple[Char, ...]
+    freqs: CharTuple
     radius: float
     form: str
     center: Elem | None = None
@@ -54,8 +54,7 @@ class BohrSpec:
             raise DomainError(f"unknown Bohr form {self.form!r}")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise DomainError(f"radius must be positive and finite, got {self.radius}")
-        # One array check; a CharTuple (as extract and the loader build) is
-        # kept as is, so dataclasses.replace re-checks without rebuilding.
+        # One array check; a CharTuple is kept, so dataclasses.replace copies nothing.
         object.__setattr__(self, "freqs", char_tuple(self.group, self.freqs))
         if self.center is not None:
             check_elem(self.group, self.center)
@@ -63,10 +62,6 @@ class BohrSpec:
     @property
     def dimension(self) -> int:
         return len(self.freqs)
-
-    def freq_matrix(self) -> np.ndarray:
-        """The validated (k, d) frequency matrix, read-only and shared with ``freqs``."""
-        return self.freqs.rows
 
 
 # --- membership --------------------------------------------------------------
@@ -107,7 +102,7 @@ def members_mask(b: BohrSpec) -> np.ndarray:
     """
     g = b.group
     members = np.ones(g.order, dtype=bool)
-    for block, phases in phase_blocks(g, b.freq_matrix(), coords_table(g)):
+    for block, phases in phase_blocks(g, b.freqs.rows, coords_table(g)):
         if b.form == FORM_CHAR:
             dists = 2.0 * np.sin(np.pi * phases)
         else:

@@ -1,8 +1,9 @@
 """Command-line front end: extract certificates, verify them, run sweeps.
 
-Exit codes: 0 success, 1 a verification (or sweep row) failed, 2 bad input,
-3 an internal invariant broke.  All randomness is seeded and every output is
-byte-deterministic for fixed arguments, including parallel sweeps.
+Exit codes: 0 success, 1 a verification (or sweep row) failed, 2 bad input
+(running out of memory included), 3 an internal invariant broke.  All
+randomness is seeded and every output is byte-deterministic for fixed
+arguments, including parallel sweeps.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     ShapeError,
 )
 from .extractor import extract
-from .groups import GroupSpec, parse_group
+from .groups import GroupSpec, parse_group, require_within_cap
 from .serialize import (
     certificate_from_json,
     certificate_to_json,
@@ -42,7 +43,8 @@ EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-_INPUT_ERRORS = (DomainError, ShapeError, CapacityError)
+# Running out of memory means the input is too large to process: bad input too.
+_INPUT_ERRORS = (DomainError, ShapeError, CapacityError, MemoryError)
 _INTERNAL_ERRORS = (InvariantBreach, AmbiguousBoundary, RetryExhausted, PreconditionError)
 
 _SWEEP_COLUMNS = (
@@ -75,6 +77,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cert = certificate_from_json(Path(args.cert).read_text(encoding="utf-8"))
+    require_within_cap(cert.group)  # before the set files are read into N-sized masks
     A = read_set_file(args.set_a, cert.group)
     B = read_set_file(args.set_b, cert.group)
     report = verify_certificate(cert, A, B)
@@ -135,7 +138,7 @@ def _sweep_trial(n: int, delta: float, trial: int, master_seed: int) -> dict:
                 "pass": report.passed,
             }
         )
-    except (*_INPUT_ERRORS, *_INTERNAL_ERRORS, MemoryError) as exc:
+    except (*_INPUT_ERRORS, *_INTERNAL_ERRORS) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 

@@ -15,9 +15,8 @@ internal error, never a silently weaker certificate.
 
 The pipeline is array-native: f-hat and g-hat are computed once each, S1 is
 a rank array, the remainder zeroes those ranks in one step, and ``TrigPoly``
-is a thin wrapper over a frequency matrix and a coefficient array.  The
-``Char`` objects of S1 are built once, when the spectrum is cut, and the
-same tuple serves the certificate and both of its Bohr forms.
+is a thin wrapper over a frequency matrix and a coefficient array.  S1 is
+one ``CharTuple``, shared by the certificate and both of its Bohr forms.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ from .groups import (
     TWO_PI,
     Char,
     Elem,
+    CharTuple,
     GroupSpec,
     char_tuple,
-    chars_from_rows,
     check_elem,
     elem_at,
     ranks_of_rows,
@@ -68,14 +67,13 @@ def _running_sum(start: float, values: np.ndarray) -> float:
 class TrigPoly:
     """A finite trigonometric polynomial: constant_shift + sum of coeff * chi.
 
-    A thin array wrapper: ``support`` holds the characters (kept as a CharTuple, so their frequency
-    matrix travels with them) and ``coeffs`` the matching complex array.
-    The support must be distinct characters in increasing rank order, which
-    makes evaluation sums reproducible; :meth:`from_terms` sorts.
+    A thin array wrapper over a CharTuple ``support`` and the matching complex
+    array ``coeffs``.  The support must be distinct characters in increasing
+    rank order, which makes evaluation sums reproducible; :meth:`from_terms` sorts.
     """
 
     group: GroupSpec
-    support: tuple[Char, ...]
+    support: CharTuple
     coeffs: np.ndarray
     constant_shift: float = 0.0
 
@@ -100,7 +98,7 @@ class TrigPoly:
         rows = char_tuple(group, tuple(terms)).rows
         order = np.argsort(ranks_of_rows(group, rows), kind="stable")
         coeffs = np.array(list(terms.values()), dtype=np.complex128)[order]
-        return cls(group, chars_from_rows(rows[order]), coeffs, constant_shift)
+        return cls(group, CharTuple(rows[order]), coeffs, constant_shift)
 
     def evaluate(self, z: Elem) -> complex:
         """The value at z, summed term by term in rank order.
@@ -153,7 +151,7 @@ def normalize_means(f: DensityFn, g: DensityFn) -> tuple[DensityFn, DensityFn, f
     return f, g.scaled(delta / mg), delta
 
 
-def large_spectrum(spectrum: Spectrum, threshold: float) -> tuple[Char, ...]:
+def large_spectrum(spectrum: Spectrum, threshold: float) -> CharTuple:
     """Characters whose Fourier coefficient has modulus >= threshold.
 
     Returned in canonical character order, as a CharTuple.  The trivial
@@ -163,7 +161,7 @@ def large_spectrum(spectrum: Spectrum, threshold: float) -> tuple[Char, ...]:
     if not threshold > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold}")
     ranks = np.flatnonzero(np.abs(spectrum.coeffs) >= threshold)
-    return chars_from_rows(rows_at(spectrum.group, ranks))
+    return CharTuple(rows_at(spectrum.group, ranks))
 
 
 def find_witness(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
@@ -255,7 +253,7 @@ class Certificate:
     group: GroupSpec
     delta: float
     a0: Elem
-    s1: tuple[Char, ...]
+    s1: CharTuple
     c: float
     k: int
     h_at_a0: float
@@ -264,8 +262,7 @@ class Certificate:
     bounds: dict[str, BoundCheck]
 
     def __post_init__(self) -> None:
-        # One array check, as BohrSpec does for its frequencies; a CharTuple
-        # (as extract and the loader build) is kept as is.
+        # One array check, as BohrSpec does for its frequencies; a CharTuple is kept.
         object.__setattr__(self, "s1", char_tuple(self.group, self.s1))
         check_elem(self.group, self.a0)
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -240,51 +239,61 @@ def char_at(g: GroupSpec, rank: int) -> Char:
 
 # --- characters in bulk --------------------------------------------------------
 
-class CharTuple(tuple):
-    """A tuple of characters that keeps their (k, d) frequency matrix as ``rows``.
+class CharTuple(Sequence):
+    """An immutable sequence of characters, held as their (k, d) frequency matrix.
 
-    Array code reads ``rows`` instead of walking the characters; the tuple is
-    immutable, so the matrix (read-only) can never go stale.
+    ``rows`` (int64, read-only) is the only state.  An integer index builds
+    one :class:`Char`, a slice gives a CharTuple, and equality and hashing
+    agree with the plain tuple of the characters.  Ragged rows, integers
+    beyond int64 and a non-(k, d) shape raise :class:`ShapeError`; range
+    checks belong to :func:`char_tuple`.
     """
 
-    rows: np.ndarray
+    __slots__ = ("rows",)
 
+    def __init__(self, rows) -> None:
+        try:
+            rows = np.array(rows, dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise ShapeError(f"frequency rows are ragged or exceed int64: {exc}") from exc
+        if rows.ndim != 2:
+            raise ShapeError(f"frequency rows must form a (k, d) matrix, got shape {rows.shape}")
+        rows.flags.writeable = False
+        self.rows = rows
 
-def chars_from_rows(rows) -> CharTuple:
-    """The characters of a (k, d) integer matrix, each built exactly once.
+    def __reduce__(self):
+        return CharTuple, (self.rows,)  # through __init__, so the copy is read-only too
 
-    The one conversion of frequency rows: ``rows`` is an array or a sequence
-    of integer sequences, and ragged rows or integers beyond int64 raise
-    :class:`ShapeError`.  No group is involved: range checks belong to
-    :func:`char_tuple`.
-    """
-    try:
-        rows = np.array(rows, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise ShapeError(f"frequency rows are ragged or exceed int64: {exc}") from exc
-    if rows.ndim != 2:
-        raise ShapeError(f"frequency rows must form a (k, d) matrix, got shape {rows.shape}")
-    rows.flags.writeable = False
-    # The columns' entries are Python ints already, so Char's per-entry
-    # coercion is skipped; both maps call builtins, so no Python frame runs
-    # per character.
-    freqs = zip(*(col.tolist() for col in rows.T)) if rows.shape[1] else repeat(())
-    out = CharTuple(map(object.__new__, repeat(Char, len(rows))))
-    deque(map(object.__setattr__, out, repeat("freq"), freqs), maxlen=0)
-    out.rows = rows
-    return out
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CharTuple(self.rows[i])
+        return Char(self.rows[i].tolist())
+
+    def __iter__(self):
+        return map(Char, self.rows.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CharTuple):
+            # Empty tuples are equal whatever their width, as plain tuples are.
+            return not (len(self) or len(other)) or np.array_equal(self.rows, other.rows)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 def char_tuple(g: GroupSpec, chars) -> CharTuple:
     """``chars`` validated against ``g`` by one array check, as a CharTuple.
 
-    A CharTuple is checked through the matrix it carries and returned as is;
-    any other sequence of characters goes through :func:`chars_from_rows`
-    once.  Ragged, wrong-length and out-of-range frequencies raise
-    :class:`ShapeError`.
+    A CharTuple is checked through its matrix and returned as is; any other
+    sequence of characters is converted to one first.  Ragged, wrong-length
+    and out-of-range frequencies raise :class:`ShapeError`.
     """
     if not isinstance(chars, CharTuple):
-        chars = chars_from_rows([t.freq for t in chars] or np.zeros((0, g.ndim)))
+        chars = CharTuple([t.freq for t in chars] or np.zeros((0, g.ndim)))
     rows = chars.rows
     k, d = rows.shape
     if k and d != g.ndim:

@@ -24,7 +24,7 @@ import numpy as np
 from .bohr import BohrSpec
 from .errors import DomainError
 from .extractor import BoundCheck, Certificate
-from .groups import CharTuple, Elem, GroupSpec, chars_from_rows, parse_group
+from .groups import CharTuple, Elem, GroupSpec, parse_group
 
 CERT_SCHEMA = "bohrlab-cert/1"
 
@@ -44,6 +44,13 @@ def parse_real(value) -> float:
     raise DomainError(f"not a real number: {value!r}")
 
 
+def _json_typed(value, kind: type, what: str):
+    """``value`` itself, if it has the JSON type ``kind`` (a bool counts as an int)."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def _coords_list(value, what: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
         raise DomainError(f"{what} must be a list of integers, got {value!r}")
@@ -61,13 +68,12 @@ def bohr_spec_to_dict(b: BohrSpec, freqs: Callable[[CharTuple], object]) -> dict
 
 
 def _char_tuple(value, what: str, ndim: int, parsed: list) -> CharTuple:
-    """Characters of a JSON list of integer lists, converted once per distinct list.
+    """The CharTuple of a JSON list of integer lists, converted once per distinct list.
 
     Every entry is type-checked, with ``isinstance`` semantics (so a bool
-    counts as an integer); ``parsed`` holds (list, characters) pairs already
-    converted, and an equal list reuses its characters.  The conversion, and
-    with it the ShapeError for ragged rows and integers outside int64, is
-    :func:`~bohrlab.groups.chars_from_rows`; range checks are the group's.
+    counts as an integer); ``parsed`` holds (list, CharTuple) pairs already
+    converted, and an equal list reuses its CharTuple.  Shape errors are the
+    CharTuple's, range checks the group's.
     """
     if not isinstance(value, list):
         raise DomainError(f"{what} rows must be a list, got {value!r}")
@@ -84,7 +90,7 @@ def _char_tuple(value, what: str, ndim: int, parsed: list) -> CharTuple:
     for seen, chars in parsed:
         if seen == value:
             return chars
-    chars = chars_from_rows(value or np.zeros((0, ndim)))
+    chars = CharTuple(value or np.zeros((0, ndim)))
     parsed.append((value, chars))
     return chars
 
@@ -145,7 +151,7 @@ def certificate_from_dict(d: dict) -> Certificate:
             a0=a0,
             s1=s1,
             c=parse_real(d["c"]),
-            k=int(d["k"]),
+            k=_json_typed(d["k"], int, "k"),
             h_at_a0=parse_real(d["h_at_a0"]),
             bohr_char_form=bohr_spec_from_dict(d["bohr_char_form"], g, parsed),
             bohr_torus_form=bohr_spec_from_dict(d["bohr_torus_form"], g, parsed),
@@ -153,7 +159,7 @@ def certificate_from_dict(d: dict) -> Certificate:
                 name: BoundCheck(
                     value=parse_real(entry["value"]),
                     limit=parse_real(entry["limit"]),
-                    ok=bool(entry["ok"]),
+                    ok=_json_typed(entry["ok"], bool, f"ok of bound {name}"),
                 )
                 for name, entry in bounds_raw.items()
             },

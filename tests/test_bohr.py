@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bohrlab.bohr import (
-    DEFAULT_GUARD,
     FORM_CHAR,
     FORM_TORUS,
     BohrSpec,
@@ -168,8 +167,7 @@ def test_spec_shares_validated_frequency_tuple():
     b = BohrSpec(g, (Char((0,)), Char((4,))), 0.5, FORM_CHAR)
     torus = char_form_to_torus_form(b)
     assert torus.freqs is b.freqs and halve_radius(b).freqs is b.freqs
-    assert b.freq_matrix() is b.freqs.rows
-    assert b.freq_matrix().tolist() == [[0], [4]]
+    assert b.freqs.rows.tolist() == [[0], [4]]
 
 
 def test_members_mask_blocking_changes_nothing(monkeypatch):

@@ -3,11 +3,13 @@ scalar group helpers, in place of a timing gate.
 
 Each helper is replaced at every place a bohrlab module binds it by a wrapper
 that counts calls.  Extract plus a JSON round trip must make the same number
-of calls whether S1 holds a handful of characters or thousands.
+of calls whether S1 holds a handful of characters or thousands, and the S1 it
+builds and loads holds no ``Char`` objects, only their frequency matrix.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
 
@@ -62,3 +64,13 @@ def test_scalar_helper_calls_do_not_grow_with_k(monkeypatch):
     assert ks[0] <= 10 and ks[1] > 1000
     assert sum(many.values()) == sum(few.values())
     assert sum(many.values()) <= len(COUNTED)
+
+
+def test_certificate_frequency_sets_hold_no_chars():
+    A = random_nonempty_subset(Z4096, 0.1, 5)
+    B = random_nonempty_subset(Z4096, 0.1, 6)
+    cert = extract(A.indicator(), B.indicator())
+    loaded = certificate_from_json(certificate_to_json(cert))
+    assert loaded.k > 1000
+    for chars in (cert.s1, loaded.s1):
+        assert not any(isinstance(x, groups.Char) for x in gc.get_referents(chars))

@@ -7,7 +7,7 @@ import io
 
 import pytest
 
-from bohrlab import verify
+from bohrlab import cli, verify
 from bohrlab.bohr import FORM_CHAR, BohrSpec, bohr_enumerate
 from bohrlab.cli import main
 from bohrlab.errors import CapacityError
@@ -81,3 +81,21 @@ def test_cli_verify_above_cap_exits_2(monkeypatch, tmp_path):
     assert code == 2
     assert "CapacityError" in err.getvalue()
     assert out.getvalue() == ""
+
+
+def test_cli_verify_refuses_group_above_cap_before_reading_sets(monkeypatch, tmp_path):
+    g = GroupSpec((1 << 17,))
+    *_, cert = _fixture(g)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(certificate_to_json(cert), encoding="utf-8")
+
+    def no_set_files(*args, **kwargs):
+        raise AssertionError("a set file was read for a group above the cap")
+
+    monkeypatch.setattr(cli, "read_set_file", no_set_files)
+    argv = ["verify", "--cert", str(cert_path), "--set-a", "a.txt", "--set-b", "b.txt"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert "CapacityError" in err.getvalue()

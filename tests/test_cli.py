@@ -75,6 +75,18 @@ def test_extract_missing_file_exits_2(tmp_path, evens_file):
     assert code == 2
 
 
+def test_extract_out_of_memory_exits_2(monkeypatch, tmp_path, evens_file):
+    from bohrlab import cli
+
+    def no_room(*args):
+        raise MemoryError("Unable to allocate 931. GiB")
+
+    monkeypatch.setattr(cli, "extract", no_room)
+    code, _, err = run_cli("extract", "--group", "8", "--set-a", evens_file, "--set-b", evens_file, "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert err == "error: MemoryError: Unable to allocate 931. GiB\n"
+
+
 def test_verify_valid_exits_0(evens_cert_file, evens_file):
     code, out, _ = run_cli("verify", "--cert", evens_cert_file, "--set-a", evens_file, "--set-b", evens_file)
     assert code == 0

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from bohrlab.errors import CapacityError, DomainError, ShapeError
 from bohrlab.groups import (
@@ -18,7 +20,6 @@ from bohrlab.groups import (
     char_at,
     char_eval,
     char_tuple,
-    chars_from_rows,
     check_char,
     check_elem,
     coords_table,
@@ -216,16 +217,43 @@ def test_one_point_group_degenerates():
     assert pairing(g, Char((0,)), Elem((0,))) == 0.0
 
 
-def test_chars_from_rows_builds_equal_chars_once():
+def test_chartuple_of_rows_builds_equal_chars():
     g = GroupSpec((4, 3))
     rows = coords_table(g)
-    chars = chars_from_rows(rows)
+    chars = CharTuple(rows)
     assert isinstance(chars, CharTuple)
     assert chars == tuple(enumerate_chars(g))
     assert all(type(x) is int for t in chars for x in t.freq)
     assert np.array_equal(chars.rows, rows) and not chars.rows.flags.writeable
     assert char_tuple(g, chars) is chars  # already carries a matrix: checked, not rebuilt
-    assert chars_from_rows(np.zeros((0, 2), dtype=np.int64)) == ()
+    assert CharTuple(np.zeros((0, 2), dtype=np.int64)) == ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)),
+    data=st.data(),
+)
+def test_chartuple_behaves_like_the_tuple_of_its_chars(rows, data):
+    chars = CharTuple(rows)
+    plain = tuple(Char(tuple(r)) for r in rows.tolist())
+    k = len(plain)
+    assert len(chars) == k and list(chars) == list(plain)
+    assert [chars[i] for i in range(-k, k)] == list(plain + plain)
+    for i in (k, -k - 1):
+        with pytest.raises(IndexError):
+            chars[i]
+    assert chars == plain and plain == chars and not chars != plain
+    assert hash(chars) == hash(plain)
+    part = data.draw(st.slices(k))
+    assert isinstance(chars[part], CharTuple) and np.array_equal(chars[part].rows, rows[part])
+    assert chars[part] == plain[part]
+    assert chars == CharTuple(rows.copy()) and hash(chars) == hash(CharTuple(rows.copy()))
+    assert chars != list(plain)
+    other = data.draw(arrays(np.int64, data.draw(st.sampled_from([rows.shape, (k, 1), (1, 1)]))))
+    assert (chars == CharTuple(other)) == (plain == tuple(Char(tuple(r)) for r in other.tolist()))
+    back = pickle.loads(pickle.dumps(chars))
+    assert isinstance(back, CharTuple) and back == chars and not back.rows.flags.writeable
 
 
 def test_char_tuple_validates_in_one_array_check():
@@ -244,7 +272,7 @@ def test_char_tuple_validates_in_one_array_check():
         with pytest.raises(ShapeError):
             char_tuple(g, bad)
     with pytest.raises(ShapeError):
-        char_tuple(g, chars_from_rows(np.array([[4, 0]])))
+        char_tuple(g, CharTuple(np.array([[4, 0]])))
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=str)

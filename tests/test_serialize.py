@@ -120,6 +120,15 @@ def _set_a0(coords):
     return edit
 
 
+def _set_field(value, *keys):
+    def edit(p):
+        for key in keys[:-1]:
+            p = p[key]
+        p[keys[-1]] = value
+
+    return edit
+
+
 def _set_all(rows):
     def edit(p):
         _set_s1(rows)(p)
@@ -149,6 +158,9 @@ LOAD_ERRORS = LOAD_TIME_REFUSALS + [
     ("integer >= 2^63 in freqs", _set_freqs([[0], [2**63]]), ShapeError),
     ("integer >= 2^63 in s1", _set_s1([[0], [2**63]]), ShapeError),
     ("ragged rows in s1", _set_s1([[0], [4, 0]]), ShapeError),
+    ("float k", _set_field(2.9, "k"), DomainError),
+    ("string k", _set_field("2", "k"), DomainError),
+    ("string ok", _set_field("false", "bounds", "dimension", "ok"), DomainError),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import bohrlab.spectral as spectral
 from bohrlab.errors import DomainError, ShapeError
-from bohrlab.groups import Char, Elem, GroupSpec, char_eval, elem_at, elem_sub, rank_of_elem
+from bohrlab.groups import Char, GroupSpec, char_eval, elem_at, elem_sub, rank_of_elem
 from bohrlab.spectral import (
     DensityFn,
     Spectrum,

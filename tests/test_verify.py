@@ -14,9 +14,8 @@ from bohrlab.extractor import extract
 from bohrlab.groups import Char, Elem, GroupSpec
 from bohrlab.serialize import certificate_from_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset
-from bohrlab.spectral import DensityFn, constant_density, convolve, dft, reflect
+from bohrlab.spectral import constant_density, convolve, dft, reflect
 from bohrlab.verify import (
-    SuiteReport,
     fourier_identity_suite,
     good_shift_set,
     verify_certificate,
