@@ -2,10 +2,11 @@
 Independent verification, and what happens when a certificate lies
 ==================================================================
 
-verify_certificate recomputes everything with definitional sums (no FFT)
-and enumerates the sumset directly, so it shares no failure modes with the
-extractor.  Here we verify an honest certificate, then tamper with it and
-watch specific checks fail.
+verify_certificate recomputes everything from definitions: translate sums,
+an exact-phase factored transform (no FFT library) and direct enumeration of
+the sumset, so it shares no failure modes with the extractor.  Here we
+verify an honest certificate, then tamper with it and watch specific checks
+fail.
 """
 
 import dataclasses

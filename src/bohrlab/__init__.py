@@ -74,8 +74,10 @@ from .spectral import (
     convolve,
     dft,
     dft_definitional,
+    dft_factored,
     idft,
     idft_definitional,
+    idft_factored,
     plancherel_pairing,
     reflect,
     triple_convolve,

@@ -37,6 +37,9 @@ FORM_CHAR = "character-distance"
 FORM_TORUS = "torus-norm"
 
 DEFAULT_GUARD = 1e-12
+# Margin of the guard-band screen: far above the float error of a computed
+# distance (a few ulps per coordinate), far below the guard band's purpose.
+_SCREEN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,30 +95,66 @@ def bohr_member(b: BohrSpec, z: Elem) -> bool:
     return member
 
 
+def _distances(form: str, phases: np.ndarray) -> np.ndarray:
+    if form == FORM_CHAR:
+        return 2.0 * np.sin(np.pi * phases)
+    return np.minimum(phases, 1.0 - phases)
+
+
+def _may_touch_guard_band(b: BohrSpec) -> np.ndarray:
+    """Per frequency: could some element's distance land in the guard band?
+
+    chi_t takes exactly the phases j/L, L the order of t, and both distances
+    grow with j on [0, L/2], so the attainable distances nearest the radius
+    come from the j next to L times the radius's inverse distance.  Testing
+    those within ``_SCREEN_SLACK`` of the band is O(k) work and never misses
+    a frequency the full-group check would flag.
+    """
+    factors = np.asarray(b.group.factors, dtype=np.int64)
+    order = np.lcm.reduce(factors // np.gcd(b.freqs.rows, factors), axis=1)[:, None]
+    if b.form == FORM_CHAR:
+        level = math.asin(min(b.radius / 2.0, 1.0)) / math.pi
+    else:
+        level = min(b.radius, 0.5)
+    j = np.clip(np.floor(level * order) + np.arange(-1, 3), 0, order)
+    dists = _distances(b.form, j / order)
+    return (np.abs(dists - b.radius) <= DEFAULT_GUARD + _SCREEN_SLACK).any(axis=1)
+
+
 def members_mask(b: BohrSpec) -> np.ndarray:
     """Boolean membership table over the whole group, canonical order.
 
-    Frequency rows are walked in :func:`~bohrlab.spectral.phase_blocks` blocks
-    with a running AND, so memory is one block's phase table, not (k, N, d).
-    Every block is checked against the guard band, so a boundary distance
-    anywhere still raises, naming the first one in (frequency, element) order.
+    A boundary distance anywhere raises, naming the first one in (frequency,
+    element) order: the frequencies :func:`_may_touch_guard_band` keeps get
+    the full-group check, in frequency order.  Membership then walks
+    :func:`~bohrlab.spectral.phase_blocks` blocks over the elements still in
+    the running only, so an element drops out at the first block that
+    excludes it and memory is one block's phase table, never (k, N, d).
     """
     g = b.group
-    members = np.ones(g.order, dtype=bool)
-    for block, phases in phase_blocks(g, b.freqs.rows, coords_table(g)):
-        if b.form == FORM_CHAR:
-            dists = 2.0 * np.sin(np.pi * phases)
-        else:
-            dists = np.minimum(phases, 1.0 - phases)
+    rows, coords = b.freqs.rows, coords_table(g)
+    suspects = np.flatnonzero(_may_touch_guard_band(b))
+    for block, phases in phase_blocks(g, rows[suspects], coords):
+        dists = _distances(b.form, phases)
         near = np.abs(dists - b.radius) <= DEFAULT_GUARD
         if near.any():
             t_idx, z_idx = np.argwhere(near)[0]
             raise AmbiguousBoundary(
                 f"distance {dists[t_idx, z_idx]!r} at element rank {z_idx} "
-                f"(frequency {b.freqs[block.start + t_idx]}) is within {DEFAULT_GUARD} "
-                f"of radius {b.radius!r}"
+                f"(frequency {b.freqs[suspects[block.start + t_idx]]}) is within "
+                f"{DEFAULT_GUARD} of radius {b.radius!r}"
             )
-        members &= (dists < b.radius).all(axis=0)
+    ranks = np.arange(g.order)
+    walk = phase_blocks(g, rows, coords)
+    try:
+        _, phases = next(walk)
+        while True:
+            ranks = ranks[(_distances(b.form, phases) < b.radius).all(axis=0)]
+            _, phases = walk.send(coords[ranks])
+    except StopIteration:
+        pass
+    members = np.zeros(g.order, dtype=bool)
+    members[ranks] = True
     return members
 
 

@@ -94,11 +94,23 @@ class GroupSubset:
 
 
 def _translate_union(g: GroupSpec, base_nd: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Union of base + s over the given shift coordinate rows."""
+    """Union of base + s over the given shift coordinate rows.
+
+    An empty base gives the empty set at once.  The union stops growing once
+    it is the whole group; that is tested after 1, 2, 4, ... translates, so a
+    union that never fills pays for O(log) tests only.
+    """
     axes = tuple(range(g.ndim))
     out = np.zeros(g.factors, dtype=bool)
-    for row in shifts:
+    if not base_nd.any():
+        return out
+    test_at = 1
+    for done, row in enumerate(shifts, start=1):
         out |= np.roll(base_nd, tuple(int(x) for x in row), axis=axes)
+        if done == test_at:
+            if out.all():
+                break
+            test_at *= 2
     return out
 
 

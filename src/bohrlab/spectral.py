@@ -1,9 +1,11 @@
 """Fourier transform, convolution and reflection for tables on a finite group.
 
-Two routes are provided for the transform: a fast path that runs numpy's FFT
-factor by factor, and a definitional path that evaluates the plain O(N^2)
-pairing sums.  The fast path is what the extraction pipeline uses; the
-definitional path is the oracle the verifier trusts.  Conventions:
+Three routes are provided for the transform.  The fast path runs numpy's FFT
+factor by factor; the extraction pipeline uses it.  The factored path is a
+Cooley-Tukey transform, axis by axis, whose every kernel and twiddle is built
+from exact integer phases ``((a*b) mod n)/n`` and which calls no ``np.fft``;
+the verifier uses it.  The definitional path evaluates the plain O(N^2)
+pairing sums; it is the oracle both are tested against.  Conventions:
 
     fhat(t) = (1/N) * sum_z f(z) * conj(chi_t(z))        (analysis)
     f(z)    = sum_t fhat(t) * chi_t(z)                   (synthesis)
@@ -30,15 +32,22 @@ _BLOCK_CELLS = 1 << 21
 def phase_blocks(g: GroupSpec, rows: np.ndarray, cols: np.ndarray):
     """Yield ``(block, phase_table(g, rows[block], cols))`` over consecutive row slices.
 
-    Blocks hold as many rows as fit ``_BLOCK_CELLS`` against all N elements, so
-    memory stays bounded for any ``cols`` of at most N rows.  Every blocked
-    O(N^2)-style walk (the definitional transforms, synthesis, Bohr membership)
-    goes through here.
+    Blocks grow 1, 2, 4, ... rows, each capped at ``_BLOCK_CELLS`` cells
+    against the current columns (and at least one row), so memory stays
+    bounded for any ``cols`` of at most N rows.  A walk that prunes columns
+    sends the remaining ones back (``walk.send(cols)``); later blocks are sized
+    for and computed against them.  Every blocked walk over pairing phases
+    (the definitional transforms, synthesis, the prime lengths of the factored
+    transform, Bohr membership) goes through here.
     """
-    step = max(1, _BLOCK_CELLS // max(1, g.order * g.ndim))
-    for start in range(0, len(rows), step):
-        block = slice(start, start + step)
-        yield block, phase_table(g, rows[block], cols)
+    start, size = 0, 1
+    while start < len(rows):
+        cap = max(1, _BLOCK_CELLS // max(1, len(cols) * g.ndim))
+        block = slice(start, start + min(size, cap))
+        sent = yield block, phase_table(g, rows[block], cols)
+        if sent is not None:
+            cols = sent
+        start, size = block.stop, 2 * size
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +124,62 @@ def idft(spectrum: Spectrum) -> np.ndarray:
     """Pointwise synthesis sum_t F(t) chi_t(z); returns a complex table."""
     g = spectrum.group
     return np.fft.ifftn(spectrum.as_nd()).ravel() * g.order
+
+
+def _smallest_prime_factor(n: int) -> int:
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1
+    return n
+
+
+def _cyclic_transform(x: np.ndarray, sign: int) -> np.ndarray:
+    """``sum_z x[:, z] * exp(sign * 2 pi i * t*z / n)`` for every t, per row of (M, n) ``x``.
+
+    Cooley-Tukey on n = p*m with p the smallest prime factor: writing
+    z = z1 + p*z2 and t = m*t1 + t2, the sum is m-point transforms over z2,
+    the exact twiddle phase ``(z1*t2 mod n)/n``, then p-point sums over z1.
+    A prime length (or 1) is summed directly in :func:`phase_blocks` blocks,
+    so no p-by-p kernel is ever built whole.
+    """
+    rows, n = x.shape
+    p = _smallest_prime_factor(n)
+    line = GroupSpec((n,))
+    idx = np.arange(n, dtype=np.int64)[:, None]
+    if p == n:
+        out = np.empty_like(x)
+        for block, phases in phase_blocks(line, idx, idx):
+            out[:, block] = x @ np.exp(sign * 1j * TWO_PI * phases).T
+        return out
+    m = n // p
+    inner = _cyclic_transform(x.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows * p, m), sign)
+    twiddle = np.exp(sign * 1j * TWO_PI * phase_table(line, idx[:p], idx[:m]))
+    inner = inner.reshape(rows, p, m) * twiddle
+    outer = _cyclic_transform(inner.transpose(0, 2, 1).reshape(rows * m, p), sign)
+    return outer.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows, n)
+
+
+def _factored(table: np.ndarray, sign: int) -> np.ndarray:
+    """The unnormalized pairing sum of a ``factors``-shaped table, one axis at a time."""
+    out = np.asarray(table, dtype=np.complex128)
+    for axis, n in enumerate(out.shape):
+        moved = np.moveaxis(out, axis, -1)
+        summed = _cyclic_transform(moved.reshape(-1, n), sign).reshape(moved.shape)
+        out = np.moveaxis(summed, -1, axis)
+    return out
+
+
+def dft_factored(f: DensityFn) -> Spectrum:
+    """The analysis sum by the exact-phase factored transform; no ``np.fft``."""
+    g = f.group
+    return Spectrum(g, _factored(f.as_nd(), -1).ravel() / g.order)
+
+
+def idft_factored(spectrum: Spectrum) -> np.ndarray:
+    """The synthesis sum over every character by the exact-phase factored transform."""
+    return _factored(spectrum.as_nd(), 1).ravel()
 
 
 def dft_definitional(f: DensityFn) -> Spectrum:

@@ -1,9 +1,11 @@
 """Independent re-checking of certificates, plus the good-shift statistic.
 
-Everything here recomputes from definitions: transforms via the O(N^2)
-pairing sums, sumsets via translate enumeration.  None of the extractor's
-fast-path results are trusted; a certificate is data to be audited.  Failed
-checks are recorded in the report, not raised -- reports are data too.
+Everything here recomputes from definitions: the triple convolution by
+translates, transforms by the exact-phase factored transform (no ``np.fft``),
+sumsets via translate enumeration, Bohr membership by pairing phases.  None
+of the extractor's fast-path results are trusted; a certificate is data to be
+audited.  Failed checks are recorded in the report, not raised -- reports are
+data too.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ from .groups import (
 from .sets import GroupSubset, _translate_union, sumset_ABmB
 from .spectral import (
     DensityFn,
+    Spectrum,
     convolve,
     dft,
-    dft_definitional,
+    dft_factored,
+    idft_factored,
     plancherel_pairing,
     reflect,
-    synthesize,
     triple_convolve_definitional,
 )
 
@@ -90,7 +93,7 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     witness-value, level and remainder bounds; then internal consistency
     (delta, spectrum, radii, centers) against the definitional recomputation.
     A group above the enumeration cap raises :class:`CapacityError` before
-    any O(N^2) work.
+    any work on the group.
     """
     require_within_cap(cert.group)
     if A.group != cert.group or B.group != cert.group:
@@ -106,15 +109,18 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     g1 = g0 if g0.mean == delta else g0.scaled(delta / g0.mean)
 
     h_def = triple_convolve_definitional(f1, g1)
-    fhat_def = dft_definitional(f1).coeffs
-    hhat_def = dft_definitional(h_def).coeffs
+    fhat_def = dft_factored(f1).coeffs
+    hhat_def = dft_factored(h_def).coeffs
 
     a0_rank = rank_of_elem(grp, cert.a0)
     freq_rows = cert.s1.rows
     s1_ranks = ranks_of_rows(grp, freq_rows)
     k = len(freq_rows)
 
-    p_vals = synthesize(grp, freq_rows, hhat_def[s1_ranks])
+    # p is the synthesis of h-hat on S1; a repeated S1 row counts once per copy.
+    s1_hhat = np.zeros(grp.order, dtype=np.complex128)
+    np.add.at(s1_hhat, s1_ranks, hhat_def[s1_ranks])
+    p_vals = idft_factored(Spectrum(grp, s1_hhat))
     c_def = float(p_vals[a0_rank].real) - 0.25 * delta**4
     h_at_a0_def = float(h_def.values[a0_rank])
     r_max_def = float(np.abs(h_def.values - p_vals).max())

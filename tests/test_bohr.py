@@ -6,8 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bohrlab import spectral
 from bohrlab.bohr import (
+    DEFAULT_GUARD,
     FORM_CHAR,
     FORM_TORUS,
     BohrSpec,
@@ -18,7 +22,16 @@ from bohrlab.bohr import (
     members_mask,
 )
 from bohrlab.errors import AmbiguousBoundary, CapacityError, DomainError, ShapeError
-from bohrlab.groups import Char, Elem, GroupSpec, elem_add, enumerate_elems
+from bohrlab.groups import (
+    Char,
+    CharTuple,
+    Elem,
+    GroupSpec,
+    coords_table,
+    elem_add,
+    enumerate_elems,
+    phase_table,
+)
 
 
 def test_spec_validation():
@@ -171,8 +184,6 @@ def test_spec_shares_validated_frequency_tuple():
 
 
 def test_members_mask_blocking_changes_nothing(monkeypatch):
-    from bohrlab import spectral
-
     g = GroupSpec((4, 3, 2))
     rng = np.random.default_rng(8)
     freqs = tuple(Char(tuple(int(x) for x in rng.integers(0, (4, 3, 2)))) for _ in range(7))
@@ -186,3 +197,71 @@ def test_members_mask_blocking_changes_nothing(monkeypatch):
     with pytest.raises(AmbiguousBoundary) as blocked:
         members_mask(edge)
     assert str(blocked.value) == str(unblocked.value)
+
+
+# --- the pruned walk against the full blocked walk ------------------------------
+
+def _full_walk_mask(b: BohrSpec) -> np.ndarray:
+    """Every frequency against every element, in fixed blocks, guard band checked throughout."""
+    g = b.group
+    coords = coords_table(g)
+    rows = b.freqs.rows
+    members = np.ones(g.order, dtype=bool)
+    step = max(1, spectral._BLOCK_CELLS // (g.order * g.ndim))
+    for start in range(0, len(rows), step):
+        phases = phase_table(g, rows[start : start + step], coords)
+        if b.form == FORM_CHAR:
+            dists = 2.0 * np.sin(np.pi * phases)
+        else:
+            dists = np.minimum(phases, 1.0 - phases)
+        near = np.abs(dists - b.radius) <= DEFAULT_GUARD
+        if near.any():
+            t_idx, z_idx = np.argwhere(near)[0]
+            raise AmbiguousBoundary(
+                f"distance {dists[t_idx, z_idx]!r} at element rank {z_idx} "
+                f"(frequency {b.freqs[start + t_idx]}) is within {DEFAULT_GUARD} "
+                f"of radius {b.radius!r}"
+            )
+        members &= (dists < b.radius).all(axis=0)
+    return members
+
+
+def _outcome(fn, b):
+    try:
+        return fn(b).tolist()
+    except AmbiguousBoundary as exc:
+        return str(exc)
+
+
+MEMBERSHIP_GROUPS = st.one_of(
+    st.lists(st.integers(1, 12), min_size=1, max_size=4)
+    .map(tuple)
+    .filter(lambda f: math.prod(f) <= 512),
+    st.sampled_from([(2,) * 9, (3,) * 5, (4, 2, 2, 2, 2, 2)]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    factors=MEMBERSHIP_GROUPS,
+    k=st.integers(0, 6),
+    form=st.sampled_from([FORM_CHAR, FORM_TORUS]),
+    attainable=st.booleans(),
+    nudge=st.sampled_from([0.0, 0.0, 5e-13, -5e-13, 2e-12, -2e-12, 1e-9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_members_mask_matches_full_walk(factors, k, form, attainable, nudge, seed):
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, factors, size=(k, len(factors)))
+    if attainable and k:
+        # A distance some frequency really takes: 2 sin(pi j/L) or j/L, L its order.
+        t = rows[rng.integers(k)]
+        order = math.lcm(*(n // math.gcd(int(x), n) for x, n in zip(t, factors)))
+        j = int(rng.integers(1, order // 2 + 1)) if order > 1 else 1
+        radius = 2.0 * math.sin(math.pi * j / order) if form == FORM_CHAR else j / order
+    else:
+        radius = float(rng.uniform(0.0, 2.2 if form == FORM_CHAR else 0.6))
+    radius = max(radius + nudge, 1e-3)
+    b = BohrSpec(g, CharTuple(rows), radius, form)
+    assert _outcome(members_mask, b) == _outcome(_full_walk_mask, b)

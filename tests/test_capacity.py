@@ -49,15 +49,15 @@ def test_entry_point_refuses_above_cap(monkeypatch, g, name):
         ENTRY_POINTS[name](g, *args)
 
 
-def _no_definitional_work(*args, **kwargs):
-    raise AssertionError("an O(N^2) transform ran above the cap")
+def _no_transform_work(*args, **kwargs):
+    raise AssertionError("a transform ran above the cap")
 
 
 @pytest.mark.parametrize("g", GROUPS + [GroupSpec((1 << 17,))], ids=str)
 def test_verify_refuses_before_any_transform(monkeypatch, g):
     A, B, _, cert = _fixture(g)
-    monkeypatch.setattr(verify, "dft_definitional", _no_definitional_work)
-    monkeypatch.setattr(verify, "triple_convolve_definitional", _no_definitional_work)
+    monkeypatch.setattr(verify, "dft_factored", _no_transform_work)
+    monkeypatch.setattr(verify, "triple_convolve_definitional", _no_transform_work)
     if g.order <= 1 << 16:
         monkeypatch.setenv("BOHRLAB_ENUM_CAP", "16")
     with pytest.raises(CapacityError):

@@ -185,16 +185,16 @@ def test_negative_s1_entry_is_refused_at_load():
         dataclasses.replace(cert, s1=(Char((0,)), Char((-4,))))
 
 
-def _no_definitional_work(*args, **kwargs):
-    raise AssertionError("a definitional transform ran on a malformed certificate")
+def _no_transform_work(*args, **kwargs):
+    raise AssertionError("a transform ran on a malformed certificate")
 
 
 @pytest.mark.parametrize(
     "label,edit,error", LOAD_TIME_REFUSALS, ids=[c[0] for c in LOAD_TIME_REFUSALS]
 )
 def test_malformed_certificate_is_refused_before_any_transform(monkeypatch, label, edit, error):
-    monkeypatch.setattr(verify, "dft_definitional", _no_definitional_work)
-    monkeypatch.setattr(verify, "triple_convolve_definitional", _no_definitional_work)
+    monkeypatch.setattr(verify, "dft_factored", _no_transform_work)
+    monkeypatch.setattr(verify, "triple_convolve_definitional", _no_transform_work)
     with pytest.raises(error):
         verify_certificate(certificate_from_json(_tampered(edit)), EVENS, EVENS)
 

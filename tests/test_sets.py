@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bohrlab.bohr import FORM_CHAR, BohrSpec
+from bohrlab.bohr import FORM_CHAR, BohrSpec, halve_radius, members_mask
 from bohrlab.errors import CapacityError, DomainError, ShapeError
-from bohrlab.groups import Char, Elem, GroupSpec
+from bohrlab.groups import Char, Elem, GroupSpec, coords_table
 from bohrlab.sets import (
     GroupSubset,
     bohr_subset,
@@ -21,6 +21,7 @@ from bohrlab.sets import (
     union_shift_subset,
     write_set_file,
 )
+from bohrlab.verify import good_shift_set
 
 
 def test_subset_basics():
@@ -255,3 +256,46 @@ def test_set_file_errors(tmp_path):
         read_set_file(njson, g)
     with pytest.raises(DomainError):
         write_set_file(GroupSubset.full(g), tmp_path / "x", fmt="nope")
+
+
+# --- translate unions against the full loop ----------------------------------------
+
+def _full_union(g: GroupSpec, base_nd: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Every translate rolled, with no early stop."""
+    out = np.zeros(g.factors, dtype=bool)
+    for row in shifts:
+        out |= np.roll(base_nd, tuple(int(x) for x in row), axis=tuple(range(g.ndim)))
+    return out
+
+
+def _union_cases():
+    rng = np.random.default_rng(91)
+    for factors in ((64,), (8, 6, 4), (2,) * 7):
+        g = GroupSpec(factors)
+        # Random sets: B - B fills the group after a few translates.
+        yield f"{g} random", GroupSubset(g, rng.random(g.order) < 0.3), GroupSubset(
+            g, rng.random(g.order) < 0.2
+        )
+        # A subgroup and a coset of it: no union ever fills the group.
+        h = subgroup_subset(g, (2,) + (1,) * (g.ndim - 1))
+        coset = union_shift_subset(h, [Elem((1,) + (0,) * (g.ndim - 1))])
+        yield f"{g} subgroup", h, h
+        yield f"{g} coset", coset, h
+
+
+UNION_CASES = list(_union_cases())
+
+
+@pytest.mark.parametrize("A,B", [c[1:] for c in UNION_CASES], ids=[c[0] for c in UNION_CASES])
+def test_translate_unions_match_full_loop(A, B):
+    g = A.group
+    coords = coords_table(g)
+    diff = _full_union(g, B.mask.reshape(g.factors), -coords[B.mask])
+    sumset = _full_union(g, diff, coords[A.mask]).ravel()
+    assert np.array_equal(sumset_ABmB(A, B).mask, sumset)
+    freqs = tuple(Char(tuple(int(x) for x in row)) for row in coords[[1, -1]])
+    for radius in (0.3, 1.2):
+        b = BohrSpec(g, freqs, radius, FORM_CHAR)
+        half = members_mask(halve_radius(b))
+        bad = _full_union(g, ~sumset.reshape(g.factors), -coords[half]).ravel()
+        assert np.array_equal(good_shift_set(A, B, b).mask, A.mask & ~bad)

@@ -7,7 +7,7 @@ import pytest
 
 import bohrlab.spectral as spectral
 from bohrlab.errors import DomainError, ShapeError
-from bohrlab.groups import Char, GroupSpec, char_eval, elem_at, elem_sub, rank_of_elem
+from bohrlab.groups import Char, GroupSpec, char_eval, elem_at, elem_sub, rank_of_elem, rows_at
 from bohrlab.spectral import (
     DensityFn,
     Spectrum,
@@ -16,8 +16,10 @@ from bohrlab.spectral import (
     convolve_definitional,
     dft,
     dft_definitional,
+    dft_factored,
     idft,
     idft_definitional,
+    idft_factored,
     plancherel_pairing,
     reflect,
     synthesize,
@@ -218,3 +220,42 @@ def test_mismatched_groups_raise():
         convolve(f, h)
     with pytest.raises(ShapeError):
         plancherel_pairing(f, h)
+
+
+# --- the exact-phase factored transform against the definitional sums -----------
+
+FACTORED_GROUPS = [
+    GroupSpec((97,)),
+    GroupSpec((2048,)),
+    GroupSpec((3 * 97,)),
+    GroupSpec((64, 32)),
+    GroupSpec((2,) * 9),
+    GroupSpec((3,) * 5),
+    GroupSpec((5, 1, 3)),
+    GroupSpec((1,)),
+]
+
+
+@pytest.mark.parametrize("g", FACTORED_GROUPS, ids=str)
+def test_factored_transform_matches_definitional(g):
+    f = _random_density(g, 81)
+    fhat = dft_definitional(f)
+    assert np.abs(dft_factored(f).coeffs - fhat.coeffs).max() < 1e-12
+    assert np.abs(idft_factored(fhat) - idft_definitional(fhat)).max() < 1e-12
+    # Synthesis of a sparse spectrum against the sum over its support rows.
+    rng = np.random.default_rng(82)
+    ranks = rng.choice(g.order, size=min(g.order, 7), replace=False)
+    coeffs = rng.random(ranks.size) + 1j * rng.random(ranks.size)
+    sparse = np.zeros(g.order, dtype=complex)
+    sparse[ranks] = coeffs
+    want = synthesize(g, rows_at(g, ranks), coeffs)
+    assert np.abs(idft_factored(Spectrum(g, sparse)) - want).max() < 1e-12
+
+
+def test_factored_prime_length_blocking(monkeypatch):
+    # A prime length is summed in phase_blocks blocks; tiny blocks change nothing.
+    g = GroupSpec((3 * 97,))
+    f = _random_density(g, 83)
+    whole = dft_factored(f).coeffs
+    monkeypatch.setattr(spectral, "_BLOCK_CELLS", 97)  # one kernel row per block
+    assert np.abs(dft_factored(f).coeffs - whole).max() < 1e-15

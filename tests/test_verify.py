@@ -4,17 +4,26 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from bohrlab.bohr import FORM_CHAR, BohrSpec
 from bohrlab.errors import AmbiguousBoundary, DomainError, EmptyInputError, ShapeError
-from bohrlab.extractor import extract
-from bohrlab.groups import Char, Elem, GroupSpec
+from bohrlab.extractor import BOUND_SLACK, extract
+from bohrlab.groups import Char, CharTuple, Elem, GroupSpec, rank_of_elem, ranks_of_rows
 from bohrlab.serialize import certificate_from_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset
-from bohrlab.spectral import constant_density, convolve, dft, reflect
+from bohrlab.spectral import (
+    constant_density,
+    convolve,
+    dft,
+    dft_definitional,
+    reflect,
+    synthesize,
+    triple_convolve_definitional,
+)
 from bohrlab.verify import (
     fourier_identity_suite,
     good_shift_set,
@@ -291,3 +300,74 @@ def test_suite_report_dict_shape():
     d = report.to_dict()
     assert list(d) == ["group", "trials", "seed", "tolerance", "max_errors", "passed"]
     assert d["passed"] is True
+
+
+# --- the synthesis of h-hat on S1 ------------------------------------------------
+
+def _detail_value(report, name: str, prefix: str) -> float:
+    detail = _check(report, name).detail
+    return float(re.match(re.escape(prefix) + r" (\S+?),? ", detail).group(1))
+
+
+def test_repeated_s1_row_counts_twice_as_in_synthesis():
+    # Repeating an S1 row adds its term to p a second time, as the O(kN)
+    # synthesis sum over the rows does: c and max |h - p| follow that route.
+    g = GroupSpec((6, 8))
+    A = random_nonempty_subset(g, 0.3, 31)
+    B = random_nonempty_subset(g, 0.4, 32)
+    cert = extract(A.indicator(), B.indicator())
+    rows = np.concatenate([cert.s1.rows, cert.s1.rows[[-1]]])
+    bad = dataclasses.replace(
+        cert,
+        s1=CharTuple(rows),
+        k=len(rows),
+        bohr_char_form=dataclasses.replace(cert.bohr_char_form, freqs=CharTuple(rows)),
+        bohr_torus_form=dataclasses.replace(cert.bohr_torus_form, freqs=CharTuple(rows)),
+    )
+    report = verify_certificate(bad, A, B)
+
+    delta = min(A.density, B.density)
+    f1 = A.indicator().scaled(delta / A.density)
+    g1 = B.indicator().scaled(delta / B.density)
+    h = triple_convolve_definitional(f1, g1)
+    ranks = ranks_of_rows(g, rows)
+    p = synthesize(g, rows, dft_definitional(h).coeffs[ranks])
+    a0 = rank_of_elem(g, cert.a0)
+    c_ref = float(p[a0].real) - 0.25 * delta**4
+    r_ref = float(np.abs(h.values - p).max())
+
+    assert abs(_detail_value(report, "level-value", "c =") - c_ref) <= 1e-12
+    assert abs(_detail_value(report, "remainder-bound", "max |h - p| =") - r_ref) <= 1e-12
+    assert _check(report, "level-value").passed == (
+        abs(c_ref - bad.c) <= BOUND_SLACK and c_ref >= 0.5 * delta**4 - BOUND_SLACK
+    )
+    assert _check(report, "remainder-bound").passed == (r_ref <= 0.25 * delta**4 + BOUND_SLACK)
+    assert not report.passed
+    assert [c.name for c in report.checks if not c.passed] == [
+        "level-value",
+        "large-spectrum",
+        "radius-consistency",
+    ]
+
+
+# --- independence from numpy's FFT -------------------------------------------------
+
+FFT_ENTRY_POINTS = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+    "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
+)
+
+
+def test_verifier_calls_no_numpy_fft(monkeypatch):
+    g = GroupSpec((4, 3, 6))
+    A = random_nonempty_subset(g, 0.3, 41)
+    B = random_nonempty_subset(g, 0.35, 42)
+    cert = extract(A.indicator(), B.indicator())
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("the verifier called numpy.fft")
+
+    for name in FFT_ENTRY_POINTS:
+        monkeypatch.setattr(np.fft, name, no_fft)
+    assert verify_certificate(cert, A, B).passed
+    assert good_shift_set(A, B, cert.bohr_char_form).contains(cert.a0)
