@@ -25,7 +25,7 @@ from .groups import (
     require_within_cap,
     strides,
 )
-from .spectral import DensityFn
+from .spectral import DensityFn, _translate_windows
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,17 +96,19 @@ class GroupSubset:
 def _translate_union(g: GroupSpec, base_nd: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Union of base + s over the given shift coordinate rows.
 
-    An empty base gives the empty set at once.  The union stops growing once
-    it is the whole group; that is tested after 1, 2, 4, ... translates, so a
-    union that never fills pays for O(log) tests only.
+    Rows may be negative, unsorted or repeated: each distinct translate is OR-ed
+    in once, as a window from :func:`~bohrlab.spectral._translate_windows`, in
+    rank order.  An empty base gives the empty set at once.  The union stops
+    growing once it is the whole group; that is tested after 1, 2, 4, ...
+    translates, so a union that never fills pays for O(log) tests only.  The
+    table returned is column-major.
     """
-    axes = tuple(range(g.ndim))
-    out = np.zeros(g.factors, dtype=bool)
+    out = np.zeros(g.factors, dtype=bool, order="F")
     if not base_nd.any():
         return out
     test_at = 1
-    for done, row in enumerate(shifts, start=1):
-        out |= np.roll(base_nd, tuple(int(x) for x in row), axis=axes)
+    for done, window in enumerate(_translate_windows(base_nd, shifts), start=1):
+        out |= window
         if done == test_at:
             if out.all():
                 break
@@ -125,11 +127,8 @@ def sumset_ABmB(A: GroupSubset, B: GroupSubset) -> GroupSubset:
     if B.group != g:
         raise ShapeError(f"subsets live on different groups: {g} vs {B.group}")
     coords = coords_table(g)
-    b_nd = B.mask.reshape(g.factors)
     # B - B as the union of B - c over c in B.
-    factors = np.asarray(g.factors, dtype=np.int64)
-    neg_b = (-coords[B.mask]) % factors
-    diff_nd = _translate_union(g, b_nd, neg_b)
+    diff_nd = _translate_union(g, B.mask.reshape(g.factors), -coords[B.mask])
     out_nd = _translate_union(g, diff_nd, coords[A.mask])
     return GroupSubset(g, out_nd.ravel())
 

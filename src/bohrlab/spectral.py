@@ -5,7 +5,14 @@ factor by factor; the extraction pipeline uses it.  The factored path is a
 Cooley-Tukey transform, axis by axis, whose every kernel and twiddle is built
 from exact integer phases ``((a*b) mod n)/n`` and which calls no ``np.fft``;
 the verifier uses it.  The definitional path evaluates the plain O(N^2)
-pairing sums; it is the oracle both are tested against.  Conventions:
+pairing sums; it is the oracle both are tested against.
+
+The definitional convolution sums translates of f.  Every translate in the
+package (here, in the sumset unions of ``sets`` and in the verifier's
+containment shift) is a read-only window from one private walk,
+``_translate_windows``: the table is doubled along its trailing axes, where a
+shift is a slice, and rolled along the leading ones once per distinct leading
+prefix, by single-axis rolls.  Conventions:
 
     fhat(t) = (1/N) * sum_z f(z) * conj(chi_t(z))        (analysis)
     f(z)    = sum_t fhat(t) * chi_t(z)                   (synthesis)
@@ -17,6 +24,7 @@ convolution of indicator tables counts representations divided by N^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +221,89 @@ def synthesize(g: GroupSpec, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     return out
 
 
+# --- translates --------------------------------------------------------------
+
+def _split_axes(factors: tuple[int, ...], rows: np.ndarray, redo: np.ndarray) -> int:
+    """How many leading axes :func:`_translate_windows` rolls; it doubles the rest.
+
+    ``rows`` are the distinct reduced shifts in rank order and ``redo[i]`` the
+    first axis where row i differs from row i - 1 (0 for the first row).  With
+    the axes from ``lead`` on doubled, a translate rolls each leading axis from
+    its ``redo`` on whose shift is nonzero.  The estimate counts cells: those
+    rolls and the building of the doubled table, each moving all of its cells,
+    plus one pass per translate over the span of its window, which is the
+    table itself when at most the last axis is doubled and grows with each
+    axis doubled before it.  The cheapest split wins among those whose doubled
+    table and roll buffers fit in ``_BLOCK_CELLS`` cells.  Doubling nothing is
+    always allowed: its table and buffers are at most d + 1 tables of N cells,
+    about the size of the group's coordinate table.
+    """
+    d = len(factors)
+    nonzero = rows != 0
+    before = np.zeros((len(rows), d + 1), dtype=np.int64)
+    np.cumsum(nonzero, axis=1, out=before[:, 1:])
+    rolls = np.maximum(before - before[np.arange(len(rows)), redo][:, None], 0).sum(axis=0)
+    buffers = np.concatenate([[0], np.cumsum(nonzero.any(axis=0))])
+    best, best_cost = d, None
+    for lead in range(d, -1, -1):
+        dims = factors[:lead] + tuple(2 * n - 1 for n in factors[lead:])
+        cells = math.prod(dims)
+        # A pass sweeps a window from its first cell to its last (column-major).
+        span = 1 + sum((n - 1) * math.prod(dims[:axis]) for axis, n in enumerate(factors))
+        cost = (int(rolls[lead]) + (lead < d)) * cells + len(rows) * span
+        fits = (1 + int(buffers[lead])) * cells <= _BLOCK_CELLS
+        if best_cost is None or (fits and cost < best_cost):
+            best, best_cost = lead, cost
+    return best
+
+
+def _translate_windows(table: np.ndarray, shifts):
+    """Yield ``table(z - t)``, the table moved by t, once per distinct shift row t.
+
+    Shift rows are integer coordinates of any sign, taken mod the factors and
+    walked in increasing rank of t, so the windows pair with data sorted by
+    rank.  The table is doubled along its trailing axes (length n becomes
+    2n - 1), where a shift is a slice.  Each leading axis is rolled into a
+    buffer of its own, one rolled table per level; a translate redoes only the
+    levels from the first axis where it differs from the translate before, and
+    a zero shift reuses the level above.  :func:`_split_axes` picks where the
+    trailing axes start.  The tables are column-major, so the rolls the walk
+    repeats most, on the last leading axes, copy long runs; accumulate windows
+    into a column-major table to keep each pass contiguous.  Each window is a
+    read-only view, valid until the next one is drawn.
+    """
+    factors = table.shape
+    shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, table.ndim)
+    hit = np.zeros(table.size, dtype=bool)
+    hit[np.ravel_multi_index(shifts.T, factors, mode="wrap")] = True
+    rows = np.stack(np.unravel_index(np.flatnonzero(hit), factors), axis=1)
+    if not len(rows):
+        return
+    changed = np.ones(rows.shape, dtype=bool)
+    changed[1:] = rows[1:] != rows[:-1]
+    redo = changed.argmax(axis=1)
+    lead = _split_axes(factors, rows, redo)
+    widths = [(0, 0)] * lead + [(0, size - 1) for size in factors[lead:]]
+    levels = [np.asfortranarray(np.pad(table, widths, mode="wrap"))] + [None] * lead
+    buffers = [None] * lead
+    for row, first in zip(rows, redo):
+        row = row.tolist()
+        for axis in range(first, lead):
+            shift, level = row[axis], levels[axis]
+            if shift:
+                if buffers[axis] is None:
+                    buffers[axis] = np.empty_like(levels[0])
+                rest = (slice(None),) * axis
+                buffers[axis][rest + (slice(shift, None),)] = level[rest + (slice(-shift),)]
+                buffers[axis][rest + (slice(shift),)] = level[rest + (slice(-shift, None),)]
+                level = buffers[axis]
+            levels[axis + 1] = level
+        tail = tuple(slice(-t % n, -t % n + n) for t, n in zip(row[lead:], factors[lead:]))
+        window = levels[lead][(slice(None),) * lead + tail]
+        window.flags.writeable = False
+        yield window
+
+
 # --- convolution and reflection ----------------------------------------------
 
 def convolve(f: DensityFn, g: DensityFn) -> DensityFn:
@@ -224,16 +315,22 @@ def convolve(f: DensityFn, g: DensityFn) -> DensityFn:
 
 
 def convolve_definitional(f: DensityFn, g: DensityFn) -> DensityFn:
-    """The convolution sum evaluated by shifting, one translate per summand."""
+    """The convolution sum evaluated by shifting, one translate per summand.
+
+    ``out += g(t) * f(. - t)`` over the nonzero weights in rank order of t, as
+    a plain translate sum: each translate is a window from
+    :func:`_translate_windows`, with no copy of f per summand, and the
+    products go through one reused table.  The order of the sum, and so every
+    bit of the result, is that of rolling f once per weight.
+    """
     grp = _require_same_group(f, g)
-    f_nd = f.as_nd()
-    axes = tuple(range(grp.ndim))
-    out = np.zeros(grp.factors, dtype=np.float64)
-    for rank, weight in enumerate(g.values):
-        if weight == 0.0:
-            continue
-        shift = np.unravel_index(rank, grp.factors)
-        out += weight * np.roll(f_nd, shift, axis=axes)
+    ranks = np.flatnonzero(g.values)
+    shifts = np.stack(np.unravel_index(ranks, grp.factors), axis=1)
+    out = np.zeros(grp.factors, dtype=np.float64, order="F")
+    term = np.empty_like(out)
+    for weight, window in zip(g.values[ranks], _translate_windows(f.as_nd(), shifts)):
+        np.multiply(window, weight, out=term)
+        out += term
     return DensityFn(grp, out.ravel() / grp.order)
 
 

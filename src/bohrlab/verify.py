@@ -1,11 +1,12 @@
 """Independent re-checking of certificates, plus the good-shift statistic.
 
-Everything here recomputes from definitions: the triple convolution by
-translates, transforms by the exact-phase factored transform (no ``np.fft``),
-sumsets via translate enumeration, Bohr membership by pairing phases.  None
-of the extractor's fast-path results are trusted; a certificate is data to be
-audited.  Failed checks are recorded in the report, not raised -- reports are
-data too.
+Everything here recomputes from definitions: the triple convolution as a
+plain translate sum, transforms by the exact-phase factored transform (no
+``np.fft``), sumsets via translate enumeration, Bohr membership by pairing
+phases.  Every translate, the containment shift by a0 included, is a window
+from ``spectral._translate_windows``.  None of the extractor's fast-path
+results are trusted; a certificate is data to be audited.  Failed checks are
+recorded in the report, not raised -- reports are data too.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .sets import GroupSubset, _translate_union, sumset_ABmB
 from .spectral import (
     DensityFn,
     Spectrum,
+    _translate_windows,
     convolve,
     dft,
     dft_factored,
@@ -148,8 +150,8 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     if undecidable is not None:
         checks.append(CheckResult("undecidable", False, undecidable))
     else:
-        shifted = np.roll(
-            char_members.reshape(grp.factors), cert.a0.coords, axis=tuple(range(grp.ndim))
+        shifted = next(
+            _translate_windows(char_members.reshape(grp.factors), [cert.a0.coords])
         ).ravel()
         escapees = np.flatnonzero(shifted & ~sumset.mask)
         if escapees.size:

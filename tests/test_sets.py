@@ -10,6 +10,7 @@ from bohrlab.errors import CapacityError, DomainError, ShapeError
 from bohrlab.groups import Char, Elem, GroupSpec, coords_table
 from bohrlab.sets import (
     GroupSubset,
+    _translate_union,
     bohr_subset,
     progression_subset,
     random_nonempty_subset,
@@ -270,17 +271,21 @@ def _full_union(g: GroupSpec, base_nd: np.ndarray, shifts: np.ndarray) -> np.nda
 
 def _union_cases():
     rng = np.random.default_rng(91)
-    for factors in ((64,), (8, 6, 4), (2,) * 7):
+    for factors, index in (((64,), 2), ((8, 6, 4), 2), ((2,) * 7, 2), ((2,) * 10, 2), ((5, 1, 3), 5)):
         g = GroupSpec(factors)
         # Random sets: B - B fills the group after a few translates.
         yield f"{g} random", GroupSubset(g, rng.random(g.order) < 0.3), GroupSubset(
             g, rng.random(g.order) < 0.2
         )
         # A subgroup and a coset of it: no union ever fills the group.
-        h = subgroup_subset(g, (2,) + (1,) * (g.ndim - 1))
+        h = subgroup_subset(g, (index,) + (1,) * (g.ndim - 1))
         coset = union_shift_subset(h, [Elem((1,) + (0,) * (g.ndim - 1))])
         yield f"{g} subgroup", h, h
         yield f"{g} coset", coset, h
+    # No shift rows at all (A empty), and an empty base with no rows (B empty).
+    g = GroupSpec((8, 6, 4))
+    yield f"{g} empty A", GroupSubset.empty(g), GroupSubset(g, rng.random(g.order) < 0.2)
+    yield f"{g} empty B", GroupSubset(g, rng.random(g.order) < 0.3), GroupSubset.empty(g)
 
 
 UNION_CASES = list(_union_cases())
@@ -299,3 +304,16 @@ def test_translate_unions_match_full_loop(A, B):
         half = members_mask(halve_radius(b))
         bad = _full_union(g, ~sumset.reshape(g.factors), -coords[half]).ravel()
         assert np.array_equal(good_shift_set(A, B, b).mask, A.mask & ~bad)
+    # Shift rows of any sign, unsorted and repeated, as union_shift_subset passes them.
+    rng = np.random.default_rng(g.order)
+    factors = np.asarray(g.factors)
+    picks = coords[rng.integers(0, g.order, size=40)]
+    picks = rng.permutation(np.concatenate([picks, picks[::3]]))
+    rows = picks + factors * rng.integers(-2, 3, size=picks.shape)
+    for base in (A, B):
+        base_nd = base.mask.reshape(g.factors)
+        want = _full_union(g, base_nd, rows)
+        assert np.array_equal(_translate_union(g, base_nd, rows), want)
+        assert np.array_equal(_translate_union(g, base_nd, rows[:0]), _full_union(g, base_nd, rows[:0]))
+        shifted = union_shift_subset(base, [Elem(tuple(int(x) for x in row)) for row in picks])
+        assert np.array_equal(shifted.mask, want.ravel())

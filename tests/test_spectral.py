@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bohrlab.spectral as spectral
 from bohrlab.errors import DomainError, ShapeError
@@ -259,3 +263,80 @@ def test_factored_prime_length_blocking(monkeypatch):
     whole = dft_factored(f).coeffs
     monkeypatch.setattr(spectral, "_BLOCK_CELLS", 97)  # one kernel row per block
     assert np.abs(dft_factored(f).coeffs - whole).max() < 1e-15
+
+
+# --- translate windows against the np.roll loop ---------------------------------
+
+def _rolled_convolution(f: DensityFn, g: DensityFn) -> DensityFn:
+    """One multi-axis ``np.roll`` per nonzero weight, summed in rank order."""
+    grp = f.group
+    axes = tuple(range(grp.ndim))
+    out = np.zeros(grp.factors, dtype=np.float64)
+    for rank, weight in enumerate(g.values):
+        if weight == 0.0:
+            continue
+        shift = np.unravel_index(rank, grp.factors)
+        out += weight * np.roll(f.as_nd(), shift, axis=axes)
+    return DensityFn(grp, out.ravel() / grp.order)
+
+
+def _split_of(factors, ranks) -> int:
+    rows = np.stack(np.unravel_index(np.asarray(ranks), factors), axis=1)
+    changed = np.ones(rows.shape, dtype=bool)
+    changed[1:] = rows[1:] != rows[:-1]
+    return spectral._split_axes(factors, rows, changed.argmax(axis=1))
+
+
+TRANSLATE_GROUPS = st.one_of(
+    st.lists(st.integers(1, 12), min_size=1, max_size=4)
+    .map(tuple)
+    .filter(lambda f: math.prod(f) <= 512),
+    st.sampled_from([(2,) * 9, (3,) * 5, (4, 2, 2, 2, 2, 2), (5, 1, 3), (1,)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    factors=TRANSLATE_GROUPS,
+    f_support=st.sampled_from([0.0, 0.3, 1.0]),
+    g_support=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+    block_cells=st.sampled_from([None, 1, 64, 4096]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_translate_windows_keep_every_bit(factors, f_support, g_support, block_cells, seed):
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    f = DensityFn(g, rng.normal(size=g.order) * (rng.random(g.order) < f_support))
+    h = DensityFn(g, rng.normal(size=g.order) * (rng.random(g.order) < g_support))
+    want = _rolled_convolution(f, h).values.view(np.int64)
+    want_triple = _rolled_convolution(_rolled_convolution(f, h), reflect(h)).values.view(np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_cells is not None:
+            mp.setattr(spectral, "_BLOCK_CELLS", block_cells)
+        assert np.array_equal(convolve_definitional(f, h).values.view(np.int64), want)
+        assert np.array_equal(triple_convolve_definitional(f, h).values.view(np.int64), want_triple)
+
+
+def test_translate_walk_split_follows_cost(monkeypatch):
+    # A cyclic group with many translates: double its axis, never roll.
+    assert _split_of((2048,), range(0, 2048, 3)) == 0
+    # Three translates of F_2^9: doubling would build 3^9 cells, rolling moves 2^9 a few times.
+    assert _split_of((2,) * 9, [5, 300, 511]) == 9
+    # Many translates of (8,8,8,4): double the last two axes, roll the two before.
+    assert _split_of((8, 8, 8, 4), range(0, 2048, 3)) == 2
+    # No room for a doubled table: roll every axis.
+    monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)
+    assert _split_of((8, 8, 8, 4), range(0, 2048, 3)) == 4
+
+
+def test_translate_windows_are_read_only_and_deduplicated():
+    table = np.arange(24.0).reshape(2, 3, 4)
+    shifts = [[1, -1, 6], [-1, 2, 2], [0, 0, 0]]  # the first two are the same translate
+    windows = [w.copy() for w in spectral._translate_windows(table, shifts)]
+    assert len(windows) == 2
+    assert np.array_equal(windows[0], table)
+    assert np.array_equal(windows[1], np.roll(table, (1, 2, 2), axis=(0, 1, 2)))
+    window = next(spectral._translate_windows(table, [[1, 1, 1]]))
+    with pytest.raises(ValueError):
+        window[0, 0, 0] = 1.0
+    assert list(spectral._translate_windows(table, np.zeros((0, 3), dtype=np.int64))) == []
