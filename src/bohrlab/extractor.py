@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,12 +70,15 @@ class TrigPoly:
     A thin array wrapper over a CharTuple ``support`` and the matching complex
     array ``coeffs``.  The support must be distinct characters in increasing
     rank order, which makes evaluation sums reproducible; :meth:`from_terms` sorts.
+    The polynomial remembers its last evaluation, so a later check of the
+    same value (:func:`bohr_from_trigpoly` after ``c = Re p(a)``) is free.
     """
 
     group: GroupSpec
     support: CharTuple
     coeffs: np.ndarray
     constant_shift: float = 0.0
+    _last: tuple[Elem, complex] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         support = char_tuple(self.group, self.support)
@@ -118,10 +121,18 @@ class TrigPoly:
         cos = np.fromiter(map(math.cos, angle), dtype=np.float64, count=len(angle))
         sin = np.fromiter(map(math.sin, angle), dtype=np.float64, count=len(angle))
         a, b = self.coeffs.real, self.coeffs.imag
-        return complex(
+        value = complex(
             _running_sum(self.constant_shift, a * cos - b * sin),
             _running_sum(0.0, a * sin + b * cos),
         )
+        object.__setattr__(self, "_last", (z, value))
+        return value
+
+    def _value_at(self, z: Elem) -> complex:
+        """The value at z: the last :meth:`evaluate` if it was at z, else a new one."""
+        if self._last is not None and self._last[0] == z:
+            return self._last[1]
+        return self.evaluate(z)
 
 
 def normalize_means(f: DensityFn, g: DensityFn) -> tuple[DensityFn, DensityFn, float]:
@@ -229,7 +240,7 @@ def bohr_from_trigpoly(p: TrigPoly, a: Elem, c: float) -> BohrSpec:
         raise PreconditionError(
             f"coefficient at {p.support[big[0]].freq} has modulus {moduli[big[0]]} > 1"
         )
-    re_pa = p.evaluate(a).real
+    re_pa = p._value_at(a).real
     if re_pa < c - RADIUS_SLACK:
         raise PreconditionError(f"Re p(a) = {re_pa} is below the level c = {c}")
     k = len(p.support)

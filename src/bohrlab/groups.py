@@ -189,7 +189,12 @@ def torus_norm(x: float) -> float:
 # --- canonical ranking -------------------------------------------------------
 
 def strides(g: GroupSpec) -> tuple[int, ...]:
-    """Mixed-radix strides so that rank = sum_j coords_j * stride_j."""
+    """Mixed-radix strides so that rank = sum_j coords_j * stride_j.
+
+    This is the canonical rank of an element or a character: mixed radix over
+    the factors, last factor fastest (C order), so on Z_n a rank is the
+    coordinate itself.  Certificate files write S1 as these ranks.
+    """
     out = []
     acc = 1
     for n in reversed(g.factors):

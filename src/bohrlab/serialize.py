@@ -4,29 +4,34 @@ Every real number is written as a decimal string with 17 significant digits,
 which round-trips IEEE doubles exactly and keeps the files byte-stable across
 platforms.  Field order is fixed by construction (insertion order).
 
-Certificates are written in exactly the layout of ``json.dumps(..., indent=2)``,
-but the frequency lists, which make up nearly all of a large certificate, are
-rendered straight from their integer matrices, and a list that both Bohr
-forms share is rendered once.  The loader type-checks and converts each
-distinct frequency list once, as an array, and the Bohr forms reuse the
-characters of S1 when their lists equal it.
+Certificates are written as schema ``bohrlab-cert/2``, in exactly the layout
+of ``json.dumps(..., indent=2)``.  S1, nearly all of a large certificate, is
+written once, as ``s1_ranks``: the canonical rank of each character in S1's
+order, repeats kept (mixed radix, last factor fastest; see
+:func:`bohrlab.groups.strides`).  The Bohr forms carry only their form,
+radius and center, and share S1's characters.  The loader type-checks the
+rank list at C speed, converts it with one array and range-checks it, so a
+bad file is refused at load.
+
+Files of schema ``bohrlab-cert/1``, which write S1 and both forms' ``freqs``
+as lists of frequency rows, still load; writing one out gives cert/2.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import Callable
 from itertools import chain
 
 import numpy as np
 
 from .bohr import BohrSpec
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .extractor import BoundCheck, Certificate
-from .groups import CharTuple, Elem, GroupSpec, parse_group
+from .groups import CharTuple, Elem, GroupSpec, parse_group, ranks_of_rows, rows_at
 
-CERT_SCHEMA = "bohrlab-cert/1"
+CERT_SCHEMA = "bohrlab-cert/2"
+CERT1_SCHEMA = "bohrlab-cert/1"
 
 
 def fmt_real(x: float) -> str:
@@ -57,18 +62,17 @@ def _coords_list(value, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def bohr_spec_to_dict(b: BohrSpec, freqs: Callable[[CharTuple], object]) -> dict:
-    """The JSON object of a Bohr spec; ``freqs`` renders its frequency tuple."""
+def bohr_spec_to_dict(b: BohrSpec) -> dict:
+    """The JSON object of a certificate's Bohr form; its frequencies are the certificate's S1."""
     return {
         "form": b.form,
-        "freqs": freqs(b.freqs),
         "radius": fmt_real(b.radius),
         "center": list(b.center.coords) if b.center is not None else None,
     }
 
 
 def _char_tuple(value, what: str, ndim: int, parsed: list) -> CharTuple:
-    """The CharTuple of a JSON list of integer lists, converted once per distinct list.
+    """The CharTuple of a cert/1 list of integer lists, converted once per distinct list.
 
     Every entry is type-checked, with ``isinstance`` semantics (so a bool
     counts as an integer); ``parsed`` holds (list, CharTuple) pairs already
@@ -95,33 +99,61 @@ def _char_tuple(value, what: str, ndim: int, parsed: list) -> CharTuple:
     return chars
 
 
-def bohr_spec_from_dict(d: dict, g: GroupSpec, parsed: list) -> BohrSpec:
-    """Inverse of :func:`bohr_spec_to_dict`; ``parsed`` shares converted frequency lists."""
+def _s1_from_ranks(value, g: GroupSpec) -> CharTuple:
+    """S1 from its cert/2 rank list, refused at load if any entry is not a rank of ``g``.
+
+    The type check gathers the entries' types at C speed (a bool counts as an
+    integer); one ``np.array`` converts the list, which refuses an integer
+    beyond int64, and one comparison range-checks it.
+    """
+    if not isinstance(value, list):
+        raise DomainError(f"s1_ranks must be a list, got {value!r}")
+    if not all(issubclass(t, int) for t in set(map(type, value))):
+        bad = next(x for x in value if not isinstance(x, int))
+        raise DomainError(f"an S1 rank must be an integer, got {bad!r}")
+    try:
+        ranks = np.array(value, dtype=np.int64)
+    except OverflowError as exc:
+        raise ShapeError(f"an S1 rank exceeds int64: {exc}") from exc
+    bad = np.flatnonzero((ranks < 0) | (ranks >= g.order))
+    if bad.size:
+        raise ShapeError(f"S1 rank {ranks[bad[0]]} out of range for group of order {g.order}")
+    return CharTuple(rows_at(g, ranks))
+
+
+def bohr_spec_from_dict(d: dict, g: GroupSpec, freqs: Callable[[dict], CharTuple]) -> BohrSpec:
+    """Inverse of :func:`bohr_spec_to_dict`; ``freqs`` gives the form's frequencies from its object."""
     try:
         form = d["form"]
-        freqs = d["freqs"]
         radius = d["radius"]
         center = d.get("center")
+        chars = freqs(d)
     except (KeyError, TypeError, AttributeError) as exc:
         raise DomainError(f"malformed Bohr spec object: {d!r}") from exc
-    chars = _char_tuple(freqs, "frequency", g.ndim, parsed)
     elem = Elem(_coords_list(center, "center")) if center is not None else None
     return BohrSpec(g, chars, parse_real(radius), form, center=elem)
 
 
-def certificate_to_dict(cert: Certificate, freqs: Callable[[CharTuple], object]) -> dict:
-    """The JSON object of a certificate; ``freqs`` renders each frequency tuple."""
+def certificate_to_dict(cert: Certificate) -> dict:
+    """The cert/2 JSON object of a certificate.
+
+    Both Bohr forms must carry S1, which cert/2 writes once; a form on other
+    frequencies cannot be written and raises :class:`DomainError`.
+    """
+    for b in (cert.bohr_char_form, cert.bohr_torus_form):
+        if b.freqs is not cert.s1 and b.freqs != cert.s1:
+            raise DomainError(f"the {b.form} Bohr form does not carry S1, which cert/2 writes once")
     return {
         "schema": CERT_SCHEMA,
         "group": str(cert.group),
         "delta": fmt_real(cert.delta),
         "a0": list(cert.a0.coords),
-        "s1": freqs(cert.s1),
+        "s1_ranks": ranks_of_rows(cert.group, cert.s1.rows).tolist(),
         "c": fmt_real(cert.c),
         "k": cert.k,
         "h_at_a0": fmt_real(cert.h_at_a0),
-        "bohr_char_form": bohr_spec_to_dict(cert.bohr_char_form, freqs),
-        "bohr_torus_form": bohr_spec_to_dict(cert.bohr_torus_form, freqs),
+        "bohr_char_form": bohr_spec_to_dict(cert.bohr_char_form),
+        "bohr_torus_form": bohr_spec_to_dict(cert.bohr_torus_form),
         "bounds": {
             name: {
                 "value": fmt_real(check.value),
@@ -134,16 +166,26 @@ def certificate_to_dict(cert: Certificate, freqs: Callable[[CharTuple], object])
 
 
 def certificate_from_dict(d: dict) -> Certificate:
+    """A certificate from its JSON object, of schema cert/2 or cert/1."""
     if not isinstance(d, dict):
         raise DomainError("certificate must be a JSON object")
     schema = d.get("schema")
-    if schema != CERT_SCHEMA:
+    if schema not in (CERT_SCHEMA, CERT1_SCHEMA):
         raise DomainError(f"unsupported certificate schema {schema!r}")
     try:
         g = parse_group(d["group"])
         a0 = Elem(_coords_list(d["a0"], "a0"))
-        parsed: list = []
-        s1 = _char_tuple(d["s1"], "S1 entry", g.ndim, parsed)
+        if schema == CERT_SCHEMA:
+            s1 = _s1_from_ranks(d["s1_ranks"], g)
+
+            def freqs(form: dict) -> CharTuple:
+                return s1
+        else:
+            parsed: list = []
+            s1 = _char_tuple(d["s1"], "S1 entry", g.ndim, parsed)
+
+            def freqs(form: dict) -> CharTuple:
+                return _char_tuple(form["freqs"], "frequency", g.ndim, parsed)
         bounds_raw = d["bounds"]
         cert = Certificate(
             group=g,
@@ -153,8 +195,8 @@ def certificate_from_dict(d: dict) -> Certificate:
             c=parse_real(d["c"]),
             k=_json_typed(d["k"], int, "k"),
             h_at_a0=parse_real(d["h_at_a0"]),
-            bohr_char_form=bohr_spec_from_dict(d["bohr_char_form"], g, parsed),
-            bohr_torus_form=bohr_spec_from_dict(d["bohr_torus_form"], g, parsed),
+            bohr_char_form=bohr_spec_from_dict(d["bohr_char_form"], g, freqs),
+            bohr_torus_form=bohr_spec_from_dict(d["bohr_torus_form"], g, freqs),
             bounds={
                 name: BoundCheck(
                     value=parse_real(entry["value"]),
@@ -169,55 +211,21 @@ def certificate_from_dict(d: dict) -> Certificate:
     return cert
 
 
-# A frequency tuple stands in the skeleton as this string, numbered.
-_MARK = "\x00freqs:"
-_MARKED = re.compile(r'^( *)("[^"\n]*": )"\\u0000freqs:(\d+)"', re.MULTILINE)
-
-
-def _rows_json(chars: CharTuple, indent: str) -> str:
-    """``json.dumps(rows, indent=2)`` as it reads on a line indented by ``indent``,
-    rendered from the validated frequency matrix with string joins."""
-    rows = chars.rows
-    if rows.shape[0] == 0:
-        return "[]"
-    row, entry = indent + "  ", indent + "    "
-    row_open, row_close = row + "[\n" + entry, "\n" + row + "]"
-    entries = iter(map(str, rows.ravel().tolist()))
-    body = map((",\n" + entry).join, zip(*[entries] * rows.shape[1]))
-    return (
-        "[\n" + row_open + (row_close + ",\n" + row_open).join(body) + row_close
-        + "\n" + indent + "]"
-    )
+# S1's rank list stands in the skeleton as this string.
+_MARK = "\x00s1_ranks"
 
 
 def certificate_to_json(cert: Certificate) -> str:
     """The certificate as ``json.dumps(..., indent=2)`` writes it, plus a newline, byte for byte.
 
-    The small fields go through the stdlib encoder with each frequency tuple
-    replaced by a numbered mark; the marks are then replaced by the rendered
-    lists.  Each distinct tuple is rendered once: where it recurs at another
-    depth (S1 and the Bohr forms share one tuple), only the indentation after
-    each newline changes.
+    The small fields go through the stdlib encoder with the rank list replaced
+    by a mark; the mark is then replaced by the list, one rank per line,
+    rendered with one join.
     """
-    tuples: list[CharTuple] = []
-
-    def mark(chars: CharTuple) -> str:
-        tuples.append(chars)
-        return f"{_MARK}{len(tuples) - 1}"
-
-    skeleton = json.dumps(certificate_to_dict(cert, mark), indent=2)
-    rendered: dict[int, tuple[str, str]] = {}  # id of a tuple -> (indent, text)
-
-    def fill(m: re.Match) -> str:
-        indent, key, chars = m.group(1), m.group(2), tuples[int(m.group(3))]
-        if id(chars) not in rendered:
-            rendered[id(chars)] = (indent, _rows_json(chars, indent))
-        at, text = rendered[id(chars)]
-        if at != indent:
-            text = text.replace("\n" + at, "\n" + indent)
-        return indent + key + text
-
-    return _MARKED.sub(fill, skeleton) + "\n"
+    d = certificate_to_dict(cert)
+    ranks, d["s1_ranks"] = d["s1_ranks"], _MARK
+    rendered = "[\n    " + ",\n    ".join(map(str, ranks)) + "\n  ]" if ranks else "[]"
+    return json.dumps(d, indent=2).replace(json.dumps(_MARK), rendered, 1) + "\n"
 
 
 def certificate_from_json(text: str) -> Certificate:

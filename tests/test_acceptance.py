@@ -21,7 +21,7 @@ from bohrlab.bohr import bohr_enumerate
 from bohrlab.cli import main as cli_main
 from bohrlab.extractor import Certificate, extract
 from bohrlab.groups import GroupSpec
-from bohrlab.serialize import certificate_to_json
+from bohrlab.serialize import certificate_from_json, certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset, sumset_ABmB, write_set_file
 from bohrlab.spectral import (
     DensityFn,
@@ -166,7 +166,8 @@ def test_criterion_5_worked_example_regression(criterion_log):
     g = GroupSpec((8,))
     evens = GroupSubset.from_ranks(g, [0, 2, 4, 6])
     cert = extract(evens.indicator(), evens.indicator())
-    golden = pathlib.Path(__file__).parent / "data" / "z8_evens_cert.json"
+    data = pathlib.Path(__file__).parent / "data"
+    golden, golden_v1 = data / "z8_evens_cert2.json", data / "z8_evens_cert.json"
     exact = (
         tuple(t.freq for t in cert.s1) == ((0,), (4,))
         and cert.a0.coords == (0,)
@@ -175,11 +176,16 @@ def test_criterion_5_worked_example_regression(criterion_log):
         and cert.k == 2
         and sorted(m.coords[0] for m in bohr_enumerate(cert.bohr_char_form)) == [0, 2, 4, 6]
     )
-    bytes_match = certificate_to_json(cert).encode() == golden.read_bytes()
+    bytes_match = (
+        certificate_to_json(cert).encode()
+        == golden.read_bytes()
+        == certificate_to_json(certificate_from_json(golden_v1.read_text())).encode()
+    )
     status = "PASS" if exact and bytes_match else "FAIL"
     criterion_log(
         f"criterion 5: {status} - Z8 evens extraction reproduced S1={{0,4}}, a0=0, "
-        f"h(a0)=1/4, c=15/64, k=2, members {{0,2,4,6}} and matched the golden file byte for byte"
+        f"h(a0)=1/4, c=15/64, k=2, members {{0,2,4,6}} and matched the cert/2 golden file "
+        f"byte for byte, as did the cert/1 golden file loaded and written out"
     )
     assert exact
     assert bytes_match
@@ -247,25 +253,22 @@ def test_criterion_8_performance(tmp_path, criterion_log):
 
 
 def _corrupt_spectrum(payload: dict, rng: np.random.Generator) -> None:
-    """Tamper with one claimed spectrum entry, consistently across the forms.
+    """Tamper with one claimed spectrum entry, which both forms share.
 
     Swaps the entry for a frequency outside the claim when one exists; for
     dense sets the claim can already saturate the dual group, in which case
     the entry is dropped instead (the claim then under-covers the spectrum).
+    On Z_n a character's rank is its frequency.
     """
     n = int(payload["group"].split("x")[0])
-    s1 = payload["s1"]
+    s1 = payload["s1_ranks"]
     idx = int(rng.integers(len(s1)))
-    existing = {tuple(t) for t in s1}
-    spare = [v for v in range(n) if (v,) not in existing]
-    fields = (s1, payload["bohr_char_form"]["freqs"], payload["bohr_torus_form"]["freqs"])
+    existing = set(s1)
+    spare = [v for v in range(n) if v not in existing]
     if spare:
-        new = int(spare[int(rng.integers(len(spare)))])
-        for field in fields:
-            field[idx] = [new]
+        s1[idx] = int(spare[int(rng.integers(len(spare)))])
     else:
-        for field in fields:
-            del field[idx]
+        del s1[idx]
 
 
 def test_criterion_9_fault_injection(tmp_path, criterion_log):

@@ -5,6 +5,7 @@ Each helper is replaced at every place a bohrlab module binds it by a wrapper
 that counts calls.  Extract plus a JSON round trip must make the same number
 of calls whether S1 holds a handful of characters or thousands, and the S1 it
 builds and loads holds no ``Char`` objects, only their frequency matrix.
+The level polynomial q is evaluated once per extraction, for c.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import Counter
 import numpy as np
 
 from bohrlab import groups
-from bohrlab.extractor import extract
+from bohrlab.extractor import TrigPoly, extract
 from bohrlab.serialize import certificate_from_json, certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset
 
@@ -74,3 +75,18 @@ def test_certificate_frequency_sets_hold_no_chars():
     assert loaded.k > 1000
     for chars in (cert.s1, loaded.s1):
         assert not any(isinstance(x, groups.Char) for x in gc.get_referents(chars))
+
+
+def test_extract_evaluates_q_once(monkeypatch):
+    points = []
+    original = TrigPoly.evaluate
+
+    def counted(self, z):
+        points.append(z)
+        return original(self, z)
+
+    monkeypatch.setattr(TrigPoly, "evaluate", counted)
+    A = random_nonempty_subset(Z4096, 0.1, 5)
+    B = random_nonempty_subset(Z4096, 0.1, 6)
+    cert = extract(A.indicator(), B.indicator())
+    assert points == [cert.a0]

@@ -182,6 +182,17 @@ def test_bohr_from_trigpoly_rejects_level_above_value():
         bohr_from_trigpoly(p, Elem((0,)), 0.9)
 
 
+def test_bohr_from_trigpoly_checks_level_after_an_evaluation():
+    p = TrigPoly.from_terms(Z8, {Char((2,)): 0.5 + 0j})
+    assert p.evaluate(Elem((0,))).real == 0.5
+    with pytest.raises(PreconditionError):
+        bohr_from_trigpoly(p, Elem((0,)), 0.9)
+    assert p.evaluate(Elem((1,))).real == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(PreconditionError):  # the value at 1 does not stand in for the value at 2
+        bohr_from_trigpoly(p, Elem((2,)), 0.1)
+    assert bohr_from_trigpoly(p, Elem((0,)), 0.5).center == Elem((0,))
+
+
 def test_extract_worked_example_exact():
     cert = extract(EVENS, EVENS)
     assert cert.delta == 0.5

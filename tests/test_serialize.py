@@ -1,6 +1,7 @@
 """Certificate JSON: byte identity with the stdlib layout, exact round trips,
-the loader's outcomes on malformed frequency rows and witnesses, and the
-extract -> JSON -> verify contract over random multi-factor groups."""
+the loader's outcomes on malformed S1 ranks, frequency rows and witnesses,
+cert/1 files loading as their cert/2 certificates, and the extract -> JSON ->
+verify contract over random multi-factor groups."""
 
 from __future__ import annotations
 
@@ -22,12 +23,13 @@ from bohrlab.cli import main
 from bohrlab.errors import DomainError, ShapeError
 from bohrlab.extractor import extract, normalize_means
 from bohrlab.groups import Char, GroupSpec, char_eval, rank_of_char, rows_at
-from bohrlab.serialize import certificate_from_json, certificate_to_json, fmt_real
+from bohrlab.serialize import certificate_from_json, certificate_to_json, fmt_real, report_to_json
 from bohrlab.sets import GroupSubset, write_set_file
 from bohrlab.spectral import dft
 from bohrlab.verify import verify_certificate
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "z8_evens_cert.json"
+GOLDEN = pathlib.Path(__file__).parent / "data" / "z8_evens_cert.json"  # cert/1
+GOLDEN2 = pathlib.Path(__file__).parent / "data" / "z8_evens_cert2.json"
 Z8 = GroupSpec((8,))
 EVENS = GroupSubset.from_ranks(Z8, [0, 2, 4, 6])
 
@@ -76,10 +78,11 @@ def test_certificate_json_is_stdlib_layout_and_round_trips(factors, density_a, d
 
 
 def test_loader_shares_one_character_tuple():
-    cert = certificate_from_json(GOLDEN.read_text())
-    assert cert.bohr_char_form.freqs is cert.s1
-    assert cert.bohr_torus_form.freqs is cert.s1
-    assert certificate_to_json(cert) == GOLDEN.read_text()
+    for golden in (GOLDEN, GOLDEN2):
+        cert = certificate_from_json(golden.read_text())
+        assert cert.bohr_char_form.freqs is cert.s1
+        assert cert.bohr_torus_form.freqs is cert.s1
+        assert certificate_to_json(cert) == GOLDEN2.read_text()
 
 
 def test_writer_handles_user_built_tuples():
@@ -87,7 +90,37 @@ def test_writer_handles_user_built_tuples():
     plain = tuple(cert.s1)  # not a CharTuple: converted where the certificate is built
     forms = [dataclasses.replace(b, freqs=plain) for b in (cert.bohr_char_form, cert.bohr_torus_form)]
     rebuilt = dataclasses.replace(cert, s1=plain, bohr_char_form=forms[0], bohr_torus_form=forms[1])
-    assert certificate_to_json(rebuilt) == GOLDEN.read_text()
+    assert certificate_to_json(rebuilt) == GOLDEN2.read_text()
+
+
+def test_writer_refuses_a_form_off_s1():
+    cert = certificate_from_json(GOLDEN2.read_text())
+    form = dataclasses.replace(cert.bohr_torus_form, freqs=cert.s1[:1])
+    with pytest.raises(DomainError):
+        certificate_to_json(dataclasses.replace(cert, bohr_torus_form=form))
+
+
+def _cert1_text(cert) -> str:
+    """The cert/1 layout: S1 and both forms' frequencies written out as lists of rows."""
+    rows = cert.s1.rows.tolist()
+    forms = {
+        key: {"form": b.form, "freqs": rows, "radius": fmt_real(b.radius), "center": list(b.center.coords)}
+        for key, b in (("bohr_char_form", cert.bohr_char_form), ("bohr_torus_form", cert.bohr_torus_form))
+    }
+    payload = {
+        "schema": "bohrlab-cert/1", "group": str(cert.group), "delta": fmt_real(cert.delta),
+        "a0": list(cert.a0.coords), "s1": rows, "c": fmt_real(cert.c), "k": cert.k,
+        "h_at_a0": fmt_real(cert.h_at_a0), **forms,
+        "bounds": {
+            name: {"value": fmt_real(b.value), "limit": fmt_real(b.limit), "ok": b.ok}
+            for name, b in cert.bounds.items()
+        },
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_cert1_writer_reproduces_the_cert1_golden():
+    assert _cert1_text(certificate_from_json(GOLDEN2.read_text())) == GOLDEN.read_text()
 
 
 # --- malformed frequency rows and witnesses --------------------------------------
@@ -137,6 +170,17 @@ def _set_all(rows):
     return edit
 
 
+def _set_ranks(ranks):
+    def edit(p):
+        p["s1_ranks"] = ranks
+
+    return edit
+
+
+def _drop_ranks(p):
+    del p["s1_ranks"]
+
+
 # Once refused only by the verifier, after its O(N^2) transforms; now refused at load.
 LOAD_TIME_REFUSALS = [
     ("negative s1 entry", _set_s1([[0], [-4]]), ShapeError),
@@ -163,18 +207,37 @@ LOAD_ERRORS = LOAD_TIME_REFUSALS + [
     ("string ok", _set_field("false", "bounds", "dimension", "ok"), DomainError),
 ]
 
+# cert/2 writes S1 once, as a flat list of ranks; these edit the cert/2 golden.
+CERT2_LOAD_TIME_REFUSALS = [
+    ("negative rank", _set_ranks([0, -4]), ShapeError),
+    ("rank equal to N", _set_ranks([0, 8]), ShapeError),
+]
 
-@pytest.mark.parametrize("label,edit,error", LOAD_ERRORS, ids=[c[0] for c in LOAD_ERRORS])
-def test_loader_rejects_malformed_rows(label, edit, error):
+CERT2_LOAD_ERRORS = CERT2_LOAD_TIME_REFUSALS + [
+    ("float rank", _set_ranks([0, 4.0]), DomainError),
+    ("string rank", _set_ranks([0, "4"]), DomainError),
+    ("nested list of ranks", _set_ranks([[0], [4]]), DomainError),
+    ("rank 2^63", _set_ranks([0, 2**63]), ShapeError),
+    ("missing s1_ranks", _drop_ranks, DomainError),
+]
+
+# (golden file, label, edit, error)
+CASES = [(GOLDEN, *c) for c in LOAD_ERRORS] + [(GOLDEN2, *c) for c in CERT2_LOAD_ERRORS]
+REFUSALS = [(GOLDEN, *c) for c in LOAD_TIME_REFUSALS] + [(GOLDEN2, *c) for c in CERT2_LOAD_TIME_REFUSALS]
+
+
+@pytest.mark.parametrize("golden,label,edit,error", CASES, ids=[c[1] for c in CASES])
+def test_loader_rejects_malformed_rows(golden, label, edit, error):
     with pytest.raises(error):
-        certificate_from_json(_tampered(edit))
+        certificate_from_json(_tampered(edit, golden.read_text()))
 
 
 def test_loader_accepts_bools_as_ints():
-    cert = certificate_from_json(_tampered(_set_all([[False], [4]])))
-    assert [t.freq for t in cert.s1] == [(0,), (4,)]
-    assert certificate_to_json(cert) == GOLDEN.read_text()
-    assert verify_certificate(cert, EVENS, EVENS).passed
+    for golden, edit in ((GOLDEN, _set_all([[False], [4]])), (GOLDEN2, _set_ranks([False, 4]))):
+        cert = certificate_from_json(_tampered(edit, golden.read_text()))
+        assert [t.freq for t in cert.s1] == [(0,), (4,)]
+        assert certificate_to_json(cert) == GOLDEN2.read_text()
+        assert verify_certificate(cert, EVENS, EVENS).passed
 
 
 def test_negative_s1_entry_is_refused_at_load():
@@ -189,14 +252,12 @@ def _no_transform_work(*args, **kwargs):
     raise AssertionError("a transform ran on a malformed certificate")
 
 
-@pytest.mark.parametrize(
-    "label,edit,error", LOAD_TIME_REFUSALS, ids=[c[0] for c in LOAD_TIME_REFUSALS]
-)
-def test_malformed_certificate_is_refused_before_any_transform(monkeypatch, label, edit, error):
+@pytest.mark.parametrize("golden,label,edit,error", REFUSALS, ids=[c[1] for c in REFUSALS])
+def test_malformed_certificate_is_refused_before_any_transform(monkeypatch, golden, label, edit, error):
     monkeypatch.setattr(verify, "dft_factored", _no_transform_work)
     monkeypatch.setattr(verify, "triple_convolve_definitional", _no_transform_work)
     with pytest.raises(error):
-        verify_certificate(certificate_from_json(_tampered(edit)), EVENS, EVENS)
+        verify_certificate(certificate_from_json(_tampered(edit, golden.read_text())), EVENS, EVENS)
 
 
 def run_cli(*argv):
@@ -206,12 +267,12 @@ def run_cli(*argv):
     return code, err.getvalue()
 
 
-@pytest.mark.parametrize("label,edit,error", LOAD_ERRORS, ids=[c[0] for c in LOAD_ERRORS])
-def test_cli_verify_exits_2_on_malformed_rows(tmp_path, label, edit, error):
+@pytest.mark.parametrize("golden,label,edit,error", CASES, ids=[c[1] for c in CASES])
+def test_cli_verify_exits_2_on_malformed_rows(tmp_path, golden, label, edit, error):
     sets = tmp_path / "evens.txt"
     write_set_file(EVENS, sets)
     cert = tmp_path / "cert.json"
-    cert.write_text(_tampered(edit))
+    cert.write_text(_tampered(edit, golden.read_text()))
     code, err = run_cli("verify", "--cert", str(cert), "--set-a", str(sets), "--set-b", str(sets))
     assert code == 2, err
     assert error.__name__ in err
@@ -248,6 +309,18 @@ def test_verify_passes_what_extract_certifies(factors, density_a, density_b, see
     assert verify_certificate(extract(A.indicator(), B.indicator()), A, B).passed
 
 
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**INSTANCES)
+def test_cert1_file_loads_as_its_cert2_certificate(factors, density_a, density_b, seed):
+    A, B, _ = _instance(factors, density_a, density_b, seed)
+    cert = extract(A.indicator(), B.indicator())
+    loaded = certificate_from_json(_cert1_text(cert))
+    assert certificate_to_json(loaded) == certificate_to_json(cert)
+    assert report_to_json(verify_certificate(loaded, A, B)) == report_to_json(
+        verify_certificate(cert, A, B)
+    )
+
+
 def _shift(key):
     def edit(p):
         p[key] = fmt_real(float(p[key]) + 1e-6)
@@ -266,8 +339,8 @@ def _bump_k(p):
 
 def _drop_s1_row(index):
     def edit(p):
-        for rows in (p["s1"], p["bohr_char_form"]["freqs"], p["bohr_torus_form"]["freqs"]):
-            del rows[index % len(rows)]
+        ranks = p["s1_ranks"]
+        del ranks[index % len(ranks)]
 
     return edit
 
