@@ -56,11 +56,8 @@ MEAN_TOLERANCE = 1e-12
 
 
 def _running_sum(start: float, values: np.ndarray) -> float:
-    """Left-to-right float sum, one addition per value, as a scalar loop would do."""
-    acc = float(start)
-    for x in values.tolist():
-        acc += x
-    return acc
+    """Left-to-right float sum, as a scalar loop would do (``np.sum`` would sum pairwise)."""
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 @dataclass(frozen=True, eq=False)

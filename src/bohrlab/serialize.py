@@ -71,13 +71,12 @@ def bohr_spec_to_dict(b: BohrSpec) -> dict:
     }
 
 
-def _char_tuple(value, what: str, ndim: int, parsed: list) -> CharTuple:
-    """The CharTuple of a cert/1 list of integer lists, converted once per distinct list.
+def _char_tuple(value, what: str, ndim: int) -> CharTuple:
+    """The CharTuple of a cert/1 list of integer lists.
 
     Every entry is type-checked, with ``isinstance`` semantics (so a bool
-    counts as an integer); ``parsed`` holds (list, CharTuple) pairs already
-    converted, and an equal list reuses its CharTuple.  Shape errors are the
-    CharTuple's, range checks the group's.
+    counts as an integer).  Shape errors are the CharTuple's, range checks
+    the group's.
     """
     if not isinstance(value, list):
         raise DomainError(f"{what} rows must be a list, got {value!r}")
@@ -91,12 +90,7 @@ def _char_tuple(value, what: str, ndim: int, parsed: list) -> CharTuple:
             if not (isinstance(r, list) and all(isinstance(x, int) for x in r))
         )
         raise DomainError(f"{what} must be a list of integers, got {bad!r}")
-    for seen, chars in parsed:
-        if seen == value:
-            return chars
-    chars = CharTuple(value or np.zeros((0, ndim)))
-    parsed.append((value, chars))
-    return chars
+    return CharTuple(value or np.zeros((0, ndim)))
 
 
 def _s1_from_ranks(value, g: GroupSpec) -> CharTuple:
@@ -181,11 +175,11 @@ def certificate_from_dict(d: dict) -> Certificate:
             def freqs(form: dict) -> CharTuple:
                 return s1
         else:
-            parsed: list = []
-            s1 = _char_tuple(d["s1"], "S1 entry", g.ndim, parsed)
+            s1 = _char_tuple(d["s1"], "S1 entry", g.ndim)
 
             def freqs(form: dict) -> CharTuple:
-                return _char_tuple(form["freqs"], "frequency", g.ndim, parsed)
+                chars = _char_tuple(form["freqs"], "frequency", g.ndim)
+                return s1 if chars == s1 else chars
         bounds_raw = d["bounds"]
         cert = Certificate(
             group=g,

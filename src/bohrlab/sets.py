@@ -2,7 +2,8 @@
 
 Subsets are stored as boolean tables in canonical element order.  The sumset
 oracle here is deliberately combinatorial (translate unions, no Fourier), so it
-can serve as an independent cross-check for the spectral machinery.
+can serve as an independent cross-check for the spectral machinery: it is the
+oracle of ``good_shift_set`` and of the acceptance suite's sumset criterion.
 """
 
 from __future__ import annotations

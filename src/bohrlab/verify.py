@@ -1,8 +1,8 @@
 """Independent re-checking of certificates, plus the good-shift statistic.
 
 Everything here recomputes from definitions: the triple convolution as a
-plain translate sum, transforms by the exact-phase factored transform (no
-``np.fft``), sumsets via translate enumeration, Bohr membership by pairing
+plain translate sum, whose support is the sumset A+B-B, transforms by the
+exact-phase factored transform (no ``np.fft``), Bohr membership by pairing
 phases.  Every translate, the containment shift by a0 included, is a window
 from ``spectral._translate_windows``.  None of the extractor's fast-path
 results are trusted; a certificate is data to be audited.  Failed checks are
@@ -89,11 +89,12 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     """Audit every claim in the certificate against A and B from scratch.
 
     The checks, in report order: the witness lies in A; the translated Bohr
-    set sits inside the enumerated sumset; torus-form members are a subset of
-    char-form members (these two become one failed ``undecidable`` check
-    when a member distance lands in the guard band); the dimension,
-    witness-value, level and remainder bounds; then internal consistency
-    (delta, spectrum, radii, centers) against the definitional recomputation.
+    set sits inside A+B-B, the support of the definitional h; torus-form
+    members are a subset of char-form members (these two become one failed
+    ``undecidable`` check when a member distance lands in the guard band);
+    the dimension, witness-value, level and remainder bounds; then internal
+    consistency (delta, spectrum, radii, centers) against the definitional
+    recomputation, S1 against the large spectrum by one rank mask.
     A group above the enumeration cap raises :class:`CapacityError` before
     any work on the group.
     """
@@ -127,7 +128,10 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     h_at_a0_def = float(h_def.values[a0_rank])
     r_max_def = float(np.abs(h_def.values - p_vals).max())
 
-    sumset = sumset_ABmB(A, B)
+    # Exact, not a threshold: f1 and g1 are 0 or >= delta >= 1/N, so every positive
+    # term of the translate sums is >= delta^3 / N^2, far above underflow, and a float
+    # sum of nonnegative terms is 0 only when every term is.  So h > 0 is A+B-B.
+    sumset = h_def.values > 0
     try:
         char_members = members_mask(cert.bohr_char_form)
         torus_members = members_mask(cert.bohr_torus_form)
@@ -153,7 +157,7 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
         shifted = next(
             _translate_windows(char_members.reshape(grp.factors), [cert.a0.coords])
         ).ravel()
-        escapees = np.flatnonzero(shifted & ~sumset.mask)
+        escapees = np.flatnonzero(shifted & ~sumset)
         if escapees.size:
             first = elem_at(grp, int(escapees[0]))
             detail = f"element {first.coords} lies outside the sumset"
@@ -215,20 +219,20 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     # band around the threshold where floating-point could go either way.
     threshold = 0.25 * delta**3
     moduli = np.abs(fhat_def)
-    required = set(np.flatnonzero(moduli >= threshold + BOUND_SLACK).tolist())
-    allowed = set(np.flatnonzero(moduli >= threshold - BOUND_SLACK).tolist())
-    claimed = set(s1_ranks.tolist())
-    spectrum_ok = required <= claimed <= allowed and len(claimed) == k
-    missing = sorted(required - claimed)
-    excess = sorted(claimed - allowed)
-    if missing:
+    claimed = np.zeros(grp.order, dtype=bool)
+    claimed[s1_ranks] = True
+    missing = np.flatnonzero((moduli >= threshold + BOUND_SLACK) & ~claimed)
+    excess = np.flatnonzero(claimed & (moduli < threshold - BOUND_SLACK))
+    duplicates = int(claimed.sum()) != k
+    if missing.size:
         detail = f"missing character rank {missing[0]}"
-    elif excess:
+    elif excess.size:
         detail = f"character rank {excess[0]} is below the threshold"
-    elif len(claimed) != k:
+    elif duplicates:
         detail = "duplicate characters in S1"
     else:
         detail = f"{k} characters at threshold {threshold}"
+    spectrum_ok = not (missing.size or excess.size or duplicates)
     checks.append(CheckResult("large-spectrum", spectrum_ok, detail))
 
     want_char = cert.c / k if k else cert.c

@@ -3,18 +3,27 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import pathlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from bohrlab.bohr import FORM_CHAR, BohrSpec
 from bohrlab.errors import AmbiguousBoundary, DomainError, EmptyInputError, ShapeError
 from bohrlab.extractor import BOUND_SLACK, extract
 from bohrlab.groups import Char, CharTuple, Elem, GroupSpec, rank_of_elem, ranks_of_rows
-from bohrlab.serialize import certificate_from_json
-from bohrlab.sets import GroupSubset, random_nonempty_subset
+from bohrlab.serialize import certificate_from_json, report_to_json
+from bohrlab.sets import (
+    GroupSubset,
+    random_nonempty_subset,
+    subgroup_subset,
+    sumset_ABmB,
+    union_shift_subset,
+)
 from bohrlab.spectral import (
     constant_density,
     convolve,
@@ -371,3 +380,166 @@ def test_verifier_calls_no_numpy_fft(monkeypatch):
         monkeypatch.setattr(np.fft, name, no_fft)
     assert verify_certificate(cert, A, B).passed
     assert good_shift_set(A, B, cert.bohr_char_form).contains(cert.a0)
+
+
+# --- A+B-B as the support of h, and S1 against one rank mask ---------------------
+
+def _scaled_like_verify(A: GroupSubset, B: GroupSubset):
+    """f1 and g1 as verify_certificate builds them: the heavier indicator scaled down to delta."""
+    f0, g0 = A.indicator(), B.indicator()
+    delta = min(f0.mean, g0.mean)
+    f1 = f0 if f0.mean == delta else f0.scaled(delta / f0.mean)
+    g1 = g0 if g0.mean == delta else g0.scaled(delta / g0.mean)
+    return f1, g1
+
+
+def _subset(g: GroupSpec, kind: str, density: float, rng) -> GroupSubset:
+    if kind == "empty":
+        return GroupSubset.empty(g)
+    if kind == "full":
+        return GroupSubset.full(g)
+    mask = np.zeros(g.order, dtype=bool)
+    size = 1 if kind == "one" else max(1, round(density * g.order))
+    mask[rng.choice(g.order, size=size, replace=False)] = True
+    return GroupSubset(g, mask)
+
+
+SUPPORT_GROUPS = st.one_of(
+    st.lists(st.integers(2, 8), min_size=1, max_size=4)
+    .map(tuple)
+    .filter(lambda f: math.prod(f) <= 512),
+    st.integers(2, 512).map(lambda n: (n,)),
+    st.sampled_from([(2,) * 9, (3,) * 5]),
+)
+SET_KINDS = st.sampled_from(["random", "random", "one", "full", "empty"])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(factors=(2,) * 9, kind_a="full", kind_b="one", density=0.5, seed=1)
+@example(factors=(3,) * 5, kind_a="one", kind_b="random", density=0.02, seed=2)
+@example(factors=(4, 6, 2), kind_a="empty", kind_b="random", density=0.3, seed=3)
+@example(factors=(512,), kind_a="random", kind_b="empty", density=0.3, seed=4)
+@given(
+    factors=SUPPORT_GROUPS,
+    kind_a=SET_KINDS,
+    kind_b=SET_KINDS,
+    density=st.floats(0.002, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_of_definitional_h_is_the_sumset(factors, kind_a, kind_b, density, seed):
+    # verify_certificate reads A+B-B off h > 0, with no threshold.
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    A, B = _subset(g, kind_a, density, rng), _subset(g, kind_b, density, rng)
+    h = triple_convolve_definitional(*_scaled_like_verify(A, B))
+    assert np.array_equal(h.values > 0, sumset_ABmB(A, B).mask)
+
+
+def _evens_instance():
+    return EVENS, EVENS
+
+
+def _coset_instance():
+    # A coset of a subgroup of order 4 in Z4 x Z6: A+B-B = A, and a0 = (1, 1).
+    g = GroupSpec((4, 6))
+    H = subgroup_subset(g, (2, 3))
+    return union_shift_subset(H, [Elem((1, 1))]), H
+
+
+def _random_instance():
+    g = GroupSpec((6, 8))
+    return random_nonempty_subset(g, 0.3, 31), random_nonempty_subset(g, 0.4, 32)
+
+
+def _with_rows(cert, rows):
+    """The certificate with S1, k and both forms' frequencies replaced by ``rows``."""
+    s1 = CharTuple(np.asarray(rows, dtype=np.int64).reshape(-1, cert.group.ndim))
+    return dataclasses.replace(
+        cert,
+        s1=s1,
+        k=len(s1),
+        bohr_char_form=dataclasses.replace(cert.bohr_char_form, freqs=s1),
+        bohr_torus_form=dataclasses.replace(cert.bohr_torus_form, freqs=s1),
+    )
+
+
+def _widened(cert):
+    # Every character distance is at most 2, so radius 2.5 makes the Bohr set the whole group.
+    return dataclasses.replace(
+        cert,
+        bohr_char_form=dataclasses.replace(cert.bohr_char_form, radius=2.5),
+        bohr_torus_form=dataclasses.replace(cert.bohr_torus_form, radius=2.5 / (2 * np.pi)),
+    )
+
+
+def _rank_one(cert):
+    return [0] * (cert.group.ndim - 1) + [1]
+
+
+TAMPERS = {
+    "honest": lambda cert: cert,
+    "last row dropped": lambda cert: _with_rows(cert, cert.s1.rows[:-1]),
+    "rank 1 added": lambda cert: _with_rows(cert, [*cert.s1.rows.tolist(), _rank_one(cert)]),
+    "first row repeated": lambda cert: _with_rows(cert, cert.s1.rows[[*range(len(cert.s1)), 0]]),
+    "radius widened": _widened,
+}
+
+# (instance, tamper, large-spectrum detail, containment detail), as the
+# set-based S1 check and the enumerated sumset wrote them.
+PINNED = [
+    ("Z8 evens", "honest", "2 characters at threshold 0.03125",
+     "4 members, all contained after shifting by a0"),
+    ("Z8 evens", "last row dropped", "missing character rank 4",
+     "element (1,) lies outside the sumset"),
+    ("Z8 evens", "rank 1 added", "character rank 1 is below the threshold",
+     "1 members, all contained after shifting by a0"),
+    ("Z8 evens", "first row repeated", "duplicate characters in S1",
+     "4 members, all contained after shifting by a0"),
+    ("Z8 evens", "radius widened", "2 characters at threshold 0.03125",
+     "element (1,) lies outside the sumset"),
+    ("4x6 coset", "honest", "6 characters at threshold 0.0011574074074074071",
+     "4 members, all contained after shifting by a0"),
+    ("4x6 coset", "last row dropped", "missing character rank 16",
+     "4 members, all contained after shifting by a0"),
+    ("4x6 coset", "rank 1 added", "character rank 1 is below the threshold",
+     "2 members, all contained after shifting by a0"),
+    ("4x6 coset", "first row repeated", "duplicate characters in S1",
+     "4 members, all contained after shifting by a0"),
+    ("4x6 coset", "radius widened", "6 characters at threshold 0.0011574074074074071",
+     "element (0, 0) lies outside the sumset"),
+]
+INSTANCES = {
+    "Z8 evens": _evens_instance,
+    "4x6 coset": _coset_instance,
+    "6x8 random": _random_instance,
+}
+ALL_CASES = [(instance, tamper) for instance in INSTANCES for tamper in TAMPERS]
+
+
+def _tampered_case(instance: str, tamper: str):
+    A, B = INSTANCES[instance]()
+    return TAMPERS[tamper](extract(A.indicator(), B.indicator())), A, B
+
+
+@pytest.mark.parametrize(
+    "instance,tamper,spectrum,containment", PINNED, ids=[f"{c[0]}-{c[1]}" for c in PINNED]
+)
+def test_large_spectrum_and_containment_details_are_pinned(instance, tamper, spectrum, containment):
+    report = verify_certificate(*_tampered_case(instance, tamper))
+    assert _check(report, "large-spectrum").detail == spectrum
+    assert _check(report, "large-spectrum").passed == (tamper in ("honest", "radius widened"))
+    assert _check(report, "containment").detail == containment
+    assert _check(report, "containment").passed == containment.endswith("by a0")
+
+
+def _no_union(*args, **kwargs):
+    raise AssertionError("verify_certificate enumerated a translate union")
+
+
+@pytest.mark.parametrize("instance,tamper", ALL_CASES, ids=[f"{i}-{t}" for i, t in ALL_CASES])
+def test_verifier_computes_the_sumset_once(monkeypatch, instance, tamper):
+    cert, A, B = _tampered_case(instance, tamper)
+    want = report_to_json(verify_certificate(cert, A, B))
+    monkeypatch.setattr("bohrlab.verify.sumset_ABmB", _no_union)
+    monkeypatch.setattr("bohrlab.verify._translate_union", _no_union)
+    assert report_to_json(verify_certificate(cert, A, B)) == want
