@@ -82,6 +82,7 @@ from .spectral import (
     reflect,
     triple_convolve,
     triple_convolve_definitional,
+    triple_spectrum,
 )
 from .verify import (
     SuiteReport,

@@ -2,7 +2,8 @@
 
 Pipeline, for densities f and g with common mean delta after normalization:
 
-    h = f * g * g~            (g~ the reflection; supp h is the sumset)
+    h-hat = f-hat * |g-hat|^2 (the transform of h = f * g * g~, g~ the
+                               reflection; supp h is the sumset)
     S1 = large spectrum of f at threshold delta^3 / 4
     a0 = argmax of h over supp f
     p  = the S1 part of h-hat, as a trigonometric polynomial
@@ -13,10 +14,15 @@ radius c / |S1| (character-distance form) sits inside supp h.  Every numbered
 bound the construction promises is recorded and re-checked; a violation is an
 internal error, never a silently weaker certificate.
 
-The pipeline is array-native: f-hat and g-hat are computed once each, S1 is
-a rank array, the remainder zeroes those ranks in one step, and ``TrigPoly``
-is a thin wrapper over a frequency matrix and a coefficient array.  S1 is
-one ``CharTuple``, shared by the certificate and both of its Bohr forms.
+Each input is transformed once.  S1 is read off f-hat; then f-hat and g-hat
+become the one table h-hat and are dropped.  h-hat feeds everything after: h
+is its synthesis, q's coefficients are its entries at the S1 ranks, and the
+remainder is the synthesis of h-hat with those ranks zeroed.  That is two
+forward and two inverse FFTs per extraction, and h is ``triple_convolve``'s,
+bit for bit.  The pipeline is array-native: S1 is a rank array, and
+``TrigPoly`` is a thin wrapper over a frequency matrix and a coefficient
+array.  S1 is one ``CharTuple``, shared by the certificate and both of its
+Bohr forms.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .groups import (
     ranks_of_rows,
     rows_at,
 )
-from .spectral import DensityFn, Spectrum, dft, idft, triple_convolve
+from .spectral import DensityFn, Spectrum, dft, idft, triple_spectrum
 
 BOUND_SLACK = 1e-9
 RADIUS_SLACK = 1e-12
@@ -175,6 +181,12 @@ def large_spectrum(spectrum: Spectrum, threshold: float) -> CharTuple:
 def find_witness(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
     """Argmax of h over supp f, first in canonical order on ties.
 
+    Ties are broken among the *computed* values of h.  When h comes from
+    floating-point transforms, rounding can split an exact tie of the true h
+    (h is constant on the cosets of a subgroup, for one) in the last digits;
+    the witness is then the first computed maximum, which need not be the
+    first element of the exact tie.
+
     The averaging identity <h, f> = sum |f-hat|^2 |g-hat|^2 >= delta^4 forces
     the maximum to reach delta^4; falling short means the inputs violated the
     pipeline's preconditions, reported as an invariant breach.
@@ -196,22 +208,23 @@ def find_witness(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
     return a0, h_at_a0
 
 
-def remainder_bound_check(fhat: Spectrum, ghat: Spectrum, s1: tuple[Char, ...]) -> float:
+def remainder_bound_check(hhat: Spectrum, s1: tuple[Char, ...], delta: float) -> float:
     """Max modulus of h minus its S1 truncation; must stay under delta^4 / 4.
 
-    h-hat factors as f-hat * |g-hat|^2, so the remainder is the inverse
-    transform of that product with the S1 coefficients zeroed out.  The
-    means are the coefficients at t = 0.
+    ``hhat`` is the transform of h, f-hat * |g-hat|^2 (:func:`triple_spectrum`),
+    so the remainder is its inverse transform with the S1 coefficients zeroed
+    out.  Its coefficient at t = 0 is the product of the means, which must be
+    delta^3.
     """
-    if fhat.group != ghat.group:
-        raise ShapeError(f"inputs live on different groups: {fhat.group} vs {ghat.group}")
-    grp = fhat.group
-    mf, mg = float(fhat.coeffs[0].real), float(ghat.coeffs[0].real)
-    if abs(mf - mg) > BOUND_SLACK:
-        raise DomainError(f"inputs are not mean-normalized: means {mf} vs {mg}")
-    delta = min(mf, mg)
-    rest = fhat.coeffs * np.abs(ghat.coeffs) ** 2
+    grp = hhat.group
+    mean = float(hhat.coeffs[0].real)
+    if abs(mean - delta**3) > BOUND_SLACK * delta**3:
+        raise DomainError(
+            f"inputs are not mean-normalized: h-hat(0) = {mean} vs delta^3 = {delta**3}"
+        )
+    rest = hhat.coeffs.copy()
     rest[ranks_of_rows(grp, char_tuple(grp, s1).rows)] = 0.0
+    rest.flags.writeable = False
     r_max = float(np.abs(idft(Spectrum(grp, rest))).max())
     bound = 0.25 * delta**4 + BOUND_SLACK
     if r_max > bound:
@@ -283,18 +296,20 @@ def extract(f: DensityFn, g: DensityFn) -> Certificate:
     """
     f1, g1, delta = normalize_means(f, g)
     grp = f1.group
-    a0, h_at_a0 = find_witness(triple_convolve(f1, g1), f1)
-
-    fhat, ghat = dft(f1), dft(g1)
+    fhat = dft(f1)
     s1 = large_spectrum(fhat, 0.25 * delta**3)
+    # Nothing after h-hat reads f-hat or g-hat: dropping them as soon as it exists
+    # keeps at most three N-point complex tables live.
+    hhat = triple_spectrum(fhat, dft(g1))
+    del fhat
+    a0, h_at_a0 = find_witness(DensityFn(grp, idft(hhat).real), f1)
+
     k = len(s1)
     ranks = ranks_of_rows(grp, s1.rows)
-    # Elementwise, so these are the very bits of h-hat at the S1 ranks.
-    coeffs = fhat.coeffs[ranks] * np.abs(ghat.coeffs[ranks]) ** 2
-    q = TrigPoly(grp, s1, coeffs, constant_shift=-0.25 * delta**4)
+    q = TrigPoly(grp, s1, hhat.coeffs[ranks], constant_shift=-0.25 * delta**4)
     c = q.evaluate(a0).real
-    r_max = remainder_bound_check(fhat, ghat, s1)
-    del fhat, ghat
+    r_max = remainder_bound_check(hhat, s1, delta)
+    del hhat
 
     bohr_char = bohr_from_trigpoly(q, a0, c)
     bohr_torus = char_form_to_torus_form(bohr_char)

@@ -7,6 +7,11 @@ from exact integer phases ``((a*b) mod n)/n`` and which calls no ``np.fft``;
 the verifier uses it.  The definitional path evaluates the plain O(N^2)
 pairing sums; it is the oracle both are tested against.
 
+The fast triple convolution f conv g conv g(-.) is one product of transforms,
+f-hat * |g-hat|^2 (:func:`triple_spectrum`), since the reflection of a real
+table has the conjugate transform; :func:`reflect` serves the identity suite
+and the definitional route.
+
 The definitional convolution sums translates of f.  Every translate in the
 package (here, in the sumset unions of ``sets`` and in the verifier's
 containment shift) is a read-only window from one private walk,
@@ -90,13 +95,21 @@ class DensityFn:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """A complex table over the dual group, indexed by character in canonical order."""
+    """A complex table over the dual group, indexed by character in canonical order.
+
+    The table is frozen.  A read-only complex array is frozen already and is
+    kept as it is, so a transform hands over its fresh output without a copy;
+    anything else is copied.
+    """
 
     group: GroupSpec
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coeffs, dtype=np.complex128)
+        coeffs = self.coeffs
+        frozen = isinstance(coeffs, np.ndarray) and not coeffs.flags.writeable
+        if not (frozen and coeffs.dtype == np.complex128):
+            coeffs = np.array(coeffs, dtype=np.complex128)
         if coeffs.shape != (self.group.order,):
             raise ShapeError(
                 f"expected {self.group.order} coefficients for group {self.group}, "
@@ -124,14 +137,17 @@ def _require_same_group(a, b) -> GroupSpec:
 def dft(f: DensityFn) -> Spectrum:
     """Fourier transform via the per-factor FFT."""
     g = f.group
-    coeffs = np.fft.fftn(f.as_nd()).ravel() / g.order
+    coeffs = np.fft.fftn(f.as_nd()).ravel()
+    coeffs /= g.order
+    coeffs.flags.writeable = False
     return Spectrum(g, coeffs)
 
 
 def idft(spectrum: Spectrum) -> np.ndarray:
     """Pointwise synthesis sum_t F(t) chi_t(z); returns a complex table."""
-    g = spectrum.group
-    return np.fft.ifftn(spectrum.as_nd()).ravel() * g.order
+    values = np.fft.ifftn(spectrum.as_nd()).ravel()
+    values *= spectrum.group.order
+    return values
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -342,10 +358,28 @@ def reflect(f: DensityFn) -> DensityFn:
     return DensityFn(g, vals)
 
 
+def triple_spectrum(fhat: Spectrum, ghat: Spectrum) -> Spectrum:
+    """h-hat = f-hat * |g-hat|^2, the transform of f conv g conv g(-.) for real g.
+
+    The transform of g(-.) is conj(g-hat) when g is real, so the two
+    convolutions are one elementwise product.  The extractor reads h, the
+    coefficients of its level polynomial and its remainder off this one table.
+    """
+    grp = _require_same_group(fhat, ghat)
+    hhat = fhat.coeffs * np.abs(ghat.coeffs) ** 2
+    hhat.flags.writeable = False
+    return Spectrum(grp, hhat)
+
+
 def triple_convolve(f: DensityFn, g: DensityFn) -> DensityFn:
-    """The smoothed sumset profile f conv g conv g(-.)."""
+    """The smoothed sumset profile f conv g conv g(-.), for real g.
+
+    Three transforms: f-hat and g-hat, then the synthesis of
+    :func:`triple_spectrum`.  The extractor's h is this table, bit for bit.
+    """
     _require_same_group(f, g)
-    return convolve(convolve(f, g), reflect(g))
+    hhat = triple_spectrum(dft(f), dft(g))
+    return DensityFn(hhat.group, idft(hhat).real)
 
 
 def triple_convolve_definitional(f: DensityFn, g: DensityFn) -> DensityFn:

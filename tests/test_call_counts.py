@@ -5,7 +5,9 @@ Each helper is replaced at every place a bohrlab module binds it by a wrapper
 that counts calls.  Extract plus a JSON round trip must make the same number
 of calls whether S1 holds a handful of characters or thousands, and the S1 it
 builds and loads holds no ``Char`` objects, only their frequency matrix.
-The level polynomial q is evaluated once per extraction, for c.
+The level polynomial q is evaluated once per extraction, for c, and f and g
+are transformed once each: ``extract`` makes two forward and two inverse
+``np.fft`` transforms (f-hat, g-hat; h and the remainder), whatever k is.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from bohrlab import groups
 from bohrlab.extractor import TrigPoly, extract
@@ -23,6 +26,9 @@ from bohrlab.sets import GroupSubset, random_nonempty_subset
 
 COUNTED = ("check_char", "rank_of_char", "char_eval", "pairing", "elem_at", "char_at")
 Z4096 = groups.GroupSpec((4096,))
+G8884 = groups.GroupSpec((8, 8, 8, 4))
+FFT_FORWARD = ("fft", "fft2", "fftn", "rfft", "rfft2", "rfftn", "hfft")
+FFT_INVERSE = ("ifft", "ifft2", "ifftn", "irfft", "irfft2", "irfftn", "ihfft")
 
 
 def _count_calls(monkeypatch, run) -> Counter:
@@ -90,3 +96,43 @@ def test_extract_evaluates_q_once(monkeypatch):
     B = random_nonempty_subset(Z4096, 0.1, 6)
     cert = extract(A.indicator(), B.indicator())
     assert points == [cert.a0]
+
+
+def _count_transforms(monkeypatch, run) -> Counter:
+    calls: Counter = Counter()
+    for kind, names in (("forward", FFT_FORWARD), ("inverse", FFT_INVERSE)):
+        for name in names:
+
+            def counted(*args, _kind=kind, _fn=getattr(np.fft, name), **kwargs):
+                calls[_kind] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return calls
+
+
+def _subgroup(g: groups.GroupSpec, index: int) -> GroupSubset:
+    """Elements whose first coordinate is a multiple of ``index``: S1 is its few annihilators."""
+    first = np.indices(g.factors).reshape(g.ndim, -1)[0]
+    return GroupSubset(g, first % index == 0)
+
+
+@pytest.mark.parametrize(
+    "g, index, few",
+    [(Z4096, 8, True), (Z4096, None, False), (G8884, 2, True), (G8884, None, False)],
+    ids=["Z4096-subgroup", "Z4096-random", "8x8x8x4-subgroup", "8x8x8x4-random"],
+)
+def test_extract_transforms_each_input_once(monkeypatch, g, index, few):
+    if few:
+        A = B = _subgroup(g, index)
+    else:
+        A = random_nonempty_subset(g, 0.1, 5)
+        B = random_nonempty_subset(g, 0.1, 6)
+    certs = []
+    calls = _count_transforms(monkeypatch, lambda: certs.append(extract(A.indicator(), B.indicator())))
+    assert (certs[0].k <= index) if few else (certs[0].k > g.order // 2)
+    assert calls == Counter(forward=2, inverse=2)

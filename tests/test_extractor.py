@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bohrlab.bohr import FORM_CHAR, FORM_TORUS, bohr_enumerate
 from bohrlab.errors import (
@@ -24,9 +26,16 @@ from bohrlab.extractor import (
     normalize_means,
     remainder_bound_check,
 )
-from bohrlab.groups import Char, Elem, GroupSpec, char_at, char_eval, elem_at, rank_of_char
+from bohrlab.groups import Char, Elem, GroupSpec, char_at, char_eval, elem_at, rank_of_char, rank_of_elem
 from bohrlab.sets import GroupSubset, random_nonempty_subset
-from bohrlab.spectral import DensityFn, constant_density, dft, triple_convolve
+from bohrlab.spectral import (
+    DensityFn,
+    constant_density,
+    dft,
+    triple_convolve,
+    triple_convolve_definitional,
+    triple_spectrum,
+)
 
 Z8 = GroupSpec((8,))
 EVENS = DensityFn(Z8, [1, 0, 1, 0, 1, 0, 1, 0])
@@ -112,19 +121,23 @@ def test_find_witness_low_value_is_breach():
 
 
 def test_remainder_zero_when_s1_complete():
-    r = remainder_bound_check(dft(EVENS), dft(EVENS), [Char((0,)), Char((4,))])
+    hhat = triple_spectrum(dft(EVENS), dft(EVENS))
+    r = remainder_bound_check(hhat, [Char((0,)), Char((4,))], 0.5)
     assert r == 0.0
 
 
 def test_remainder_breach_when_s1_drops_mass():
     # dropping t=4 leaves a coefficient of 1/8 in the tail, far over the cap
     with pytest.raises(InvariantBreach):
-        remainder_bound_check(dft(EVENS), dft(EVENS), [Char((0,))])
+        remainder_bound_check(triple_spectrum(dft(EVENS), dft(EVENS)), [Char((0,))], 0.5)
 
 
 def test_remainder_requires_matching_means():
-    with pytest.raises(DomainError):
-        remainder_bound_check(dft(EVENS), dft(constant_density(Z8, 0.25)), [Char((0,))])
+    # means 1/2 and 1/4: h-hat(0) = 1/32, which is delta^3 for neither
+    hhat = triple_spectrum(dft(EVENS), dft(constant_density(Z8, 0.25)))
+    for delta in (0.5, 0.25):
+        with pytest.raises(DomainError):
+            remainder_bound_check(hhat, [Char((0,))], delta)
 
 
 def test_trigpoly_evaluate():
@@ -280,3 +293,46 @@ def test_trigpoly_rejects_malformed_arrays():
         TrigPoly(Z8, (Char((0,)), Char((4,))), [1.0])
     with pytest.raises(DomainError):
         TrigPoly(Z8, (Char((4,)), Char((4,))), [1.0, 2.0])
+
+
+GROUPS = st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple).filter(
+    lambda f: math.prod(f) <= 512
+)
+
+
+def _set(g: GroupSpec, kind: str, density: float, rng: np.random.Generator) -> GroupSubset:
+    """A random set of the given density, or a coset of the subgroup 2Z x ... (ties in h)."""
+    if kind == "coset" and g.factors[0] % 2 == 0:
+        first = np.indices(g.factors).reshape(g.ndim, -1)[0]
+        return GroupSubset(g, first % 2 == rng.integers(2))
+    mask = np.zeros(g.order, dtype=bool)
+    mask[rng.choice(g.order, size=max(1, round(density * g.order)), replace=False)] = True
+    return GroupSubset(g, mask)
+
+
+@settings(max_examples=80, deadline=None)
+@example(factors=(8,), kind_a="coset", kind_b="coset", density=0.5, seed=0)
+@example(factors=(8, 8, 8), kind_a="random", kind_b="coset", density=0.3, seed=1)
+@example(factors=(4, 2, 8, 4), kind_a="coset", kind_b="random", density=0.02, seed=2)
+@given(
+    factors=GROUPS,
+    kind_a=st.sampled_from(["random", "random", "coset"]),
+    kind_b=st.sampled_from(["random", "random", "coset"]),
+    density=st.floats(0.002, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extract_h_agrees_with_definitional_h(factors, kind_a, kind_b, density, seed):
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    A, B = _set(g, kind_a, density, rng), _set(g, kind_b, density, rng)
+    f1, g1, _ = normalize_means(A.indicator(), B.indicator())
+    h = triple_convolve(f1, g1).values
+    h_def = triple_convolve_definitional(f1, g1).values
+    assert np.abs(h - h_def).max() <= 1e-12
+    cert = extract(A.indicator(), B.indicator())
+    a0 = rank_of_elem(g, cert.a0)
+    # extract's h is triple_convolve's, bit for bit: same value, same first argmax
+    assert cert.h_at_a0 == h[a0]
+    assert a0 == int(np.argmax(np.where(A.mask, h, -np.inf)))
+    assert abs(cert.h_at_a0 - h_def[a0]) <= 1e-12
+    assert h_def[a0] >= h_def[A.mask].max() - 1e-12

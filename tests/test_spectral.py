@@ -60,6 +60,21 @@ def test_spectrum_validation():
     assert s.as_nd().shape == (8,)
 
 
+def test_spectrum_keeps_frozen_tables_and_copies_the_rest():
+    g = GroupSpec((8,))
+    frozen = np.arange(8, dtype=np.complex128)
+    frozen.flags.writeable = False
+    assert Spectrum(g, frozen).coeffs is frozen  # a transform's output is handed over, not copied
+    live = np.arange(8, dtype=np.complex128)
+    s = Spectrum(g, live)
+    live[0] = 99.0
+    assert s.coeffs[0] == 0.0 and not s.coeffs.flags.writeable
+    narrow = np.arange(8, dtype=np.complex64)
+    narrow.flags.writeable = False
+    assert Spectrum(g, narrow).coeffs.dtype == np.complex128
+    assert not dft(DensityFn(g, np.ones(8))).coeffs.flags.writeable
+
+
 def test_dft_known_values_evens_z8():
     # indicator of the evens: coefficient 1/2 exactly at t=0 and t=4, else 0
     g = GroupSpec((8,))
