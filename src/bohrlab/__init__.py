@@ -78,6 +78,7 @@ from .spectral import (
     idft,
     idft_definitional,
     idft_factored,
+    idft_real,
     plancherel_pairing,
     reflect,
     triple_convolve,

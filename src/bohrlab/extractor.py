@@ -18,11 +18,14 @@ Each input is transformed once.  S1 is read off f-hat; then f-hat and g-hat
 become the one table h-hat and are dropped.  h-hat feeds everything after: h
 is its synthesis, q's coefficients are its entries at the S1 ranks, and the
 remainder is the synthesis of h-hat with those ranks zeroed.  That is two
-forward and two inverse FFTs per extraction, and h is ``triple_convolve``'s,
-bit for bit.  The pipeline is array-native: S1 is a rank array, and
-``TrigPoly`` is a thin wrapper over a frequency matrix and a coefficient
-array.  S1 is one ``CharTuple``, shared by the certificate and both of its
-Bohr forms.
+forward and two inverse real FFTs per extraction (f, g, h and the remainder
+are real tables, so each transform reads or writes half the dual group: see
+``spectral.dft`` and ``spectral.idft_real``), and h is ``triple_convolve``'s,
+bit for bit.  S1, the large spectrum of a real table, is closed under
+negation, which the real synthesis of the remainder needs.  The pipeline is
+array-native: S1 is a rank array, and ``TrigPoly`` is a thin wrapper over a
+frequency matrix and a coefficient array.  S1 is one ``CharTuple``, shared by
+the certificate and both of its Bohr forms.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .groups import (
     ranks_of_rows,
     rows_at,
 )
-from .spectral import DensityFn, Spectrum, dft, idft, triple_spectrum
+from .spectral import DensityFn, Spectrum, _synthesize_half, dft, idft_real, triple_spectrum
 
 BOUND_SLACK = 1e-9
 RADIUS_SLACK = 1e-12
@@ -214,7 +217,10 @@ def remainder_bound_check(hhat: Spectrum, s1: tuple[Char, ...], delta: float) ->
     ``hhat`` is the transform of h, f-hat * |g-hat|^2 (:func:`triple_spectrum`),
     so the remainder is its inverse transform with the S1 coefficients zeroed
     out.  Its coefficient at t = 0 is the product of the means, which must be
-    delta^3.
+    delta^3.  The remainder is real, and is synthesized from the half of the
+    table a real-input FFT reads, so S1 must be closed under negation, as the
+    large spectrum of a real table is: an unpaired character would be zeroed
+    on one side only.
     """
     grp = hhat.group
     mean = float(hhat.coeffs[0].real)
@@ -222,10 +228,20 @@ def remainder_bound_check(hhat: Spectrum, s1: tuple[Char, ...], delta: float) ->
         raise DomainError(
             f"inputs are not mean-normalized: h-hat(0) = {mean} vs delta^3 = {delta**3}"
         )
-    rest = hhat.coeffs.copy()
-    rest[ranks_of_rows(grp, char_tuple(grp, s1).rows)] = 0.0
-    rest.flags.writeable = False
-    r_max = float(np.abs(idft(Spectrum(grp, rest))).max())
+    chars = char_tuple(grp, s1)
+    rows = chars.rows
+    in_s1 = np.zeros(grp.order, dtype=bool)
+    in_s1[ranks_of_rows(grp, rows)] = True
+    unpaired = np.flatnonzero(~in_s1[ranks_of_rows(grp, -rows % grp.factors)])
+    if unpaired.size:
+        raise DomainError(
+            f"S1 is not closed under negation: it holds {chars[unpaired[0]].freq} "
+            "but not its negative"
+        )
+    width = grp.factors[-1] // 2 + 1
+    rest = hhat.as_nd()[..., :width].copy()
+    rest[tuple(rows[rows[:, -1] < width].T)] = 0.0
+    r_max = float(np.abs(_synthesize_half(rest, grp)).max())
     bound = 0.25 * delta**4 + BOUND_SLACK
     if r_max > bound:
         raise InvariantBreach(
@@ -302,7 +318,7 @@ def extract(f: DensityFn, g: DensityFn) -> Certificate:
     # keeps at most three N-point complex tables live.
     hhat = triple_spectrum(fhat, dft(g1))
     del fhat
-    a0, h_at_a0 = find_witness(DensityFn(grp, idft(hhat).real), f1)
+    a0, h_at_a0 = find_witness(DensityFn(grp, idft_real(hhat)), f1)
 
     k = len(s1)
     ranks = ranks_of_rows(grp, s1.rows)

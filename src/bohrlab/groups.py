@@ -303,9 +303,9 @@ def char_tuple(g: GroupSpec, chars) -> CharTuple:
     k, d = rows.shape
     if k and d != g.ndim:
         raise ShapeError(f"character {chars[0]} has {d} coords, group {g} has {g.ndim}")
-    bad = np.argwhere((rows < 0) | (rows >= np.asarray(g.factors, dtype=np.int64)))
-    if bad.size:
-        i, j = bad[0]
+    bad = (rows < 0) | (rows >= np.asarray(g.factors, dtype=np.int64))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
         raise ShapeError(f"frequency {rows[i, j]} out of range for factor Z_{g.factors[j]}")
     return chars
 

@@ -1,15 +1,21 @@
 """Fourier transform, convolution and reflection for tables on a finite group.
 
-Three routes are provided for the transform.  The fast path runs numpy's FFT
-factor by factor; the extraction pipeline uses it.  The factored path is a
-Cooley-Tukey transform, axis by axis, whose every kernel and twiddle is built
-from exact integer phases ``((a*b) mod n)/n`` and which calls no ``np.fft``;
-the verifier uses it.  The definitional path evaluates the plain O(N^2)
-pairing sums; it is the oracle both are tested against.
+Three routes are provided for the transform.  The fast path runs numpy's
+real-input FFT; the extraction pipeline uses it.  A table here is real, so its
+transform is conjugate-symmetric, fhat(-t) = conj(fhat(t)): :func:`dft` runs
+``rfftn`` on half the characters and unfolds them to the full table, exactly
+symmetric by construction, and :func:`idft_real` synthesizes a real table from
+that half with ``irfftn``.  :func:`idft` is the complex synthesis of any
+spectrum.  The factored path is a Cooley-Tukey transform, axis by axis, whose
+every kernel and twiddle is built from exact integer phases ``((a*b) mod n)/n``
+and which calls no ``np.fft``; the verifier uses it.  The definitional path
+evaluates the plain O(N^2) pairing sums; it is the oracle both are tested
+against.
 
 The fast triple convolution f conv g conv g(-.) is one product of transforms,
 f-hat * |g-hat|^2 (:func:`triple_spectrum`), since the reflection of a real
-table has the conjugate transform; :func:`reflect` serves the identity suite
+table has the conjugate transform, synthesized by :func:`idft_real`: two
+forward and one inverse real FFT.  :func:`reflect` serves the identity suite
 and the definitional route.
 
 The definitional convolution sums translates of f.  Every translate in the
@@ -135,18 +141,72 @@ def _require_same_group(a, b) -> GroupSpec:
 # --- transforms --------------------------------------------------------------
 
 def dft(f: DensityFn) -> Spectrum:
-    """Fourier transform via the per-factor FFT."""
+    """Fourier transform via the real-input FFT, unfolded to every character.
+
+    ``rfftn`` computes the characters whose last coordinate is at most n/2;
+    the rest are the conjugates of their negatives.  On the planes where the
+    last coordinate is 0 or n/2, which hold both t and -t, ``rfftn`` computes
+    each pair twice; the value of the pair's first character in rank order is
+    kept and mirrored, and a self-paired character keeps its real part.  So
+    ``fhat(-t) == conj(fhat(t))`` holds exactly, for every t.
+    """
     g = f.group
-    coeffs = np.fft.fftn(f.as_nd()).ravel()
-    coeffs /= g.order
+    half = np.fft.rfftn(f.as_nd(), axes=tuple(range(g.ndim)))
+    half /= g.order
+    coeffs = _unfold(half, g.factors).ravel()
     coeffs.flags.writeable = False
     return Spectrum(g, coeffs)
+
+
+def _negated_ranks(factors: tuple[int, ...]) -> np.ndarray:
+    """``neg[r]`` is the rank of -t for the t of rank r, over a table of shape ``factors``."""
+    flip = np.ix_(*((-np.arange(n)) % n for n in factors))
+    return np.arange(math.prod(factors)).reshape(factors)[flip].ravel()
+
+
+def _unfold(half: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
+    """The full ``factors``-shaped transform of a real table from its ``rfftn`` half."""
+    n = factors[-1]
+    width = n // 2 + 1
+    lead = math.prod(factors[:-1])
+    neg = _negated_ranks(factors[:-1])
+    half = half.reshape(lead, width)
+    full = np.empty((lead, n), dtype=np.complex128)
+    full[:, :width] = half
+    # Column j > n/2 is the conjugate of column n - j at the negated leading coordinates.
+    np.conjugate(half[:, (n - 1) // 2 : 0 : -1][neg], out=full[:, width:])
+    # The planes of column 0 and n/2 hold t and -t both: mirror the rank-first of each pair.
+    rank = np.arange(lead)
+    later, own = neg < rank, neg == rank
+    for col in (0, n // 2) if n % 2 == 0 else (0,):
+        column = full[:, col]
+        column[later] = np.conjugate(column[neg[later]])
+        column[own] = column[own].real
+    return full.reshape(factors)
 
 
 def idft(spectrum: Spectrum) -> np.ndarray:
     """Pointwise synthesis sum_t F(t) chi_t(z); returns a complex table."""
     values = np.fft.ifftn(spectrum.as_nd()).ravel()
     values *= spectrum.group.order
+    return values
+
+
+def idft_real(spectrum: Spectrum) -> np.ndarray:
+    """The synthesis of a real table's spectrum by the real-input inverse FFT; a real table.
+
+    Only valid for the spectrum of a real table, ``F(-t) == conj(F(t))``: the
+    characters whose last coordinate exceeds n/2 are never read, and the
+    imaginary part the synthesis would have is dropped.
+    """
+    g = spectrum.group
+    return _synthesize_half(spectrum.as_nd()[..., : g.factors[-1] // 2 + 1], g)
+
+
+def _synthesize_half(half: np.ndarray, g: GroupSpec) -> np.ndarray:
+    """The real synthesis of the ``rfftn`` half of a conjugate-symmetric table, ravelled."""
+    values = np.fft.irfftn(half, s=g.factors, axes=tuple(range(g.ndim))).ravel()
+    values *= g.order
     return values
 
 
@@ -352,10 +412,7 @@ def convolve_definitional(f: DensityFn, g: DensityFn) -> DensityFn:
 
 def reflect(f: DensityFn) -> DensityFn:
     """The reflected table z -> f(-z)."""
-    g = f.group
-    idx = [(-np.arange(n)) % n for n in g.factors]
-    vals = f.as_nd()[np.ix_(*idx)].ravel()
-    return DensityFn(g, vals)
+    return DensityFn(f.group, f.values[_negated_ranks(f.group.factors)])
 
 
 def triple_spectrum(fhat: Spectrum, ghat: Spectrum) -> Spectrum:
@@ -374,12 +431,12 @@ def triple_spectrum(fhat: Spectrum, ghat: Spectrum) -> Spectrum:
 def triple_convolve(f: DensityFn, g: DensityFn) -> DensityFn:
     """The smoothed sumset profile f conv g conv g(-.), for real g.
 
-    Three transforms: f-hat and g-hat, then the synthesis of
+    Three real-input transforms: f-hat and g-hat, then the real synthesis of
     :func:`triple_spectrum`.  The extractor's h is this table, bit for bit.
     """
     _require_same_group(f, g)
     hhat = triple_spectrum(dft(f), dft(g))
-    return DensityFn(hhat.group, idft(hhat).real)
+    return DensityFn(hhat.group, idft_real(hhat))
 
 
 def triple_convolve_definitional(f: DensityFn, g: DensityFn) -> DensityFn:

@@ -7,7 +7,8 @@ of calls whether S1 holds a handful of characters or thousands, and the S1 it
 builds and loads holds no ``Char`` objects, only their frequency matrix.
 The level polynomial q is evaluated once per extraction, for c, and f and g
 are transformed once each: ``extract`` makes two forward and two inverse
-``np.fft`` transforms (f-hat, g-hat; h and the remainder), whatever k is.
+``np.fft`` transforms (f-hat, g-hat; h and the remainder), whatever k is, and
+all four are real-input transforms, ``rfftn`` and ``irfftn``.
 """
 
 from __future__ import annotations
@@ -136,3 +137,19 @@ def test_extract_transforms_each_input_once(monkeypatch, g, index, few):
     calls = _count_transforms(monkeypatch, lambda: certs.append(extract(A.indicator(), B.indicator())))
     assert (certs[0].k <= index) if few else (certs[0].k > g.order // 2)
     assert calls == Counter(forward=2, inverse=2)
+
+
+@pytest.mark.parametrize("g", [Z4096, G8884], ids=str)
+def test_extract_makes_only_real_input_transforms(monkeypatch, g):
+    calls: Counter = Counter()
+    for name in FFT_FORWARD + FFT_INVERSE:
+
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    A = random_nonempty_subset(g, 0.1, 5)
+    B = random_nonempty_subset(g, 0.1, 6)
+    extract(A.indicator(), B.indicator())
+    assert calls == Counter(rfftn=2, irfftn=2)

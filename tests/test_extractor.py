@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,24 @@ def test_remainder_requires_matching_means():
     for delta in (0.5, 0.25):
         with pytest.raises(DomainError):
             remainder_bound_check(hhat, [Char((0,))], delta)
+
+
+def test_remainder_requires_s1_closed_under_negation():
+    # The real synthesis reads half the table; an unpaired character would be zeroed on one side.
+    hhat = triple_spectrum(dft(EVENS), dft(EVENS))
+    with pytest.raises(DomainError, match="negation"):
+        remainder_bound_check(hhat, [Char((0,)), Char((1,))], 0.5)
+
+
+@pytest.mark.parametrize("factors", [(4096,), (8, 8, 8, 4), (5, 1, 9)], ids=str)
+def test_real_transforms_raise_no_warnings(factors):
+    g = GroupSpec(factors)
+    A = random_nonempty_subset(g, 0.2, 3)
+    B = random_nonempty_subset(g, 0.2, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extract(A.indicator(), B.indicator())
+        triple_convolve(A.indicator(), B.indicator())
 
 
 def test_trigpoly_evaluate():

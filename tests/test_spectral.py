@@ -6,11 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bohrlab.spectral as spectral
 from bohrlab.errors import DomainError, ShapeError
+from bohrlab.extractor import large_spectrum
 from bohrlab.groups import Char, GroupSpec, char_eval, elem_at, elem_sub, rank_of_elem, rows_at
 from bohrlab.spectral import (
     DensityFn,
@@ -24,6 +25,7 @@ from bohrlab.spectral import (
     idft,
     idft_definitional,
     idft_factored,
+    idft_real,
     plancherel_pairing,
     reflect,
     synthesize,
@@ -110,6 +112,36 @@ def test_idft_inverts_dft(g):
     assert np.abs(back - f.values).max() < 1e-12
     back_slow = idft_definitional(dft_definitional(f))
     assert np.abs(back_slow - f.values).max() < 1e-11
+
+
+@settings(max_examples=100, deadline=None)
+@example(factors=(1,), indicator=False, seed=0)
+@example(factors=(4, 1, 7), indicator=True, seed=1)
+@example(factors=(6, 2, 3, 4), indicator=False, seed=2)
+@example(factors=(8, 8, 8), indicator=True, seed=3)
+@given(
+    factors=st.lists(st.integers(1, 12), min_size=1, max_size=4)
+    .map(tuple)
+    .filter(lambda f: math.prod(f) <= 512),
+    indicator=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_input_dft_is_exactly_conjugate_symmetric(factors, indicator, seed):
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    values = rng.random(g.order)
+    f = DensityFn(g, values < 0.3 if indicator else values)
+    coeffs = dft(f).coeffs
+    coords = np.indices(factors).reshape(g.ndim, -1)
+    neg = np.ravel_multi_index(tuple(-coords % np.array(factors)[:, None]), factors)
+    assert np.array_equal(coeffs[neg], coeffs.conj())  # bit for bit, planes 0 and n/2 included
+    assert np.abs(coeffs - dft_definitional(f).coeffs).max() < 1e-12
+    back = idft_real(dft(f))
+    assert back.dtype == np.float64 and np.abs(back - f.values).max() < 1e-12
+    # A threshold at one of the moduli puts its character on the boundary.
+    threshold = max(np.abs(coeffs[rng.integers(g.order)]), 1e-300)
+    ranks = np.ravel_multi_index(tuple(large_spectrum(dft(f), threshold).rows.T), factors)
+    assert set(neg[ranks].tolist()) == set(ranks.tolist())
 
 
 def test_definitional_path_blocking(monkeypatch):
