@@ -68,27 +68,29 @@ from .sets import (
     write_set_file,
 )
 from .spectral import (
+    SUITE_TOLERANCE,
     DensityFn,
     Spectrum,
+    SuiteReport,
     constant_density,
     convolve,
     dft,
     dft_definitional,
     dft_factored,
+    fourier_identity_suite,
     idft,
     idft_definitional,
     idft_factored,
     idft_real,
     plancherel_pairing,
     reflect,
+    representation_counts,
     triple_convolve,
     triple_convolve_definitional,
     triple_spectrum,
 )
 from .verify import (
-    SuiteReport,
     VerificationReport,
-    fourier_identity_suite,
     good_shift_set,
     verify_certificate,
 )

@@ -1,6 +1,6 @@
 """Fourier transform, convolution and reflection for tables on a finite group.
 
-Three routes are provided for the transform.  The fast path runs numpy's
+Four routes are provided for the transform.  The fast path runs numpy's
 real-input FFT; the extraction pipeline uses it.  A table here is real, so its
 transform is conjugate-symmetric, fhat(-t) = conj(fhat(t)): :func:`dft` runs
 ``rfftn`` on half the characters and unfolds them to the full table, exactly
@@ -10,13 +10,18 @@ spectrum.  The factored path is a Cooley-Tukey transform, axis by axis, whose
 every kernel and twiddle is built from exact integer phases ``((a*b) mod n)/n``
 and which calls no ``np.fft``; the verifier uses it.  The definitional path
 evaluates the plain O(N^2) pairing sums; it is the oracle both are tested
-against.
+against.  The modular path is the factored one's twin over the integers mod
+primes p = 1 (mod lcm of the cycle lengths), below 2^31: a number-theoretic
+transform whose twiddles are powers of a root of unity mod p at exact integer
+exponents.  :func:`representation_counts` runs it, or an integer translate sum
+where that is cheaper, to count exactly the representations x = a + b - c;
+the verifier reads its h and the sumset off those counts.
 
 The fast triple convolution f conv g conv g(-.) is one product of transforms,
 f-hat * |g-hat|^2 (:func:`triple_spectrum`), since the reflection of a real
 table has the conjugate transform, synthesized by :func:`idft_real`: two
 forward and one inverse real FFT.  :func:`reflect` serves the identity suite
-and the definitional route.
+(:func:`fourier_identity_suite`) and the definitional route.
 
 The definitional convolution sums translates of f.  Every translate in the
 package (here, in the sumset unions of ``sets`` and in the verifier's
@@ -36,11 +41,12 @@ convolution of indicator tables counts representations divided by N^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import CapacityError, DomainError, ShapeError
 from .groups import TWO_PI, GroupSpec, coords_table, phase_table
 
 # Cells per intermediate block in the definitional paths; keeps the (rows, N, d)
@@ -266,6 +272,247 @@ def idft_factored(spectrum: Spectrum) -> np.ndarray:
     return _factored(spectrum.as_nd(), 1).ravel()
 
 
+# --- exact representation counts ------------------------------------------------
+
+# Residues stay below 2^31, so a product of two, plus a residue, fits in int64.
+_PRIME_CEILING = 1 << 31
+# Miller-Rabin with these bases decides primality below 3,215,031,751 > 2^31.
+_MILLER_RABIN_BASES = (2, 3, 5, 7)
+# An int64 CRT joins at most two primes: their product stays below 2^62.
+_MAX_PRIMES = 2
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 2^31."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n with multiplicity, smallest first."""
+    out = []
+    while n > 1:
+        p = _smallest_prime_factor(n)
+        out.append(p)
+        n //= p
+    return out
+
+
+@lru_cache(maxsize=64)
+def _prime_moduli(lcm: int, lcm_primes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The largest primes p < 2^31 with p = 1 mod ``lcm``, each with a root of order ``lcm``.
+
+    At most ``_MAX_PRIMES`` of them, found by walking p = lcm*m + 1 downwards
+    from 2^31, and fewer when the progression holds fewer.  The root is x^m
+    for the least x >= 2 whose m-th power has order exactly ``lcm``: no
+    (lcm/q)-th power of it is 1 for a prime q of ``lcm``, so p - 1 is never
+    factored beyond ``lcm``.  Cached per ``lcm``.
+    """
+    found = []
+    for m in range((_PRIME_CEILING - 2) // lcm, 0, -1):
+        p = lcm * m + 1
+        if not _is_prime(p):
+            continue
+        x = 2
+        while any(pow(pow(x, m, p), lcm // q, p) == 1 for q in lcm_primes):
+            x += 1
+        found.append((p, pow(x, m, p)))
+        if len(found) == _MAX_PRIMES:
+            break
+    return tuple(found)
+
+
+def _ntt_moduli(factors: tuple[int, ...], bound: int) -> tuple[tuple[int, int], ...]:
+    """The fewest ``(p, root)`` pairs, roots of order L = lcm(factors), whose primes multiply past ``bound``.
+
+    Raises :class:`CapacityError` when the primes an int64 CRT can join do not.
+    """
+    lcm = math.lcm(*factors)
+    lcm_primes = tuple(sorted({q for n in factors for q in _prime_factors(n)}))
+    moduli = _prime_moduli(lcm, lcm_primes)
+    product = 1
+    for used, (p, _) in enumerate(moduli, start=1):
+        product *= p
+        if product > bound:
+            return moduli[:used]
+    raise CapacityError(
+        f"exact counts up to {bound} need primes p = 1 mod {lcm} below 2^31 whose product "
+        f"exceeds them; {len(moduli)} found, and an int64 CRT joins at most {_MAX_PRIMES}"
+    )
+
+
+@lru_cache(maxsize=16)
+def _root_powers(lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """``powers[i, e]`` is root_i^e mod p_i for e < ``lcm``, one row per prime; read-only."""
+    primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None]
+    base = np.array([root for _, root in moduli], dtype=np.int64)[:, None]
+    powers = np.empty((len(moduli), lcm), dtype=np.int64)
+    powers[:, 0] = 1
+    filled = 1
+    while filled < lcm:
+        span = min(filled, lcm - filled)
+        powers[:, filled : filled + span] = powers[:, :span] * base % primes
+        base = base * base % primes
+        filled += span
+    powers.flags.writeable = False
+    return powers
+
+
+@lru_cache(maxsize=64)
+def _twiddles(n: int, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """w^(sign*(z1*t2 mod n)) for z1 < p and t2 < m, n = p*m, p the least prime factor; (P, 1, p, m)."""
+    p = _smallest_prime_factor(n)
+    exponents = np.outer(np.arange(p), sign * np.arange(n // p)) % n * (lcm // n)
+    table = _root_powers(lcm, moduli)[:, None, exponents]
+    table.flags.writeable = False
+    return table
+
+
+def _prime_length_ntt(x: np.ndarray, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The n-point sum of :func:`_cyclic_ntt` for a prime n (or 1), one kernel row at a time.
+
+    At length 2 that is a sum and a difference, since w = -1.
+    """
+    n = x.shape[2]
+    primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None, None]
+    if n == 2:
+        out = np.empty_like(x)
+        np.add(x[:, :, 0], x[:, :, 1], out=out[:, :, 0])
+        np.subtract(x[:, :, 0], x[:, :, 1], out=out[:, :, 1])
+        out %= primes
+        return out
+    powers = _root_powers(lcm, moduli)
+    steps = np.arange(n, dtype=np.int64) * (sign * lcm // n)
+    out = np.repeat(x[:, :, :1], n, axis=2)
+    for z in range(1, n):
+        out += x[:, :, z, None] * powers[:, None, z * steps % lcm]
+        out %= primes
+    return out
+
+
+def _cyclic_ntt(x: np.ndarray, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """``sum_z x[i, :, z] * w^(sign*t*z) mod p_i`` for every t, per prime i and row of (P, M, n) ``x``.
+
+    The modular twin of :func:`_cyclic_transform`, in the same recursion on
+    n = p*m, p the smallest prime factor, with w the root of order n mod p_i,
+    ``root_i^(lcm/n)``.  Every power is read from :func:`_root_powers` at an
+    exact integer exponent, and the twiddles w^(z1*t2 mod n) are cached per
+    length.  The recursion is unrolled: the splits go down to a prime length,
+    then each level is merged on the way up, so one table per step is alive,
+    not one per level.  Residues stay below p < 2^31, so a product plus a
+    residue stays inside int64 before it is reduced.
+    """
+    residues = x.shape[0]
+    primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None, None, None]
+    levels = []
+    n = x.shape[2]
+    while (p := _smallest_prime_factor(n)) < n:
+        rows, m = x.shape[1], n // p
+        x = x.reshape(residues, rows, m, p).transpose(0, 1, 3, 2).reshape(residues, rows * p, m)
+        levels.append((rows, p, n))
+        n = m
+    x = _prime_length_ntt(x, sign, lcm, moduli)
+    for rows, p, n in reversed(levels):
+        m = n // p
+        x = x.reshape(residues, rows, p, m)
+        x *= _twiddles(n, sign, lcm, moduli)
+        x %= primes
+        x = _prime_length_ntt(x.transpose(0, 1, 3, 2).reshape(residues, rows * m, p), sign, lcm, moduli)
+        x = x.reshape(residues, rows, m, p).transpose(0, 1, 3, 2).reshape(residues, rows, n)
+    return x
+
+
+def _factored_ntt(table: np.ndarray, sign: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The pairing sum mod p_i of a (P, batch, *factors) table, per prime i and batch row, axis by axis."""
+    lcm = math.lcm(*table.shape[2:])
+    out = table
+    for axis in range(2, table.ndim):
+        n = out.shape[axis]
+        if n == 1:
+            continue
+        moved = np.moveaxis(out, axis, -1)
+        summed = _cyclic_ntt(moved.reshape(len(moduli), -1, n), sign, lcm, moduli)
+        out = np.moveaxis(summed.reshape(moved.shape), -1, axis)
+    return out
+
+
+def _counts_by_ntt(a: np.ndarray, b: np.ndarray, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Exact counts from the transforms of 1_A and 1_B mod each prime, joined by CRT.
+
+    The transform of 1_{-B} is B-hat read at -t, so one forward pass over A
+    and B and one inverse pass serve every prime at once.
+    """
+    factors = a.shape
+    order = a.size
+    primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None]
+    pair = np.broadcast_to(np.stack([a, b]), (len(moduli), 2, *factors)).astype(np.int64)
+    ahat, bhat = np.moveaxis(_factored_ntt(pair, 1, moduli).reshape(len(moduli), 2, order), 1, 0)
+    product = ahat * bhat % primes
+    product *= bhat[:, _negated_ranks(factors)]
+    product %= primes
+    inverse = _factored_ntt(product.reshape(len(moduli), 1, *factors), -1, moduli)
+    residues = inverse.reshape(len(moduli), order)
+    residues *= np.array([pow(order, -1, p) for p, _ in moduli], dtype=np.int64)[:, None]
+    residues %= primes
+    if len(moduli) == 1:
+        return residues[0]
+    (p1, _), (p2, _) = moduli
+    r1, r2 = residues
+    return r1 + p1 * ((r2 - r1) % p2 * pow(p1, -1, p2) % p2)
+
+
+def _counts_by_translates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact counts as int64 translate sums: r1 = sum_b 1_A(. - b), then r = sum_c r1(. + c)."""
+    shifts = np.argwhere(b)
+    first = np.zeros(a.shape, dtype=np.int64, order="F")
+    for window in _translate_windows(a.astype(np.int64), shifts):
+        first += window
+    out = np.zeros(a.shape, dtype=np.int64, order="F")
+    for window in _translate_windows(first, -shifts):
+        out += window
+    return out.ravel()
+
+
+def representation_counts(g: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """r(x) = #{(a, b, c) in A x B x B : a + b - c = x} for every x, exact, as int64.
+
+    ``a`` and ``b`` are the boolean tables of A and B in rank order.  The
+    support of r is A+B-B, and r * s_f * s_g^2 / N^2 is f conv g conv g(-.)
+    for f = s_f 1_A and g = s_g 1_B.  Two routes, the cheaper by an estimate
+    of cells.  The number-theoretic transform (Pollard 1971) runs
+    :func:`_factored_ntt` three times per prime, each over N cells per prime
+    factor of a cycle length, counted with multiplicity; the primes are the
+    fewest whose product exceeds |A| |B|^2, which bounds every count.  The
+    translate sum moves 2|B| tables of N cells.  Counts that two primes below
+    2^31 cannot hold raise :class:`CapacityError` before either route runs.
+    """
+    a = a.reshape(g.factors)
+    b = b.reshape(g.factors)
+    size_b = int(b.sum())
+    moduli = _ntt_moduli(g.factors, int(a.sum()) * size_b * size_b)
+    ntt_cells = 3 * len(moduli) * g.order * sum(sum(_prime_factors(n)) for n in g.factors)
+    if 2 * size_b * g.order < ntt_cells:
+        return _counts_by_translates(a, b)
+    return _counts_by_ntt(a, b, moduli)
+
+
 def dft_definitional(f: DensityFn) -> Spectrum:
     """The analysis sum evaluated directly, blocked to bound memory."""
     g = f.group
@@ -448,3 +695,74 @@ def plancherel_pairing(f: DensityFn, g: DensityFn) -> complex:
     """The spatial inner product (1/N) sum_z f(z) * conj(g(z))."""
     grp = _require_same_group(f, g)
     return complex(np.vdot(g.values, f.values) / grp.order)
+
+
+# --- the identity suite ---------------------------------------------------------
+
+SUITE_TOLERANCE = 1e-9
+
+
+@dataclass(frozen=True)
+class SuiteReport:
+    group: GroupSpec
+    trials: int
+    seed: int
+    tolerance: float
+    max_errors: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(v <= self.tolerance for v in self.max_errors.values())
+
+    def to_dict(self) -> dict:
+        return {
+            "group": str(self.group),
+            "trials": self.trials,
+            "seed": self.seed,
+            "tolerance": self.tolerance,
+            "max_errors": dict(self.max_errors),
+            "passed": self.passed,
+        }
+
+
+def fourier_identity_suite(g: GroupSpec, trials: int, seed: int = 0) -> SuiteReport:
+    """Exercise the transform identities on seeded random tables.
+
+    Four identities per trial: the inner-product identity (Plancherel), its
+    diagonal case (Parseval), the convolution theorem, and conjugation under
+    reflection.  The report carries the max absolute error of each.
+    """
+    if trials < 1:
+        raise DomainError(f"need at least one trial, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    errs = {"plancherel": 0.0, "parseval": 0.0, "convolution": 0.0, "reflection": 0.0}
+    n = g.order
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        f = DensityFn(g, rng.random(n))
+        h = DensityFn(g, rng.random(n))
+        fhat = dft(f).coeffs
+        hhat = dft(h).coeffs
+
+        lhs = plancherel_pairing(f, h)
+        rhs = complex((fhat * hhat.conj()).sum())
+        errs["plancherel"] = max(errs["plancherel"], abs(lhs - rhs))
+
+        errs["parseval"] = max(
+            errs["parseval"],
+            abs(float((f.values**2).mean()) - float((np.abs(fhat) ** 2).sum())),
+        )
+
+        conv_hat = dft(convolve(f, h)).coeffs
+        errs["convolution"] = max(
+            errs["convolution"], float(np.abs(conv_hat - fhat * hhat).max())
+        )
+
+        refl_hat = dft(reflect(h)).coeffs
+        errs["reflection"] = max(
+            errs["reflection"], float(np.abs(refl_hat - hhat.conj()).max())
+        )
+    return SuiteReport(
+        group=g, trials=trials, seed=seed, tolerance=SUITE_TOLERANCE, max_errors=errs
+    )

@@ -1,18 +1,20 @@
 """Independent re-checking of certificates, plus the good-shift statistic.
 
-Everything here recomputes from definitions: the triple convolution as a
-plain translate sum, whose support is the sumset A+B-B, transforms by the
-exact-phase factored transform (no ``np.fft``), Bohr membership by pairing
-phases.  Every translate, the containment shift by a0 included, is a window
-from ``spectral._translate_windows``.  None of the extractor's fast-path
-results are trusted; a certificate is data to be audited.  Failed checks are
-recorded in the report, not raised -- reports are data too.
+Everything here recomputes from definitions: the triple convolution from the
+exact integer count of representations a + b - c, whose support is the
+sumset A+B-B (``spectral.representation_counts``: a number-theoretic
+transform or an integer translate sum), transforms by the exact-phase
+factored transform, Bohr membership by pairing phases.  Nothing here reaches
+``np.fft``.  Every translate, the containment shift by a0 included, is a
+window from ``spectral._translate_windows``.  None of the extractor's
+fast-path results are trusted; a certificate is data to be audited.  Failed
+checks are recorded in the report, not raised -- reports are data too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .bohr import (
     halve_radius,
     members_mask,
 )
-from .errors import AmbiguousBoundary, DomainError, EmptyInputError, ShapeError
+from .errors import AmbiguousBoundary, EmptyInputError, ShapeError
 from .extractor import BOUND_SLACK, RADIUS_SLACK, Certificate
 from .groups import (
     TWO_PI,
@@ -39,16 +41,10 @@ from .spectral import (
     DensityFn,
     Spectrum,
     _translate_windows,
-    convolve,
-    dft,
     dft_factored,
     idft_factored,
-    plancherel_pairing,
-    reflect,
-    triple_convolve_definitional,
+    representation_counts,
 )
-
-SUITE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,18 +81,28 @@ def _close(x: float, y: float, rel: float = RADIUS_SLACK) -> bool:
     return math.isclose(x, y, rel_tol=rel, abs_tol=rel)
 
 
+def _h_from_counts(g: GroupSpec, counts: np.ndarray, scale_f: float, scale_g: float) -> DensityFn:
+    """h = f1 conv g1 conv g1(-.) for f1 = scale_f 1_A and g1 = scale_g 1_B, from the counts of A+B-B.
+
+    h = r scale_f scale_g^2 / N^2.  With both scales 1 and N a power of two
+    every step is exact, so h is the translate sum's table bit for bit.
+    """
+    return DensityFn(g, counts * (scale_f * scale_g * scale_g) / g.order / g.order)
+
+
 def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> VerificationReport:
     """Audit every claim in the certificate against A and B from scratch.
 
     The checks, in report order: the witness lies in A; the translated Bohr
-    set sits inside A+B-B, the support of the definitional h; torus-form
-    members are a subset of char-form members (these two become one failed
-    ``undecidable`` check when a member distance lands in the guard band);
-    the dimension, witness-value, level and remainder bounds; then internal
-    consistency (delta, spectrum, radii, centers) against the definitional
-    recomputation, S1 against the large spectrum by one rank mask.
-    A group above the enumeration cap raises :class:`CapacityError` before
-    any work on the group.
+    set sits inside A+B-B, the support of the exact representation counts
+    that h is scaled from; torus-form members are a subset of char-form
+    members (these two become one failed ``undecidable`` check when a member
+    distance lands in the guard band); the dimension, witness-value, level
+    and remainder bounds; then internal consistency (delta, spectrum, radii,
+    centers) against the definitional recomputation, S1 against the large
+    spectrum by one rank mask.
+    A group above the enumeration cap, or counts beyond the primes an int64
+    CRT can join, raise :class:`CapacityError` before any transform.
     """
     require_within_cap(cert.group)
     if A.group != cert.group or B.group != cert.group:
@@ -108,10 +114,11 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     if f0.mean <= 0.0 or g0.mean <= 0.0:
         raise EmptyInputError("cannot verify against an empty set")
     delta = min(f0.mean, g0.mean)
-    f1 = f0 if f0.mean == delta else f0.scaled(delta / f0.mean)
-    g1 = g0 if g0.mean == delta else g0.scaled(delta / g0.mean)
+    scale_f, scale_g = delta / f0.mean, delta / g0.mean
+    f1 = f0.scaled(scale_f)
 
-    h_def = triple_convolve_definitional(f1, g1)
+    counts = representation_counts(grp, A.mask, B.mask)
+    h_def = _h_from_counts(grp, counts, scale_f, scale_g)
     fhat_def = dft_factored(f1).coeffs
     hhat_def = dft_factored(h_def).coeffs
 
@@ -128,10 +135,9 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     h_at_a0_def = float(h_def.values[a0_rank])
     r_max_def = float(np.abs(h_def.values - p_vals).max())
 
-    # Exact, not a threshold: f1 and g1 are 0 or >= delta >= 1/N, so every positive
-    # term of the translate sums is >= delta^3 / N^2, far above underflow, and a float
-    # sum of nonnegative terms is 0 only when every term is.  So h > 0 is A+B-B.
-    sumset = h_def.values > 0
+    # Exact, not a threshold: counts[x] is the integer number of triples
+    # (a, b, c) in A x B x B with a + b - c = x, so it is positive exactly on A+B-B.
+    sumset = counts > 0
     try:
         char_members = members_mask(cert.bohr_char_form)
         torus_members = members_mask(cert.bohr_torus_form)
@@ -290,69 +296,3 @@ def good_shift_set(A: GroupSubset, B: GroupSubset, b: BohrSpec) -> GroupSubset:
     # a is bad when a + z misses the sumset for some half-radius member z.
     bad = _translate_union(g, ~sumset.mask.reshape(g.factors), -coords_table(g)[half])
     return GroupSubset(g, A.mask & ~bad.ravel())
-
-
-@dataclass(frozen=True)
-class SuiteReport:
-    group: GroupSpec
-    trials: int
-    seed: int
-    tolerance: float
-    max_errors: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= self.tolerance for v in self.max_errors.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "group": str(self.group),
-            "trials": self.trials,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "max_errors": dict(self.max_errors),
-            "passed": self.passed,
-        }
-
-
-def fourier_identity_suite(g: GroupSpec, trials: int, seed: int = 0) -> SuiteReport:
-    """Exercise the transform identities on seeded random tables.
-
-    Four identities per trial: the inner-product identity (Plancherel), its
-    diagonal case (Parseval), the convolution theorem, and conjugation under
-    reflection.  The report carries the max absolute error of each.
-    """
-    if trials < 1:
-        raise DomainError(f"need at least one trial, got {trials}")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
-    errs = {"plancherel": 0.0, "parseval": 0.0, "convolution": 0.0, "reflection": 0.0}
-    n = g.order
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        f = DensityFn(g, rng.random(n))
-        h = DensityFn(g, rng.random(n))
-        fhat = dft(f).coeffs
-        hhat = dft(h).coeffs
-
-        lhs = plancherel_pairing(f, h)
-        rhs = complex((fhat * hhat.conj()).sum())
-        errs["plancherel"] = max(errs["plancherel"], abs(lhs - rhs))
-
-        errs["parseval"] = max(
-            errs["parseval"],
-            abs(float((f.values**2).mean()) - float((np.abs(fhat) ** 2).sum())),
-        )
-
-        conv_hat = dft(convolve(f, h)).coeffs
-        errs["convolution"] = max(
-            errs["convolution"], float(np.abs(conv_hat - fhat * hhat).max())
-        )
-
-        refl_hat = dft(reflect(h)).coeffs
-        errs["reflection"] = max(
-            errs["reflection"], float(np.abs(refl_hat - hhat.conj()).max())
-        )
-    return SuiteReport(
-        group=g, trials=trials, seed=seed, tolerance=SUITE_TOLERANCE, max_errors=errs
-    )

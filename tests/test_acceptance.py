@@ -27,11 +27,11 @@ from bohrlab.spectral import (
     DensityFn,
     dft,
     dft_definitional,
+    fourier_identity_suite,
     triple_convolve,
 )
 from bohrlab.verify import (
     VerificationReport,
-    fourier_identity_suite,
     good_shift_set,
     verify_certificate,
 )

@@ -57,7 +57,7 @@ def _no_transform_work(*args, **kwargs):
 def test_verify_refuses_before_any_transform(monkeypatch, g):
     A, B, _, cert = _fixture(g)
     monkeypatch.setattr(verify, "dft_factored", _no_transform_work)
-    monkeypatch.setattr(verify, "triple_convolve_definitional", _no_transform_work)
+    monkeypatch.setattr(verify, "representation_counts", _no_transform_work)
     if g.order <= 1 << 16:
         monkeypatch.setenv("BOHRLAB_ENUM_CAP", "16")
     with pytest.raises(CapacityError):

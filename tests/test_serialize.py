@@ -255,7 +255,7 @@ def _no_transform_work(*args, **kwargs):
 @pytest.mark.parametrize("golden,label,edit,error", REFUSALS, ids=[c[1] for c in REFUSALS])
 def test_malformed_certificate_is_refused_before_any_transform(monkeypatch, golden, label, edit, error):
     monkeypatch.setattr(verify, "dft_factored", _no_transform_work)
-    monkeypatch.setattr(verify, "triple_convolve_definitional", _no_transform_work)
+    monkeypatch.setattr(verify, "representation_counts", _no_transform_work)
     with pytest.raises(error):
         verify_certificate(certificate_from_json(_tampered(edit, golden.read_text())), EVENS, EVENS)
 

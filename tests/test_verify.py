@@ -29,12 +29,14 @@ from bohrlab.spectral import (
     convolve,
     dft,
     dft_definitional,
+    fourier_identity_suite,
     reflect,
+    representation_counts,
     synthesize,
     triple_convolve_definitional,
 )
 from bohrlab.verify import (
-    fourier_identity_suite,
+    _h_from_counts,
     good_shift_set,
     verify_certificate,
 )
@@ -433,6 +435,23 @@ def test_support_of_definitional_h_is_the_sumset(factors, kind_a, kind_b, densit
     A, B = _subset(g, kind_a, density, rng), _subset(g, kind_b, density, rng)
     h = triple_convolve_definitional(*_scaled_like_verify(A, B))
     assert np.array_equal(h.values > 0, sumset_ABmB(A, B).mask)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(2048,), (64, 32), (8, 8, 8, 4), (2,) * 10, (16, 16, 16), (1,)],
+    ids=str,
+)
+def test_h_from_counts_is_the_translate_sum_bit_for_bit(factors):
+    # Dyadic N and |A| = |B|: both scales are 1 and r / N / N is exact.
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(sum(factors))
+    size = max(1, round(0.3 * g.order))
+    A, B = (GroupSubset.from_ranks(g, rng.choice(g.order, size, replace=False)) for _ in range(2))
+    counts = representation_counts(g, A.mask, B.mask)
+    h = _h_from_counts(g, counts, 1.0, 1.0).values
+    want = triple_convolve_definitional(*_scaled_like_verify(A, B)).values
+    assert np.array_equal(h.view(np.int64), want.view(np.int64))
 
 
 def _evens_instance():
