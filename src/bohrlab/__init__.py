@@ -77,6 +77,7 @@ from .spectral import (
     dft,
     dft_definitional,
     dft_factored,
+    difference_counts,
     fourier_identity_suite,
     idft,
     idft_definitional,

@@ -2,8 +2,9 @@
 
 Subsets are stored as boolean tables in canonical element order.  The sumset
 oracle here is deliberately combinatorial (translate unions, no Fourier), so it
-can serve as an independent cross-check for the spectral machinery: it is the
-oracle of ``good_shift_set`` and of the acceptance suite's sumset criterion.
+can serve as an independent cross-check for the exact counts the verifier and
+``good_shift_set`` read A+B-B from: it is the oracle of the acceptance suite's
+sumset criterion and of the tests.
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ primes p = 1 (mod lcm of the cycle lengths), below 2^31: a number-theoretic
 transform whose twiddles are powers of a root of unity mod p at exact integer
 exponents.  :func:`representation_counts` runs it, or an integer translate sum
 where that is cheaper, to count exactly the representations x = a + b - c;
-the verifier reads its h and the sumset off those counts.
+the verifier reads its h and the sumset off those counts.  A second exact
+count, :func:`difference_counts` of a = u - z over X x Y, is the same private
+core on two tables, one negated; the good-shift statistic reads its erosion
+off it.
 
 The fast triple convolution f conv g conv g(-.) is one product of transforms,
 f-hat * |g-hat|^2 (:func:`triple_spectrum`), since the reflection of a real
@@ -225,30 +228,45 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
+def _prime_length_transform(x: np.ndarray, sign: int) -> np.ndarray:
+    """The n-point sum of :func:`_cyclic_transform` for a prime n (or 1), in :func:`phase_blocks` blocks.
+
+    No n-by-n kernel is ever built whole.
+    """
+    n = x.shape[1]
+    idx = np.arange(n, dtype=np.int64)[:, None]
+    out = np.empty_like(x)
+    for block, phases in phase_blocks(GroupSpec((n,)), idx, idx):
+        out[:, block] = x @ np.exp(sign * 1j * TWO_PI * phases).T
+    return out
+
+
 def _cyclic_transform(x: np.ndarray, sign: int) -> np.ndarray:
     """``sum_z x[:, z] * exp(sign * 2 pi i * t*z / n)`` for every t, per row of (M, n) ``x``.
 
     Cooley-Tukey on n = p*m with p the smallest prime factor: writing
     z = z1 + p*z2 and t = m*t1 + t2, the sum is m-point transforms over z2,
     the exact twiddle phase ``(z1*t2 mod n)/n``, then p-point sums over z1.
-    A prime length (or 1) is summed directly in :func:`phase_blocks` blocks,
-    so no p-by-p kernel is ever built whole.
+    The recursion is unrolled, as in :func:`_cyclic_ntt`: the splits go down
+    to a prime length, then each level is merged on the way up, so one table
+    per step is alive, not one per level.
     """
-    rows, n = x.shape
-    p = _smallest_prime_factor(n)
-    line = GroupSpec((n,))
-    idx = np.arange(n, dtype=np.int64)[:, None]
-    if p == n:
-        out = np.empty_like(x)
-        for block, phases in phase_blocks(line, idx, idx):
-            out[:, block] = x @ np.exp(sign * 1j * TWO_PI * phases).T
-        return out
-    m = n // p
-    inner = _cyclic_transform(x.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows * p, m), sign)
-    twiddle = np.exp(sign * 1j * TWO_PI * phase_table(line, idx[:p], idx[:m]))
-    inner = inner.reshape(rows, p, m) * twiddle
-    outer = _cyclic_transform(inner.transpose(0, 2, 1).reshape(rows * m, p), sign)
-    return outer.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows, n)
+    levels = []
+    n = x.shape[1]
+    while (p := _smallest_prime_factor(n)) < n:
+        rows, m = x.shape[0], n // p
+        x = x.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows * p, m)
+        levels.append((rows, p, n))
+        n = m
+    x = _prime_length_transform(x, sign)
+    for rows, p, n in reversed(levels):
+        m = n // p
+        idx = np.arange(n, dtype=np.int64)[:, None]
+        x = x.reshape(rows, p, m)
+        x *= np.exp(sign * 1j * TWO_PI * phase_table(GroupSpec((n,)), idx[:p], idx[:m]))
+        x = _prime_length_transform(x.transpose(0, 2, 1).reshape(rows * m, p), sign)
+        x = x.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows, n)
+    return x
 
 
 def _factored(table: np.ndarray, sign: int) -> np.ndarray:
@@ -453,20 +471,34 @@ def _factored_ntt(table: np.ndarray, sign: int, moduli: tuple[tuple[int, int], .
     return out
 
 
-def _counts_by_ntt(a: np.ndarray, b: np.ndarray, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Exact counts from the transforms of 1_A and 1_B mod each prime, joined by CRT.
+def _counts_by_ntt(
+    tables: tuple[np.ndarray, ...], negated: tuple[bool, ...], moduli: tuple[tuple[int, int], ...]
+) -> np.ndarray:
+    """Exact counts from the transforms of the tables mod each prime, joined by CRT.
 
-    The transform of 1_{-B} is B-hat read at -t, so one forward pass over A
-    and B and one inverse pass serve every prime at once.
+    The distinct tables (a table passed twice is transformed once) go through
+    one forward pass together, every prime at once.  The transform of a
+    negated table is its own read at -t.  Their product mod each prime goes
+    through one inverse pass.
     """
-    factors = a.shape
-    order = a.size
+    factors = tables[0].shape
+    order = tables[0].size
     primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None]
-    pair = np.broadcast_to(np.stack([a, b]), (len(moduli), 2, *factors)).astype(np.int64)
-    ahat, bhat = np.moveaxis(_factored_ntt(pair, 1, moduli).reshape(len(moduli), 2, order), 1, 0)
-    product = ahat * bhat % primes
-    product *= bhat[:, _negated_ranks(factors)]
-    product %= primes
+    distinct = {id(t): t for t in tables}
+    slots = list(distinct)
+    stacked = np.stack(list(distinct.values()))
+    stacked = np.broadcast_to(stacked, (len(moduli), *stacked.shape)).astype(np.int64)
+    hats = _factored_ntt(stacked, 1, moduli).reshape(len(moduli), len(slots), order)
+    neg = _negated_ranks(factors)
+    product = None
+    for table, flip in zip(tables, negated):
+        hat = hats[:, slots.index(id(table))]
+        hat = hat[:, neg] if flip else hat
+        if product is None:
+            product = hat.copy()
+        else:
+            product *= hat
+            product %= primes
     inverse = _factored_ntt(product.reshape(len(moduli), 1, *factors), -1, moduli)
     residues = inverse.reshape(len(moduli), order)
     residues *= np.array([pow(order, -1, p) for p, _ in moduli], dtype=np.int64)[:, None]
@@ -478,16 +510,47 @@ def _counts_by_ntt(a: np.ndarray, b: np.ndarray, moduli: tuple[tuple[int, int], 
     return r1 + p1 * ((r2 - r1) % p2 * pow(p1, -1, p2) % p2)
 
 
-def _counts_by_translates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact counts as int64 translate sums: r1 = sum_b 1_A(. - b), then r = sum_c r1(. + c)."""
-    shifts = np.argwhere(b)
-    first = np.zeros(a.shape, dtype=np.int64, order="F")
-    for window in _translate_windows(a.astype(np.int64), shifts):
-        first += window
-    out = np.zeros(a.shape, dtype=np.int64, order="F")
-    for window in _translate_windows(first, -shifts):
-        out += window
+def _counts_by_translates(tables: tuple[np.ndarray, ...], negated: tuple[bool, ...]) -> np.ndarray:
+    """Exact counts as int64 translate sums over each later table's support.
+
+    Start from the first table (reflected if it enters negated); each later
+    table replaces the running table r by sum_z r(. - z) over z in its
+    support, or r(. + z) if it enters negated.
+    """
+    factors = tables[0].shape
+    out = tables[0].astype(np.int64)
+    if negated[0]:
+        out = out.ravel()[_negated_ranks(factors)].reshape(factors)
+    for table, flip in zip(tables[1:], negated[1:]):
+        shifts = np.argwhere(table)
+        acc = np.zeros(factors, dtype=np.int64, order="F")
+        for window in _translate_windows(out, -shifts if flip else shifts):
+            acc += window
+        out = acc
     return out.ravel()
+
+
+def _signed_counts(g: GroupSpec, tables: tuple[np.ndarray, ...], negated: tuple[bool, ...]) -> np.ndarray:
+    """#{(z_1, ..., z_k) : z_i in the support of tables[i], +-z_1 +- ... +- z_k = x} for every x, as int64.
+
+    ``tables`` are ``g.factors``-shaped boolean tables, and ``negated[i]``
+    says whether z_i enters with a minus sign.  Two routes, the cheaper by an
+    estimate of cells.  The number-theoretic transform (Pollard 1971) runs
+    :func:`_factored_ntt` once per distinct table and once more for the
+    inverse, per prime, each over N cells per prime factor of a cycle length,
+    counted with multiplicity; the primes are the fewest whose product exceeds
+    the product of the support sizes, which bounds every count.  The translate
+    sum moves one table of N cells per element of each later support.  Counts
+    that two primes below 2^31 cannot hold raise :class:`CapacityError` before
+    either route runs.
+    """
+    sizes = [int(t.sum()) for t in tables]
+    moduli = _ntt_moduli(g.factors, math.prod(sizes))
+    transforms = len({id(t) for t in tables}) + 1
+    ntt_cells = transforms * len(moduli) * g.order * sum(sum(_prime_factors(n)) for n in g.factors)
+    if sum(sizes[1:]) * g.order < ntt_cells:
+        return _counts_by_translates(tables, negated)
+    return _counts_by_ntt(tables, negated, moduli)
 
 
 def representation_counts(g: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -495,22 +558,24 @@ def representation_counts(g: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndar
 
     ``a`` and ``b`` are the boolean tables of A and B in rank order.  The
     support of r is A+B-B, and r * s_f * s_g^2 / N^2 is f conv g conv g(-.)
-    for f = s_f 1_A and g = s_g 1_B.  Two routes, the cheaper by an estimate
-    of cells.  The number-theoretic transform (Pollard 1971) runs
-    :func:`_factored_ntt` three times per prime, each over N cells per prime
-    factor of a cycle length, counted with multiplicity; the primes are the
-    fewest whose product exceeds |A| |B|^2, which bounds every count.  The
-    translate sum moves 2|B| tables of N cells.  Counts that two primes below
-    2^31 cannot hold raise :class:`CapacityError` before either route runs.
+    for f = s_f 1_A and g = s_g 1_B.  One :func:`_signed_counts` of the tables
+    (A, B, -B): three transforms per prime against 2|B| translates.
     """
-    a = a.reshape(g.factors)
     b = b.reshape(g.factors)
-    size_b = int(b.sum())
-    moduli = _ntt_moduli(g.factors, int(a.sum()) * size_b * size_b)
-    ntt_cells = 3 * len(moduli) * g.order * sum(sum(_prime_factors(n)) for n in g.factors)
-    if 2 * size_b * g.order < ntt_cells:
-        return _counts_by_translates(a, b)
-    return _counts_by_ntt(a, b, moduli)
+    return _signed_counts(g, (a.reshape(g.factors), b, b), (False, False, True))
+
+
+def difference_counts(g: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c(a) = #{(u, z) in X x Y : u - z = a} for every a, exact, as int64.
+
+    ``x`` and ``y`` are the boolean tables of X and Y in rank order; the
+    support of c is X - Y.  One :func:`_signed_counts` of the tables (X, -Y):
+    three transforms per prime against |Y| translates.  An empty X or Y
+    returns zeros at once, with no transform.
+    """
+    if not (x.any() and y.any()):
+        return np.zeros(g.order, dtype=np.int64)
+    return _signed_counts(g, (x.reshape(g.factors), y.reshape(g.factors)), (False, True))
 
 
 def dft_definitional(f: DensityFn) -> Spectrum:

@@ -9,12 +9,19 @@ factored transform, Bohr membership by pairing phases.  Nothing here reaches
 window from ``spectral._translate_windows``.  None of the extractor's
 fast-path results are trusted; a certificate is data to be audited.  Failed
 checks are recorded in the report, not raised -- reports are data too.
+
+The good-shift statistic reads A+B-B off the same counts: one table, keyed by
+the contents of A and B, is kept between calls, so a verify followed by
+``good_shift_set`` on equal sets counts once.  Its erosion, the shifts a with
+a + (half-radius Bohr set) outside A+B-B, is the support of a second exact
+count, of differences (``spectral.difference_counts``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,18 +37,18 @@ from .extractor import BOUND_SLACK, RADIUS_SLACK, Certificate
 from .groups import (
     TWO_PI,
     GroupSpec,
-    coords_table,
     elem_at,
     rank_of_elem,
     ranks_of_rows,
     require_within_cap,
 )
-from .sets import GroupSubset, _translate_union, sumset_ABmB
+from .sets import GroupSubset
 from .spectral import (
     DensityFn,
     Spectrum,
     _translate_windows,
     dft_factored,
+    difference_counts,
     idft_factored,
     representation_counts,
 )
@@ -81,6 +88,22 @@ def _close(x: float, y: float, rel: float = RADIUS_SLACK) -> bool:
     return math.isclose(x, y, rel_tol=rel, abs_tol=rel)
 
 
+@lru_cache(maxsize=1)
+def _memo_counts(g: GroupSpec, a: bytes, b: bytes) -> np.ndarray:
+    counts = representation_counts(g, np.frombuffer(a, dtype=bool), np.frombuffer(b, dtype=bool))
+    counts.flags.writeable = False
+    return counts
+
+
+def _counts(A: GroupSubset, B: GroupSubset) -> np.ndarray:
+    """The representation counts of A+B-B, read-only, keyed by the sets' contents.
+
+    One table is kept: a verify followed by a good-shift run on equal sets
+    counts once.
+    """
+    return _memo_counts(A.group, A.mask.tobytes(), B.mask.tobytes())
+
+
 def _h_from_counts(g: GroupSpec, counts: np.ndarray, scale_f: float, scale_g: float) -> DensityFn:
     """h = f1 conv g1 conv g1(-.) for f1 = scale_f 1_A and g1 = scale_g 1_B, from the counts of A+B-B.
 
@@ -117,7 +140,7 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     scale_f, scale_g = delta / f0.mean, delta / g0.mean
     f1 = f0.scaled(scale_f)
 
-    counts = representation_counts(grp, A.mask, B.mask)
+    counts = _counts(A, B)
     h_def = _h_from_counts(grp, counts, scale_f, scale_g)
     fhat_def = dft_factored(f1).coeffs
     hhat_def = dft_factored(h_def).coeffs
@@ -283,16 +306,20 @@ def good_shift_set(A: GroupSubset, B: GroupSubset, b: BohrSpec) -> GroupSubset:
 
     Halving the radius is what makes the property hereditary: two half-radius
     members sum to a full-radius member, so every shift found here admits its
-    own Bohr neighborhood inside A+B-B.  Raises :class:`AmbiguousBoundary`
-    when a distance of the half-radius set lands in the guard band, and
-    :class:`CapacityError` above the enumeration cap.
+    own Bohr neighborhood inside A+B-B.  The sumset is the support of the
+    exact representation counts that :func:`verify_certificate` reads, shared
+    with it on equal sets.  The bad shifts, (complement of the sumset) - half,
+    are the support of one exact difference count.  Raises
+    :class:`AmbiguousBoundary` when a distance of the half-radius set lands in
+    the guard band, and :class:`CapacityError` above the enumeration cap or
+    when the counts outgrow the primes an int64 CRT can join.
     """
     g = b.group
     require_within_cap(g)
     if A.group != g or B.group != g:
         raise ShapeError(f"sets on {A.group}/{B.group} but Bohr spec on {g}")
-    sumset = sumset_ABmB(A, B)
+    sumset = _counts(A, B) > 0
     half = members_mask(halve_radius(b))
-    # a is bad when a + z misses the sumset for some half-radius member z.
-    bad = _translate_union(g, ~sumset.mask.reshape(g.factors), -coords_table(g)[half])
-    return GroupSubset(g, A.mask & ~bad.ravel())
+    # a is bad when a + z misses the sumset for some half-radius member z: a = u - z, u outside.
+    bad = difference_counts(g, ~sumset, half) > 0
+    return GroupSubset(g, A.mask & ~bad)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from bohrlab import verify
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -16,6 +18,18 @@ def criterion_log():
         print(line)
 
     return record
+
+
+@pytest.fixture(autouse=True)
+def fresh_count_memo():
+    """Empty the verifier's count memo around every test.
+
+    A test that patches the primes or the count routes must count afresh, not
+    be served a table that an earlier test left behind.
+    """
+    verify._memo_counts.cache_clear()
+    yield
+    verify._memo_counts.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

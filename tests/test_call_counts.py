@@ -8,7 +8,8 @@ builds and loads holds no ``Char`` objects, only their frequency matrix.
 The level polynomial q is evaluated once per extraction, for c, and f and g
 are transformed once each: ``extract`` makes two forward and two inverse
 ``np.fft`` transforms (f-hat, g-hat; h and the remainder), whatever k is, and
-all four are real-input transforms, ``rfftn`` and ``irfftn``.
+all four are real-input transforms, ``rfftn`` and ``irfftn``.  ``good_shift_set``
+draws no translate window, however many members its Bohr set has.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bohrlab import groups
+from bohrlab import groups, spectral
+from bohrlab.bohr import halve_radius, members_mask
 from bohrlab.extractor import TrigPoly, extract
 from bohrlab.serialize import certificate_from_json, certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset
+from bohrlab.verify import good_shift_set
 
 COUNTED = ("check_char", "rank_of_char", "char_eval", "pairing", "elem_at", "char_at")
 Z4096 = groups.GroupSpec((4096,))
@@ -153,3 +156,25 @@ def test_extract_makes_only_real_input_transforms(monkeypatch, g):
     B = random_nonempty_subset(g, 0.1, 6)
     extract(A.indicator(), B.indicator())
     assert calls == Counter(rfftn=2, irfftn=2)
+
+
+def test_good_shift_draws_no_translate_window(monkeypatch):
+    """The erosion is one exact difference count: no translate per Bohr member."""
+    g = groups.GroupSpec((2,) * 10)
+    A = _subgroup(g, 2)
+    b = extract(A.indicator(), A.indicator()).bohr_char_form
+    assert int(members_mask(halve_radius(b)).sum()) == 512
+    windows = []
+    original = spectral._translate_windows
+
+    def counted(table, shifts):
+        for window in original(table, shifts):
+            windows.append(window.shape)
+            yield window
+
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "bohrlab"]:
+        if vars(mod).get("_translate_windows") is original:
+            monkeypatch.setattr(mod, "_translate_windows", counted)
+    good = good_shift_set(A, A, b)
+    assert np.array_equal(good.mask, A.mask)
+    assert windows == []

@@ -1,8 +1,9 @@
 """Exact representation counts: the number-theoretic transform, the translate sum and the primes.
 
-r(x) = #{(a, b, c) in A x B x B : a + b - c = x}.  Both routes must give the
-same int64 table as a brute-force count over every triple (small groups) or
-as each other, with total |A| |B|^2 and support A+B-B.
+r(x) = #{(a, b, c) in A x B x B : a + b - c = x}, and the difference counts
+c(a) = #{(u, z) in X x Y : u - z = a}.  Both routes must give the same int64
+table as a brute-force count over every triple or pair (small groups) or as
+each other, with total |A| |B|^2 (|X| |Y|) and support A+B-B (X - Y).
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from bohrlab.extractor import extract
 from bohrlab.groups import GroupSpec, coords_table
 from bohrlab.serialize import certificate_to_json
 from bohrlab.sets import GroupSubset, sumset_ABmB, write_set_file
-from bohrlab.spectral import _counts_by_ntt, _counts_by_translates, _ntt_moduli, representation_counts
+from bohrlab.spectral import (
+    _counts_by_ntt,
+    _counts_by_translates,
+    _ntt_moduli,
+    difference_counts,
+    representation_counts,
+)
 
 
 def _brute_counts(g: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,21 +70,77 @@ def test_both_routes_count_every_representation(factors, density_a, density_b, s
     b = rng.random(g.order) < density_b
     size_a, size_b = int(a.sum()), int(b.sum())
     shaped = a.reshape(factors), b.reshape(factors)
-    want = _brute_counts(g, a, b) if g.order <= 64 else _counts_by_translates(*shaped)
+    tables, negated = (shaped[0], shaped[1], shaped[1]), (False, False, True)
+    want = _brute_counts(g, a, b) if g.order <= 64 else _counts_by_translates(tables, negated)
     assert want.dtype == np.int64
     one_prime = _ntt_moduli(factors, size_a * size_b**2)
     two_primes = _ntt_moduli(factors, 1 << 61)
     assert len(two_primes) == 2
     for got in (
-        _counts_by_translates(*shaped),
-        _counts_by_ntt(*shaped, one_prime),
-        _counts_by_ntt(*shaped, two_primes),
+        _counts_by_translates(tables, negated),
+        _counts_by_ntt(tables, negated, one_prime),
+        _counts_by_ntt(tables, negated, two_primes),
         representation_counts(g, a, b),
     ):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
     assert int(want.sum()) == size_a * size_b**2
     assert np.array_equal(want > 0, sumset_ABmB(GroupSubset(g, a), GroupSubset(g, b)).mask)
+
+
+def _brute_differences(g: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c by ``np.add.at`` over every pair (u, z)."""
+    coords = coords_table(g)
+    diffs = coords[x][:, None] - coords[y][None, :]
+    ranks = np.ravel_multi_index(diffs.reshape(-1, g.ndim).T, g.factors, mode="wrap")
+    out = np.zeros(g.order, dtype=np.int64)
+    np.add.at(out, ranks, 1)
+    return out
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(factors=(97,), density_x=0.6, density_y=0.1, seed=1)
+@example(factors=(5, 1, 3), density_x=0.5, density_y=0.5, seed=2)
+@example(factors=(1,), density_x=1.0, density_y=1.0, seed=3)
+@example(factors=(3,) * 5, density_x=0.9, density_y=0.05, seed=4)
+@example(factors=(6, 4), density_x=0.0, density_y=0.5, seed=5)
+@example(factors=(6, 4), density_x=0.5, density_y=0.0, seed=6)
+@given(
+    factors=COUNT_GROUPS,
+    density_x=st.floats(0.0, 1.0),
+    density_y=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_routes_count_every_difference(factors, density_x, density_y, seed):
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    x = rng.random(g.order) < density_x
+    y = rng.random(g.order) < density_y
+    want = _brute_differences(g, x, y)
+    tables, negated = (x.reshape(factors), y.reshape(factors)), (False, True)
+    one_prime = _ntt_moduli(factors, int(x.sum()) * int(y.sum()))
+    for got in (
+        _counts_by_translates(tables, negated),
+        _counts_by_ntt(tables, negated, one_prime),
+        _counts_by_ntt(tables, negated, _ntt_moduli(factors, 1 << 61)),
+        difference_counts(g, x, y),
+        # -z + u = a, with the negated table first.
+        _counts_by_translates(tables[::-1], negated[::-1]),
+        _counts_by_ntt(tables[::-1], negated[::-1], one_prime),
+    ):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert int(want.sum()) == int(x.sum()) * int(y.sum())
+
+
+def test_difference_counts_of_an_empty_table_run_no_route(monkeypatch):
+    g = GroupSpec((8, 6))
+    monkeypatch.setattr(spectral, "_counts_by_ntt", _refuse_to_count)
+    monkeypatch.setattr(spectral, "_counts_by_translates", _refuse_to_count)
+    full, empty = np.ones(g.order, dtype=bool), np.zeros(g.order, dtype=bool)
+    for x, y in ((empty, full), (full, empty)):
+        got = difference_counts(g, x, y)
+        assert got.dtype == np.int64 and not got.any()
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,17 @@ from hypothesis import strategies as st
 import bohrlab.spectral as spectral
 from bohrlab.errors import DomainError, ShapeError
 from bohrlab.extractor import large_spectrum
-from bohrlab.groups import Char, GroupSpec, char_eval, elem_at, elem_sub, rank_of_elem, rows_at
+from bohrlab.groups import (
+    TWO_PI,
+    Char,
+    GroupSpec,
+    char_eval,
+    elem_at,
+    elem_sub,
+    phase_table,
+    rank_of_elem,
+    rows_at,
+)
 from bohrlab.spectral import (
     DensityFn,
     Spectrum,
@@ -301,6 +311,39 @@ def test_factored_transform_matches_definitional(g):
     sparse[ranks] = coeffs
     want = synthesize(g, rows_at(g, ranks), coeffs)
     assert np.abs(idft_factored(Spectrum(g, sparse)) - want).max() < 1e-12
+
+
+def _recursive_cyclic_transform(x: np.ndarray, sign: int) -> np.ndarray:
+    """The factored route's cyclic transform in its recursive form: one level per call."""
+    rows, n = x.shape
+    p = spectral._smallest_prime_factor(n)
+    line = GroupSpec((n,))
+    idx = np.arange(n, dtype=np.int64)[:, None]
+    if p == n:
+        out = np.empty_like(x)
+        for block, phases in spectral.phase_blocks(line, idx, idx):
+            out[:, block] = x @ np.exp(sign * 1j * TWO_PI * phases).T
+        return out
+    m = n // p
+    inner = _recursive_cyclic_transform(x.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows * p, m), sign)
+    twiddle = np.exp(sign * 1j * TWO_PI * phase_table(line, idx[:p], idx[:m]))
+    inner = inner.reshape(rows, p, m) * twiddle
+    outer = _recursive_cyclic_transform(inner.transpose(0, 2, 1).reshape(rows * m, p), sign)
+    return outer.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows, n)
+
+
+@pytest.mark.parametrize(
+    "g", [GroupSpec((2048,)), GroupSpec((64, 32)), GroupSpec((8, 8, 8, 4)), GroupSpec((97, 4)),
+          GroupSpec((3,) * 6)], ids=str,
+)
+def test_unrolled_factored_transform_is_the_recursion_bit_for_bit(monkeypatch, g):
+    f = _random_density(g, 84)
+    got = dft_factored(f)
+    got_back = idft_factored(got)
+    monkeypatch.setattr(spectral, "_cyclic_transform", _recursive_cyclic_transform)
+    want = dft_factored(f)
+    assert np.array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
+    assert np.array_equal(got_back.view(np.int64), idft_factored(want).view(np.int64))
 
 
 def test_factored_prime_length_blocking(monkeypatch):

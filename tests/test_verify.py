@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from bohrlab import verify
 from bohrlab.bohr import FORM_CHAR, BohrSpec
 from bohrlab.errors import AmbiguousBoundary, DomainError, EmptyInputError, ShapeError
 from bohrlab.extractor import BOUND_SLACK, extract
@@ -559,6 +560,9 @@ def _no_union(*args, **kwargs):
 def test_verifier_computes_the_sumset_once(monkeypatch, instance, tamper):
     cert, A, B = _tampered_case(instance, tamper)
     want = report_to_json(verify_certificate(cert, A, B))
-    monkeypatch.setattr("bohrlab.verify.sumset_ABmB", _no_union)
-    monkeypatch.setattr("bohrlab.verify._translate_union", _no_union)
+    # verify binds neither union; one reached through sets would still be caught.
+    assert not {"sumset_ABmB", "_translate_union"} & set(vars(verify))
+    monkeypatch.setattr("bohrlab.sets.sumset_ABmB", _no_union)
+    monkeypatch.setattr("bohrlab.sets._translate_union", _no_union)
+    verify._memo_counts.cache_clear()
     assert report_to_json(verify_certificate(cert, A, B)) == want
