@@ -1,24 +1,25 @@
 """Fourier transform, convolution and reflection for tables on a finite group.
 
-Four routes are provided for the transform.  The fast path runs numpy's
+Three routes are provided for the transform.  The fast path runs numpy's
 real-input FFT; the extraction pipeline uses it.  A table here is real, so its
 transform is conjugate-symmetric, fhat(-t) = conj(fhat(t)): :func:`dft` runs
 ``rfftn`` on half the characters and unfolds them to the full table, exactly
 symmetric by construction, and :func:`idft_real` synthesizes a real table from
 that half with ``irfftn``.  :func:`idft` is the complex synthesis of any
-spectrum.  The factored path is a Cooley-Tukey transform, axis by axis, whose
-every kernel and twiddle is built from exact integer phases ``((a*b) mod n)/n``
-and which calls no ``np.fft``; the verifier uses it.  The definitional path
-evaluates the plain O(N^2) pairing sums; it is the oracle both are tested
-against.  The modular path is the factored one's twin over the integers mod
-primes p = 1 (mod lcm of the cycle lengths), below 2^31: a number-theoretic
-transform whose twiddles are powers of a root of unity mod p at exact integer
-exponents.  :func:`representation_counts` runs it, or an integer translate sum
+spectrum.  The factored path is one Cooley-Tukey engine, axis by axis, over a
+ring: the complex numbers, or the integers mod primes p = 1 (mod L, the lcm of
+the cycle lengths) below 2^31.  Every kernel and twiddle is read off one cached
+table of the powers of a root of unity of order L at an exact integer
+exponent: exp(2 pi i * e/L) from the exact phase e/L, or root^e mod p.  Over C
+it is :func:`dft_factored` and :func:`idft_factored`, which call no
+``np.fft``; the verifier uses them.  Mod primes it is a number-theoretic
+transform: :func:`representation_counts` runs it, or an integer translate sum
 where that is cheaper, to count exactly the representations x = a + b - c;
 the verifier reads its h and the sumset off those counts.  A second exact
 count, :func:`difference_counts` of a = u - z over X x Y, is the same private
 core on two tables, one negated; the good-shift statistic reads its erosion
-off it.
+off it.  The definitional path evaluates the plain O(N^2) pairing sums; it is
+the oracle the others are tested against.
 
 The fast triple convolution f conv g conv g(-.) is one product of transforms,
 f-hat * |g-hat|^2 (:func:`triple_spectrum`), since the reflection of a real
@@ -65,8 +66,8 @@ def phase_blocks(g: GroupSpec, rows: np.ndarray, cols: np.ndarray):
     bounded for any ``cols`` of at most N rows.  A walk that prunes columns
     sends the remaining ones back (``walk.send(cols)``); later blocks are sized
     for and computed against them.  Every blocked walk over pairing phases
-    (the definitional transforms, synthesis, the prime lengths of the factored
-    transform, Bohr membership) goes through here.
+    (the definitional transforms, synthesis, Bohr membership) goes through
+    here; the factored transform reads its phases off a power table instead.
     """
     start, size = 0, 1
     while start < len(rows):
@@ -228,66 +229,126 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _prime_length_transform(x: np.ndarray, sign: int) -> np.ndarray:
-    """The n-point sum of :func:`_cyclic_transform` for a prime n (or 1), in :func:`phase_blocks` blocks.
+@lru_cache(maxsize=16)
+def _powers(lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """``powers[i, e]`` is w_i^e for e < ``lcm``, one row per ring; read-only.
 
-    No n-by-n kernel is ever built whole.
+    Over C (no ``moduli``) the one row is exp(2 pi i * e/lcm), from the exact
+    phase e/lcm, with w^(lcm - e) = conj(w^e), so no phase above 1/2 is
+    evaluated; mod primes, w_i is root_i mod p_i, of order ``lcm``.
     """
-    n = x.shape[1]
-    idx = np.arange(n, dtype=np.int64)[:, None]
-    out = np.empty_like(x)
-    for block, phases in phase_blocks(GroupSpec((n,)), idx, idx):
-        out[:, block] = x @ np.exp(sign * 1j * TWO_PI * phases).T
+    if not moduli:
+        half = np.exp(1j * TWO_PI * (np.arange(lcm // 2 + 1) / lcm))
+        powers = np.concatenate([half, half[(lcm - 1) // 2 : 0 : -1].conj()])[None]
+    else:
+        primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None]
+        base = np.array([root for _, root in moduli], dtype=np.int64)[:, None]
+        powers = np.empty((len(moduli), lcm), dtype=np.int64)
+        powers[:, 0] = 1
+        filled = 1
+        while filled < lcm:
+            span = min(filled, lcm - filled)
+            powers[:, filled : filled + span] = powers[:, :span] * base % primes
+            base = base * base % primes
+            filled += span
+    powers.flags.writeable = False
+    return powers
+
+
+def _reduce(x: np.ndarray, moduli: tuple[tuple[int, int], ...]) -> None:
+    """x mod p_i in place, one prime per index of the leading axis; over C, nothing."""
+    if moduli:
+        x %= np.array([p for p, _ in moduli], dtype=np.int64).reshape(-1, *(1,) * (x.ndim - 1))
+
+
+@lru_cache(maxsize=64)
+def _twiddles(n: int, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """w^(sign*(z1*t2 mod n)) for z1 < p and t2 < m, n = p*m, p the least prime factor; (P, 1, p, m)."""
+    p = _smallest_prime_factor(n)
+    exponents = np.outer(np.arange(p), sign * np.arange(n // p)) % n * (lcm // n)
+    table = _powers(lcm, moduli)[:, None, exponents]
+    table.flags.writeable = False
+    return table
+
+
+def _prime_length(x: np.ndarray, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The n-point sum of :func:`_cyclic` for a prime n (or 1), one kernel row at a time.
+
+    No n-by-n kernel is built.  At length 2 that is a sum and a difference,
+    since w = -1.
+    """
+    n = x.shape[2]
+    if n == 2:
+        out = np.empty_like(x)
+        np.add(x[:, :, 0], x[:, :, 1], out=out[:, :, 0])
+        np.subtract(x[:, :, 0], x[:, :, 1], out=out[:, :, 1])
+        _reduce(out, moduli)
+        return out
+    powers = _powers(lcm, moduli)
+    steps = np.arange(n, dtype=np.int64) * (sign * lcm // n)
+    out = np.repeat(x[:, :, :1], n, axis=2)
+    for z in range(1, n):
+        out += x[:, :, z, None] * powers[:, None, z * steps % lcm]
+        _reduce(out, moduli)
     return out
 
 
-def _cyclic_transform(x: np.ndarray, sign: int) -> np.ndarray:
-    """``sum_z x[:, z] * exp(sign * 2 pi i * t*z / n)`` for every t, per row of (M, n) ``x``.
+def _cyclic(x: np.ndarray, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """``sum_z x[i, :, z] * w_i^(sign*t*z)`` for every t, per ring row i and row of (P, M, n) ``x``.
 
-    Cooley-Tukey on n = p*m with p the smallest prime factor: writing
-    z = z1 + p*z2 and t = m*t1 + t2, the sum is m-point transforms over z2,
-    the exact twiddle phase ``(z1*t2 mod n)/n``, then p-point sums over z1.
-    The recursion is unrolled, as in :func:`_cyclic_ntt`: the splits go down
-    to a prime length, then each level is merged on the way up, so one table
-    per step is alive, not one per level.
+    w_i is the power of order n in :func:`_powers`, read at exponent
+    ``lcm/n`` times an exact integer.  Cooley-Tukey on n = p*m with p the
+    smallest prime factor: writing z = z1 + p*z2 and t = m*t1 + t2, the sum is
+    m-point transforms over z2, the twiddle w^(z1*t2 mod n), then p-point sums
+    over z1.  The recursion is unrolled: the splits go down to a prime length,
+    then each level is merged on the way up, so one table per step is alive,
+    not one per level.  Mod p_i, residues stay below p < 2^31, so a product
+    plus a residue stays inside int64 before it is reduced.
     """
+    ring = x.shape[0]
     levels = []
-    n = x.shape[1]
+    n = x.shape[2]
     while (p := _smallest_prime_factor(n)) < n:
-        rows, m = x.shape[0], n // p
-        x = x.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows * p, m)
+        rows, m = x.shape[1], n // p
+        x = x.reshape(ring, rows, m, p).transpose(0, 1, 3, 2).reshape(ring, rows * p, m)
         levels.append((rows, p, n))
         n = m
-    x = _prime_length_transform(x, sign)
+    x = _prime_length(x, sign, lcm, moduli)
     for rows, p, n in reversed(levels):
         m = n // p
-        idx = np.arange(n, dtype=np.int64)[:, None]
-        x = x.reshape(rows, p, m)
-        x *= np.exp(sign * 1j * TWO_PI * phase_table(GroupSpec((n,)), idx[:p], idx[:m]))
-        x = _prime_length_transform(x.transpose(0, 2, 1).reshape(rows * m, p), sign)
-        x = x.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows, n)
+        x = x.reshape(ring, rows, p, m)
+        x *= _twiddles(n, sign, lcm, moduli)
+        _reduce(x, moduli)
+        x = _prime_length(x.transpose(0, 1, 3, 2).reshape(ring, rows * m, p), sign, lcm, moduli)
+        x = x.reshape(ring, rows, m, p).transpose(0, 1, 3, 2).reshape(ring, rows, n)
     return x
 
 
-def _factored(table: np.ndarray, sign: int) -> np.ndarray:
-    """The unnormalized pairing sum of a ``factors``-shaped table, one axis at a time."""
-    out = np.asarray(table, dtype=np.complex128)
-    for axis, n in enumerate(out.shape):
+def _factored(table: np.ndarray, sign: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The pairing sum of a (P, batch, *factors) table, per ring row and batch row, axis by axis.
+
+    Over C when ``moduli`` is empty (a complex table, P = 1; the float
+    transforms pass batch 1), else mod p_i in row i (an int64 table of
+    residues).
+    """
+    lcm = math.lcm(*table.shape[2:])
+    out = table
+    for axis in range(2, table.ndim):
         moved = np.moveaxis(out, axis, -1)
-        summed = _cyclic_transform(moved.reshape(-1, n), sign).reshape(moved.shape)
-        out = np.moveaxis(summed, -1, axis)
+        summed = _cyclic(moved.reshape(table.shape[0], -1, moved.shape[-1]), sign, lcm, moduli)
+        out = np.moveaxis(summed.reshape(moved.shape), -1, axis)
     return out
 
 
 def dft_factored(f: DensityFn) -> Spectrum:
     """The analysis sum by the exact-phase factored transform; no ``np.fft``."""
     g = f.group
-    return Spectrum(g, _factored(f.as_nd(), -1).ravel() / g.order)
+    return Spectrum(g, _factored(f.as_nd().astype(np.complex128)[None, None], -1, ()).ravel() / g.order)
 
 
 def idft_factored(spectrum: Spectrum) -> np.ndarray:
     """The synthesis sum over every character by the exact-phase factored transform."""
-    return _factored(spectrum.as_nd(), 1).ravel()
+    return _factored(spectrum.as_nd()[None, None], 1, ()).ravel()
 
 
 # --- exact representation counts ------------------------------------------------
@@ -376,101 +437,6 @@ def _ntt_moduli(factors: tuple[int, ...], bound: int) -> tuple[tuple[int, int], 
     )
 
 
-@lru_cache(maxsize=16)
-def _root_powers(lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """``powers[i, e]`` is root_i^e mod p_i for e < ``lcm``, one row per prime; read-only."""
-    primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None]
-    base = np.array([root for _, root in moduli], dtype=np.int64)[:, None]
-    powers = np.empty((len(moduli), lcm), dtype=np.int64)
-    powers[:, 0] = 1
-    filled = 1
-    while filled < lcm:
-        span = min(filled, lcm - filled)
-        powers[:, filled : filled + span] = powers[:, :span] * base % primes
-        base = base * base % primes
-        filled += span
-    powers.flags.writeable = False
-    return powers
-
-
-@lru_cache(maxsize=64)
-def _twiddles(n: int, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """w^(sign*(z1*t2 mod n)) for z1 < p and t2 < m, n = p*m, p the least prime factor; (P, 1, p, m)."""
-    p = _smallest_prime_factor(n)
-    exponents = np.outer(np.arange(p), sign * np.arange(n // p)) % n * (lcm // n)
-    table = _root_powers(lcm, moduli)[:, None, exponents]
-    table.flags.writeable = False
-    return table
-
-
-def _prime_length_ntt(x: np.ndarray, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """The n-point sum of :func:`_cyclic_ntt` for a prime n (or 1), one kernel row at a time.
-
-    At length 2 that is a sum and a difference, since w = -1.
-    """
-    n = x.shape[2]
-    primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None, None]
-    if n == 2:
-        out = np.empty_like(x)
-        np.add(x[:, :, 0], x[:, :, 1], out=out[:, :, 0])
-        np.subtract(x[:, :, 0], x[:, :, 1], out=out[:, :, 1])
-        out %= primes
-        return out
-    powers = _root_powers(lcm, moduli)
-    steps = np.arange(n, dtype=np.int64) * (sign * lcm // n)
-    out = np.repeat(x[:, :, :1], n, axis=2)
-    for z in range(1, n):
-        out += x[:, :, z, None] * powers[:, None, z * steps % lcm]
-        out %= primes
-    return out
-
-
-def _cyclic_ntt(x: np.ndarray, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """``sum_z x[i, :, z] * w^(sign*t*z) mod p_i`` for every t, per prime i and row of (P, M, n) ``x``.
-
-    The modular twin of :func:`_cyclic_transform`, in the same recursion on
-    n = p*m, p the smallest prime factor, with w the root of order n mod p_i,
-    ``root_i^(lcm/n)``.  Every power is read from :func:`_root_powers` at an
-    exact integer exponent, and the twiddles w^(z1*t2 mod n) are cached per
-    length.  The recursion is unrolled: the splits go down to a prime length,
-    then each level is merged on the way up, so one table per step is alive,
-    not one per level.  Residues stay below p < 2^31, so a product plus a
-    residue stays inside int64 before it is reduced.
-    """
-    residues = x.shape[0]
-    primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None, None, None]
-    levels = []
-    n = x.shape[2]
-    while (p := _smallest_prime_factor(n)) < n:
-        rows, m = x.shape[1], n // p
-        x = x.reshape(residues, rows, m, p).transpose(0, 1, 3, 2).reshape(residues, rows * p, m)
-        levels.append((rows, p, n))
-        n = m
-    x = _prime_length_ntt(x, sign, lcm, moduli)
-    for rows, p, n in reversed(levels):
-        m = n // p
-        x = x.reshape(residues, rows, p, m)
-        x *= _twiddles(n, sign, lcm, moduli)
-        x %= primes
-        x = _prime_length_ntt(x.transpose(0, 1, 3, 2).reshape(residues, rows * m, p), sign, lcm, moduli)
-        x = x.reshape(residues, rows, m, p).transpose(0, 1, 3, 2).reshape(residues, rows, n)
-    return x
-
-
-def _factored_ntt(table: np.ndarray, sign: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """The pairing sum mod p_i of a (P, batch, *factors) table, per prime i and batch row, axis by axis."""
-    lcm = math.lcm(*table.shape[2:])
-    out = table
-    for axis in range(2, table.ndim):
-        n = out.shape[axis]
-        if n == 1:
-            continue
-        moved = np.moveaxis(out, axis, -1)
-        summed = _cyclic_ntt(moved.reshape(len(moduli), -1, n), sign, lcm, moduli)
-        out = np.moveaxis(summed.reshape(moved.shape), -1, axis)
-    return out
-
-
 def _counts_by_ntt(
     tables: tuple[np.ndarray, ...], negated: tuple[bool, ...], moduli: tuple[tuple[int, int], ...]
 ) -> np.ndarray:
@@ -483,12 +449,11 @@ def _counts_by_ntt(
     """
     factors = tables[0].shape
     order = tables[0].size
-    primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None]
     distinct = {id(t): t for t in tables}
     slots = list(distinct)
     stacked = np.stack(list(distinct.values()))
     stacked = np.broadcast_to(stacked, (len(moduli), *stacked.shape)).astype(np.int64)
-    hats = _factored_ntt(stacked, 1, moduli).reshape(len(moduli), len(slots), order)
+    hats = _factored(stacked, 1, moduli).reshape(len(moduli), len(slots), order)
     neg = _negated_ranks(factors)
     product = None
     for table, flip in zip(tables, negated):
@@ -498,11 +463,11 @@ def _counts_by_ntt(
             product = hat.copy()
         else:
             product *= hat
-            product %= primes
-    inverse = _factored_ntt(product.reshape(len(moduli), 1, *factors), -1, moduli)
+            _reduce(product, moduli)
+    inverse = _factored(product.reshape(len(moduli), 1, *factors), -1, moduli)
     residues = inverse.reshape(len(moduli), order)
     residues *= np.array([pow(order, -1, p) for p, _ in moduli], dtype=np.int64)[:, None]
-    residues %= primes
+    _reduce(residues, moduli)
     if len(moduli) == 1:
         return residues[0]
     (p1, _), (p2, _) = moduli
@@ -536,16 +501,17 @@ def _signed_counts(g: GroupSpec, tables: tuple[np.ndarray, ...], negated: tuple[
     ``tables`` are ``g.factors``-shaped boolean tables, and ``negated[i]``
     says whether z_i enters with a minus sign.  Two routes, the cheaper by an
     estimate of cells.  The number-theoretic transform (Pollard 1971) runs
-    :func:`_factored_ntt` once per distinct table and once more for the
-    inverse, per prime, each over N cells per prime factor of a cycle length,
-    counted with multiplicity; the primes are the fewest whose product exceeds
-    the product of the support sizes, which bounds every count.  The translate
-    sum moves one table of N cells per element of each later support.  Counts
-    that two primes below 2^31 cannot hold raise :class:`CapacityError` before
-    either route runs.
+    :func:`_factored` once per distinct table and once more for the inverse,
+    per prime, each over N cells per prime factor of a cycle length, counted
+    with multiplicity.  The primes are the fewest whose product exceeds the
+    product of every support size but the largest, which bounds every count:
+    fix x and all the z_i but one of largest support, and that one is
+    determined.  The translate sum moves one table of N cells per element of
+    each later support.  Counts that two primes below 2^31 cannot hold raise
+    :class:`CapacityError` before either route runs.
     """
     sizes = [int(t.sum()) for t in tables]
-    moduli = _ntt_moduli(g.factors, math.prod(sizes))
+    moduli = _ntt_moduli(g.factors, math.prod(sorted(sizes)[:-1]))
     transforms = len({id(t) for t in tables}) + 1
     ntt_cells = transforms * len(moduli) * g.order * sum(sum(_prime_factors(n)) for n in g.factors)
     if sum(sizes[1:]) * g.order < ntt_cells:
@@ -559,7 +525,8 @@ def representation_counts(g: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndar
     ``a`` and ``b`` are the boolean tables of A and B in rank order.  The
     support of r is A+B-B, and r * s_f * s_g^2 / N^2 is f conv g conv g(-.)
     for f = s_f 1_A and g = s_g 1_B.  One :func:`_signed_counts` of the tables
-    (A, B, -B): three transforms per prime against 2|B| translates.
+    (A, B, -B): three transforms per prime against 2|B| translates.  Every
+    count is at most min(|A|, |B|) * |B|, and the primes are sized for that.
     """
     b = b.reshape(g.factors)
     return _signed_counts(g, (a.reshape(g.factors), b, b), (False, False, True))

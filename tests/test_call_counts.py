@@ -178,3 +178,20 @@ def test_good_shift_draws_no_translate_window(monkeypatch):
     good = good_shift_set(A, A, b)
     assert np.array_equal(good.mask, A.mask)
     assert windows == []
+
+
+@pytest.mark.parametrize(
+    "g", [groups.GroupSpec((97,)), groups.GroupSpec((3 * 97,)), G8884, groups.GroupSpec((2,) * 9)], ids=str,
+)
+def test_factored_transforms_build_no_phase_table(monkeypatch, g):
+    """Every twiddle and prime-length kernel is read off one cached power table."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factored transform built a phase table")
+
+    for mod, name in ((spectral, "phase_blocks"), (spectral, "phase_table"), (groups, "phase_table")):
+        monkeypatch.setattr(mod, name, refuse)
+    f = spectral.DensityFn(g, np.random.default_rng(9).random(g.order))
+    back = spectral.idft_factored(spectral.dft_factored(f))
+    assert np.abs(back - f.values).max() < 1e-12
+

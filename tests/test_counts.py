@@ -225,3 +225,24 @@ def test_cell_estimate_picks_the_route(monkeypatch, factors, density, route):
         monkeypatch.setattr(spectral, f"_counts_by_{name}", spy)
     representation_counts(g, a, b)
     assert taken == [route]
+
+
+def test_primes_are_sized_by_the_largest_single_count(monkeypatch):
+    # Multiples of 8 in Z_65536: |A| |B|^2 = 2^39 needs two primes, but no
+    # single count exceeds min(|A|, |B|) |B| = 2^26, so one prime holds them.
+    g = GroupSpec((1 << 16,))
+    sub = np.arange(g.order) % 8 == 0
+    size = int(sub.sum())
+    used = []
+    original = spectral._counts_by_ntt
+
+    def spy(tables, negated, moduli):
+        used.append(len(moduli))
+        return original(tables, negated, moduli)
+
+    monkeypatch.setattr(spectral, "_counts_by_ntt", spy)
+    got = representation_counts(g, sub, sub)
+    assert used == [1]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.where(sub, size * size, 0))
+    assert int(got.sum()) == size**3

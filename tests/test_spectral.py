@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,11 @@ import bohrlab.spectral as spectral
 from bohrlab.errors import DomainError, ShapeError
 from bohrlab.extractor import large_spectrum
 from bohrlab.groups import (
-    TWO_PI,
     Char,
     GroupSpec,
     char_eval,
     elem_at,
     elem_sub,
-    phase_table,
     rank_of_elem,
     rows_at,
 )
@@ -313,23 +312,19 @@ def test_factored_transform_matches_definitional(g):
     assert np.abs(idft_factored(Spectrum(g, sparse)) - want).max() < 1e-12
 
 
-def _recursive_cyclic_transform(x: np.ndarray, sign: int) -> np.ndarray:
-    """The factored route's cyclic transform in its recursive form: one level per call."""
-    rows, n = x.shape
+def _recursive_cyclic(x: np.ndarray, sign: int, lcm: int, moduli) -> np.ndarray:
+    """The engine's cyclic transform in its recursive form: one level per call."""
+    ring, rows, n = x.shape
     p = spectral._smallest_prime_factor(n)
-    line = GroupSpec((n,))
-    idx = np.arange(n, dtype=np.int64)[:, None]
     if p == n:
-        out = np.empty_like(x)
-        for block, phases in spectral.phase_blocks(line, idx, idx):
-            out[:, block] = x @ np.exp(sign * 1j * TWO_PI * phases).T
-        return out
+        return spectral._prime_length(x, sign, lcm, moduli)
     m = n // p
-    inner = _recursive_cyclic_transform(x.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows * p, m), sign)
-    twiddle = np.exp(sign * 1j * TWO_PI * phase_table(line, idx[:p], idx[:m]))
-    inner = inner.reshape(rows, p, m) * twiddle
-    outer = _recursive_cyclic_transform(inner.transpose(0, 2, 1).reshape(rows * m, p), sign)
-    return outer.reshape(rows, m, p).transpose(0, 2, 1).reshape(rows, n)
+    split = x.reshape(ring, rows, m, p).transpose(0, 1, 3, 2).reshape(ring, rows * p, m)
+    inner = _recursive_cyclic(split, sign, lcm, moduli).reshape(ring, rows, p, m)
+    inner = inner * spectral._twiddles(n, sign, lcm, moduli)
+    spectral._reduce(inner, moduli)
+    outer = _recursive_cyclic(inner.transpose(0, 1, 3, 2).reshape(ring, rows * m, p), sign, lcm, moduli)
+    return outer.reshape(ring, rows, m, p).transpose(0, 1, 3, 2).reshape(ring, rows, n)
 
 
 @pytest.mark.parametrize(
@@ -337,13 +332,38 @@ def _recursive_cyclic_transform(x: np.ndarray, sign: int) -> np.ndarray:
           GroupSpec((3,) * 6)], ids=str,
 )
 def test_unrolled_factored_transform_is_the_recursion_bit_for_bit(monkeypatch, g):
+    # Over C: the float transforms, compared bit for bit.
     f = _random_density(g, 84)
     got = dft_factored(f)
     got_back = idft_factored(got)
-    monkeypatch.setattr(spectral, "_cyclic_transform", _recursive_cyclic_transform)
+    # Mod each of two primes: a batch of two residue tables, compared exactly.
+    moduli = spectral._ntt_moduli(g.factors, 1 << 61)
+    assert len(moduli) == 2
+    rng = np.random.default_rng(85)
+    residues = rng.integers(0, min(p for p, _ in moduli), size=(len(moduli), 2, *g.factors))
+    got_mod = [spectral._factored(residues, sign, moduli) for sign in (1, -1)]
+    monkeypatch.setattr(spectral, "_cyclic", _recursive_cyclic)
     want = dft_factored(f)
     assert np.array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
     assert np.array_equal(got_back.view(np.int64), idft_factored(want).view(np.int64))
+    for sign, table in zip((1, -1), got_mod):
+        assert table.dtype == np.int64
+        assert np.array_equal(table, spectral._factored(residues, sign, moduli))
+
+
+def test_prime_length_builds_no_square_kernel():
+    # One kernel row at a time: the peak is a few N-point tables, not an N-by-N block.
+    g = GroupSpec((2039,))
+    f = _random_density(g, 86)
+    spectral._powers.cache_clear()
+    spectral._twiddles.cache_clear()
+    tracemalloc.start()
+    try:
+        dft_factored(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * g.order
 
 
 def test_factored_prime_length_blocking(monkeypatch):
