@@ -25,7 +25,11 @@ bit for bit.  S1, the large spectrum of a real table, is closed under
 negation, which the real synthesis of the remainder needs.  The pipeline is
 array-native: S1 is a rank array, and ``TrigPoly`` is a thin wrapper over a
 frequency matrix and a coefficient array.  S1 is one ``CharTuple``, shared by
-the certificate and both of its Bohr forms.
+the certificate and both of its Bohr forms.  c = Re q(a0) keeps the bits of
+the scalar route, which calls libm once per term; ``TrigPoly.evaluate`` calls
+it once per distinct angle.  On a worst-case S1, nearly the whole dual group,
+that is far fewer calls than terms on a group of small exponent (16 on 16^4),
+and up to k on Z_n when a0 is a unit.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .groups import (
     elem_at,
     ranks_of_rows,
     rows_at,
+    strides,
 )
 from .spectral import DensityFn, Spectrum, _synthesize_half, dft, idft_real, triple_spectrum
 
@@ -115,17 +120,22 @@ class TrigPoly:
         Each term is computed as the scalar route would: the pairing phase
         accumulated factor by factor, ``math.cos``/``math.sin`` of 2 pi times
         it, the complex product written out in separate real operations, then
-        a left-to-right sum starting from the shift.  The result does not
-        depend on how numpy vectorizes or reduces.
+        a left-to-right sum starting from the shift.  libm is called once per
+        *distinct* angle and its results gathered back to the terms: an equal
+        float gives an equal libm result, so no bit changes, and a group of
+        small exponent, such as 16^4, takes a handful of calls for any k.  The
+        result does not depend on how numpy vectorizes or reduces.
         """
         check_elem(self.group, z)
         rows = self.support.rows
         phase = np.zeros(len(rows))
         for j, (zj, n) in enumerate(zip(z.coords, self.group.factors)):
             phase = phase + ((rows[:, j] * zj) % n) / n
-        angle = (TWO_PI * (phase % 1.0)).tolist()
-        cos = np.fromiter(map(math.cos, angle), dtype=np.float64, count=len(angle))
-        sin = np.fromiter(map(math.sin, angle), dtype=np.float64, count=len(angle))
+        # Every angle is >= +0.0, so no -0.0 is merged with +0.0; equal angles share one libm call.
+        angle, where = np.unique(TWO_PI * (phase % 1.0), return_inverse=True)
+        distinct = angle.tolist()
+        cos = np.fromiter(map(math.cos, distinct), dtype=np.float64, count=len(distinct))[where]
+        sin = np.fromiter(map(math.sin, distinct), dtype=np.float64, count=len(distinct))[where]
         a, b = self.coeffs.real, self.coeffs.imag
         value = complex(
             _running_sum(self.constant_shift, a * cos - b * sin),
@@ -230,9 +240,14 @@ def remainder_bound_check(hhat: Spectrum, s1: tuple[Char, ...], delta: float) ->
         )
     chars = char_tuple(grp, s1)
     rows = chars.rows
+    ranks = ranks_of_rows(grp, rows)
+    # -t has coordinates n_j - t_j, but 0 where t_j = 0: with strides s_j its rank
+    # is sum_j n_j s_j - rank(t), less n_j s_j per zero coordinate.  O(k), no N-point table.
+    spans = np.asarray(grp.factors, dtype=np.int64) * np.asarray(strides(grp), dtype=np.int64)
+    negated = spans.sum() - ranks - (rows == 0) @ spans
     in_s1 = np.zeros(grp.order, dtype=bool)
-    in_s1[ranks_of_rows(grp, rows)] = True
-    unpaired = np.flatnonzero(~in_s1[ranks_of_rows(grp, -rows % grp.factors)])
+    in_s1[ranks] = True
+    unpaired = np.flatnonzero(~in_s1[negated])
     if unpaired.size:
         raise DomainError(
             f"S1 is not closed under negation: it holds {chars[unpaired[0]].freq} "

@@ -9,9 +9,13 @@ of ``json.dumps(..., indent=2)``.  S1, nearly all of a large certificate, is
 written once, as ``s1_ranks``: the canonical rank of each character in S1's
 order, repeats kept (mixed radix, last factor fastest; see
 :func:`bohrlab.groups.strides`).  The Bohr forms carry only their form,
-radius and center, and share S1's characters.  The loader type-checks the
-rank list at C speed, converts it with one array and range-checks it, so a
-bad file is refused at load.
+radius and center, and share S1's characters.  The writer renders the rank
+list from the rank array as one byte array: numpy computes every decimal
+digit, the separators are laid in place and one mask drops the leading zeros.
+The loader converts the list with one ``np.array``, which infers the dtype,
+and range-checks it; a list that does not come out as a 1-D integer (or
+bool) array is scanned entry by entry to name the culprit.  So a bad file is
+refused at load.
 
 Files of schema ``bohrlab-cert/1``, which write S1 and both forms' ``freqs``
 as lists of frequency rows, still load; writing one out gives cert/2.
@@ -96,19 +100,28 @@ def _char_tuple(value, what: str, ndim: int) -> CharTuple:
 def _s1_from_ranks(value, g: GroupSpec) -> CharTuple:
     """S1 from its cert/2 rank list, refused at load if any entry is not a rank of ``g``.
 
-    The type check gathers the entries' types at C speed (a bool counts as an
-    integer); one ``np.array`` converts the list, which refuses an integer
-    beyond int64, and one comparison range-checks it.
+    One ``np.array`` converts the list and infers its dtype.  A 1-D array of
+    signed integers or bools (a bool counts as an integer) is taken as it is.
+    Anything else (a non-integer entry, a nested list, an integer beyond int64
+    or an empty list) goes through the entry-by-entry scan, which names the
+    culprit, and a conversion to int64, which refuses an integer beyond it.
+    One comparison range-checks the ranks.
     """
     if not isinstance(value, list):
         raise DomainError(f"s1_ranks must be a list, got {value!r}")
-    if not all(issubclass(t, int) for t in set(map(type, value))):
-        bad = next(x for x in value if not isinstance(x, int))
-        raise DomainError(f"an S1 rank must be an integer, got {bad!r}")
     try:
-        ranks = np.array(value, dtype=np.int64)
-    except OverflowError as exc:
-        raise ShapeError(f"an S1 rank exceeds int64: {exc}") from exc
+        ranks = np.array(value)
+    except (ValueError, TypeError, OverflowError):
+        ranks = None
+    if ranks is None or ranks.ndim != 1 or ranks.dtype.kind not in "ib":
+        for x in value:
+            if not isinstance(x, int):
+                raise DomainError(f"an S1 rank must be an integer, got {x!r}")
+        try:
+            ranks = np.array(value, dtype=np.int64)
+        except OverflowError as exc:
+            raise ShapeError(f"an S1 rank exceeds int64: {exc}") from exc
+    ranks = ranks.astype(np.int64, copy=False)
     bad = np.flatnonzero((ranks < 0) | (ranks >= g.order))
     if bad.size:
         raise ShapeError(f"S1 rank {ranks[bad[0]]} out of range for group of order {g.order}")
@@ -134,6 +147,13 @@ def certificate_to_dict(cert: Certificate) -> dict:
     Both Bohr forms must carry S1, which cert/2 writes once; a form on other
     frequencies cannot be written and raises :class:`DomainError`.
     """
+    d = _cert2_fields(cert)
+    d["s1_ranks"] = d["s1_ranks"].tolist()
+    return d
+
+
+def _cert2_fields(cert: Certificate) -> dict:
+    """The cert/2 JSON object, with the S1 ranks as an int64 array."""
     for b in (cert.bohr_char_form, cert.bohr_torus_form):
         if b.freqs is not cert.s1 and b.freqs != cert.s1:
             raise DomainError(f"the {b.form} Bohr form does not carry S1, which cert/2 writes once")
@@ -142,7 +162,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "group": str(cert.group),
         "delta": fmt_real(cert.delta),
         "a0": list(cert.a0.coords),
-        "s1_ranks": ranks_of_rows(cert.group, cert.s1.rows).tolist(),
+        "s1_ranks": ranks_of_rows(cert.group, cert.s1.rows),
         "c": fmt_real(cert.c),
         "k": cert.k,
         "h_at_a0": fmt_real(cert.h_at_a0),
@@ -209,17 +229,53 @@ def certificate_from_dict(d: dict) -> Certificate:
 _MARK = "\x00s1_ranks"
 
 
+# One rank per line, indented as json.dumps(indent=2) indents the list at depth 1.
+_RANK_SEPARATOR = b",\n    "
+
+
+def _render_ranks(ranks: np.ndarray) -> str:
+    """``"[\\n    " + ",\\n    ".join(map(str, ranks)) + "\\n  ]"``, or ``"[]"`` if empty, by arrays.
+
+    ``ranks`` are non-negative integers.  Each gets one row of a uint8 buffer:
+    its decimal digits, right-aligned at the width of the largest rank, then
+    the separator.  The digits come from integer division, one column per
+    decimal place.  One mask keeps every byte but the leading zeros (a digit
+    place is kept where the rank reaches its power of ten, the last place
+    always), and the last row's separator is cut off.
+    """
+    if not ranks.size:
+        return "[]"
+    top = int(ranks.max())
+    rest = ranks.astype(np.uint32 if top < 2**32 else np.uint64)
+    width = len(str(top))
+    buf = np.empty((rest.size, width + len(_RANK_SEPARATOR)), dtype=np.uint8)
+    for col, byte in enumerate(_RANK_SEPARATOR, start=width):
+        buf[:, col] = byte
+    keep = np.ones(buf.shape, dtype=bool)
+    for col in range(width - 1):
+        np.greater_equal(rest, 10 ** (width - 1 - col), out=keep[:, col])
+    quotient = np.empty_like(rest)
+    for col in range(width - 1, -1, -1):
+        np.floor_divide(rest, 10, out=quotient)
+        rest -= quotient * 10
+        rest += ord("0")
+        buf[:, col] = rest
+        rest, quotient = quotient, rest
+    body = buf[keep][: -len(_RANK_SEPARATOR)]
+    return "[\n    " + str(memoryview(body), "ascii") + "\n  ]"
+
+
 def certificate_to_json(cert: Certificate) -> str:
     """The certificate as ``json.dumps(..., indent=2)`` writes it, plus a newline, byte for byte.
 
     The small fields go through the stdlib encoder with the rank list replaced
     by a mark; the mark is then replaced by the list, one rank per line,
-    rendered with one join.
+    rendered from the rank array by :func:`_render_ranks`.
     """
-    d = certificate_to_dict(cert)
+    d = _cert2_fields(cert)
     ranks, d["s1_ranks"] = d["s1_ranks"], _MARK
-    rendered = "[\n    " + ",\n    ".join(map(str, ranks)) + "\n  ]" if ranks else "[]"
-    return json.dumps(d, indent=2).replace(json.dumps(_MARK), rendered, 1) + "\n"
+    head, _, tail = json.dumps(d, indent=2).partition(json.dumps(_MARK))
+    return "".join((head, _render_ranks(ranks), tail, "\n"))
 
 
 def certificate_from_json(text: str) -> Certificate:

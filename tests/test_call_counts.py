@@ -5,7 +5,8 @@ Each helper is replaced at every place a bohrlab module binds it by a wrapper
 that counts calls.  Extract plus a JSON round trip must make the same number
 of calls whether S1 holds a handful of characters or thousands, and the S1 it
 builds and loads holds no ``Char`` objects, only their frequency matrix.
-The level polynomial q is evaluated once per extraction, for c, and f and g
+The level polynomial q is evaluated once per extraction, for c, with one
+libm cosine and sine per distinct angle, not per character; and f and g
 are transformed once each: ``extract`` makes two forward and two inverse
 ``np.fft`` transforms (f-hat, g-hat; h and the remainder), whatever k is, and
 all four are real-input transforms, ``rfftn`` and ``irfftn``.  ``good_shift_set``
@@ -15,13 +16,14 @@ draws no translate window, however many members its Bohr set has.
 from __future__ import annotations
 
 import gc
+import math
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from bohrlab import groups, spectral
+from bohrlab import extractor, groups, spectral
 from bohrlab.bohr import halve_radius, members_mask
 from bohrlab.extractor import TrigPoly, extract
 from bohrlab.serialize import certificate_from_json, certificate_to_json
@@ -100,6 +102,40 @@ def test_extract_evaluates_q_once(monkeypatch):
     B = random_nonempty_subset(Z4096, 0.1, 6)
     cert = extract(A.indicator(), B.indicator())
     assert points == [cert.a0]
+
+
+class _CountingMath:
+    """``math`` with its ``cos`` and ``sin`` calls counted."""
+
+    def __init__(self, calls: Counter):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def cos(self, x):
+        self._calls["cos"] += 1
+        return math.cos(x)
+
+    def sin(self, x):
+        self._calls["sin"] += 1
+        return math.sin(x)
+
+
+def test_level_takes_libm_once_per_distinct_angle(monkeypatch):
+    """On 16^4 every pairing phase is a multiple of 1/16: a worst-case S1 of k > 60,000
+    characters has at most 16 distinct angles at a0, and c takes one cos and one sin each."""
+    g = groups.GroupSpec((16,) * 4)
+    calls: Counter = Counter()
+    monkeypatch.setattr(extractor, "math", _CountingMath(calls))
+    A = random_nonempty_subset(g, 0.1, 5)
+    B = random_nonempty_subset(g, 0.1, 6)
+    cert = extract(A.indicator(), B.indicator())
+    assert cert.k > 60_000
+    # Exact on 16^4: the float phase of t at a0 is (t . a0 mod 16) / 16, so distinct angles are distinct residues.
+    distinct = np.unique(cert.s1.rows @ np.array(cert.a0.coords) % 16).size
+    assert 1 <= distinct <= 16
+    assert calls == Counter(cos=distinct, sin=distinct)
 
 
 def _count_transforms(monkeypatch, run) -> Counter:

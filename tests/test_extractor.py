@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -27,7 +28,18 @@ from bohrlab.extractor import (
     normalize_means,
     remainder_bound_check,
 )
-from bohrlab.groups import Char, Elem, GroupSpec, char_at, char_eval, elem_at, rank_of_char, rank_of_elem
+from bohrlab.groups import (
+    Char,
+    CharTuple,
+    Elem,
+    GroupSpec,
+    char_at,
+    char_eval,
+    elem_at,
+    rank_of_char,
+    rank_of_elem,
+    rows_at,
+)
 from bohrlab.sets import GroupSubset, random_nonempty_subset
 from bohrlab.spectral import (
     DensityFn,
@@ -146,6 +158,36 @@ def test_remainder_requires_s1_closed_under_negation():
     hhat = triple_spectrum(dft(EVENS), dft(EVENS))
     with pytest.raises(DomainError, match="negation"):
         remainder_bound_check(hhat, [Char((0,)), Char((1,))], 0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@example(factors=(3, 5, 6), density=0.5, pair=False, seed=1)
+@example(factors=(1, 4, 1, 3), density=0.5, pair=True, seed=2)
+@example(factors=(2, 2, 2), density=1.0, pair=False, seed=3)
+@given(
+    factors=st.lists(st.integers(1, 9), min_size=1, max_size=4).map(tuple),
+    density=st.sampled_from([0.1, 0.5, 1.0]),
+    pair=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_remainder_names_the_first_unpaired_character(factors, density, pair, seed):
+    # Against negation coordinate by coordinate: S1 is refused exactly when some -t is missing,
+    # and the message names the first such t in S1's order.
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    chosen = {0} | set(np.flatnonzero(rng.random(g.order) < density).tolist())
+    freqs = {tuple(int(x) for x in rows_at(g, np.array([r]))[0]) for r in chosen}
+    negate = lambda t: tuple((-c) % n for c, n in zip(t, factors))
+    if pair:
+        freqs |= {negate(t) for t in freqs}
+    s1 = sorted((Char(t) for t in freqs), key=lambda t: rank_of_char(g, t))
+    hhat = triple_spectrum(dft(constant_density(g, 0.5)), dft(constant_density(g, 0.5)))
+    unpaired = [t for t in s1 if negate(t.freq) not in freqs]
+    if not unpaired:
+        assert remainder_bound_check(hhat, s1, 0.5) < 1e-12
+    else:
+        with pytest.raises(DomainError, match=re.escape(f"holds {unpaired[0].freq} but not")):
+            remainder_bound_check(hhat, s1, 0.5)
 
 
 @pytest.mark.parametrize("factors", [(4096,), (8, 8, 8, 4), (5, 1, 9)], ids=str)
@@ -305,6 +347,47 @@ def test_trigpoly_evaluate_matches_scalar_route_exactly():
         for t, coeff in sorted(zip(chars, coeffs), key=lambda tc: rank_of_char(g, tc[0])):
             want += complex(coeff) * char_eval(g, t, z)
         assert p.evaluate(z) == want
+
+
+def _per_term_value(p: TrigPoly, z: Elem) -> complex:
+    """Re-derivation of ``TrigPoly.evaluate`` as it called libm once per term, not per distinct angle."""
+    rows = p.support.rows
+    phase = np.zeros(len(rows))
+    for j, (zj, n) in enumerate(zip(z.coords, p.group.factors)):
+        phase = phase + ((rows[:, j] * zj) % n) / n
+    angle = (2.0 * math.pi * (phase % 1.0)).tolist()
+    cos = np.fromiter(map(math.cos, angle), dtype=np.float64, count=len(angle))
+    sin = np.fromiter(map(math.sin, angle), dtype=np.float64, count=len(angle))
+    a, b = p.coeffs.real, p.coeffs.imag
+    re = np.add.accumulate(np.concatenate(([p.constant_shift], a * cos - b * sin)))[-1]
+    im = np.add.accumulate(np.concatenate(([0.0], a * sin + b * cos)))[-1]
+    return complex(re, im)
+
+
+@settings(max_examples=60, deadline=None)
+@example(factors=(3, 5, 6), density=1.0, seed=1)
+@example(factors=(7, 9), density=1.0, seed=2)
+@example(factors=(16, 16, 16), density=0.9, seed=3)
+@example(factors=(2,) * 10, density=1.0, seed=4)
+@example(factors=(4096,), density=0.7, seed=5)
+@given(
+    factors=st.one_of(
+        st.lists(st.integers(1, 16), min_size=1, max_size=4).map(tuple),
+        st.sampled_from([(3, 5, 6), (7, 9), (16, 16), (2,) * 8, (1024,), (12, 10, 7)]),
+    ).filter(lambda f: math.prod(f) <= 4096),
+    density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trigpoly_evaluate_is_the_per_term_route_bit_for_bit(factors, density, seed):
+    # One libm call per distinct angle, gathered back, changes no bit of any term or of the sum.
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    ranks = np.flatnonzero(rng.random(g.order) < density)
+    coeffs = rng.normal(size=ranks.size) + 1j * rng.normal(size=ranks.size)
+    p = TrigPoly(g, CharTuple(rows_at(g, ranks)), coeffs, constant_shift=float(rng.normal()))
+    for z in [elem_at(g, 0)] + [elem_at(g, int(r)) for r in rng.integers(g.order, size=4)]:
+        got = np.array([p.evaluate(z)]).view(np.int64)
+        assert np.array_equal(got, np.array([_per_term_value(p, z)]).view(np.int64))
 
 
 def test_trigpoly_rejects_malformed_arrays():

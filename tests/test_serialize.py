@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bohrlab import verify
+from bohrlab import serialize, verify
 from bohrlab.cli import main
 from bohrlab.errors import DomainError, ShapeError
 from bohrlab.extractor import extract, normalize_means
@@ -91,6 +91,44 @@ def test_writer_handles_user_built_tuples():
     forms = [dataclasses.replace(b, freqs=plain) for b in (cert.bohr_char_form, cert.bohr_torus_form)]
     rebuilt = dataclasses.replace(cert, s1=plain, bohr_char_form=forms[0], bohr_torus_form=forms[1])
     assert certificate_to_json(rebuilt) == GOLDEN2.read_text()
+
+
+# Every power of ten and its predecessor up to int64, so a list crosses each digit width.
+DIGIT_EDGES = sorted({0, 2**32 - 1, 2**32, 2**63 - 1} | {10**p + e for p in range(19) for e in (-1, 0)})
+RANK_LISTS = st.lists(
+    st.one_of(st.sampled_from(DIGIT_EDGES), st.integers(0, 2**63 - 1), st.integers(0, 99)),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(ranks=[0])
+@example(ranks=[7])
+@example(ranks=[5, 5, 5])
+@example(ranks=[0, 0])
+@example(ranks=[100, 9, 10, 0, 99, 1000])
+@example(ranks=DIGIT_EDGES[::-1])
+@example(ranks=[2**63 - 1, 0])
+@given(ranks=RANK_LISTS)
+def test_rank_renderer_is_the_join(ranks):
+    want = "[\n    " + ",\n    ".join(map(str, ranks)) + "\n  ]"
+    assert serialize._render_ranks(np.array(ranks, dtype=np.int64)) == want
+    assert json.loads(want) == ranks
+
+
+def test_rank_renderer_writes_an_empty_list_as_json_does():
+    assert serialize._render_ranks(np.zeros(0, dtype=np.int64)) == json.dumps([], indent=2)
+
+
+def test_loader_takes_all_bool_and_empty_rank_lists():
+    bools = certificate_from_json(_tampered(_set_ranks([True, False, True]), GOLDEN2.read_text()))
+    assert bools.s1.rows.ravel().tolist() == [1, 0, 1]
+    assert json.loads(certificate_to_json(bools))["s1_ranks"] == [1, 0, 1]
+    empty = certificate_from_json(_tampered(_set_ranks([]), GOLDEN2.read_text()))
+    assert empty.s1.rows.shape == (0, 1)
+    assert empty.bohr_char_form.freqs is empty.s1
+    assert '"s1_ranks": [],' in certificate_to_json(empty)
 
 
 def test_writer_refuses_a_form_off_s1():
@@ -218,6 +256,7 @@ CERT2_LOAD_ERRORS = CERT2_LOAD_TIME_REFUSALS + [
     ("string rank", _set_ranks([0, "4"]), DomainError),
     ("nested list of ranks", _set_ranks([[0], [4]]), DomainError),
     ("rank 2^63", _set_ranks([0, 2**63]), ShapeError),
+    ("rank 2^64", _set_ranks([0, 2**64]), ShapeError),
     ("missing s1_ranks", _drop_ranks, DomainError),
 ]
 
