@@ -59,7 +59,6 @@ from .groups import (
     elem_at,
     ranks_of_rows,
     rows_at,
-    strides,
 )
 from .spectral import DensityFn, Spectrum, _synthesize_half, dft, idft_real, triple_spectrum
 
@@ -240,14 +239,9 @@ def remainder_bound_check(hhat: Spectrum, s1: tuple[Char, ...], delta: float) ->
         )
     chars = char_tuple(grp, s1)
     rows = chars.rows
-    ranks = ranks_of_rows(grp, rows)
-    # -t has coordinates n_j - t_j, but 0 where t_j = 0: with strides s_j its rank
-    # is sum_j n_j s_j - rank(t), less n_j s_j per zero coordinate.  O(k), no N-point table.
-    spans = np.asarray(grp.factors, dtype=np.int64) * np.asarray(strides(grp), dtype=np.int64)
-    negated = spans.sum() - ranks - (rows == 0) @ spans
     in_s1 = np.zeros(grp.order, dtype=bool)
-    in_s1[ranks] = True
-    unpaired = np.flatnonzero(~in_s1[negated])
+    in_s1[ranks_of_rows(grp, rows)] = True
+    unpaired = np.flatnonzero(~in_s1[ranks_of_rows(grp, -rows % grp.factors)])
     if unpaired.size:
         raise DomainError(
             f"S1 is not closed under negation: it holds {chars[unpaired[0]].freq} "

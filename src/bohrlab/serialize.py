@@ -12,10 +12,8 @@ order, repeats kept (mixed radix, last factor fastest; see
 radius and center, and share S1's characters.  The writer renders the rank
 list from the rank array as one byte array: numpy computes every decimal
 digit, the separators are laid in place and one mask drops the leading zeros.
-The loader converts the list with one ``np.array``, which infers the dtype,
-and range-checks it; a list that does not come out as a 1-D integer (or
-bool) array is scanned entry by entry to name the culprit.  So a bad file is
-refused at load.
+The loader type-checks the rank list at C speed, converts it with one array
+and range-checks it, so a bad file is refused at load.
 
 Files of schema ``bohrlab-cert/1``, which write S1 and both forms' ``freqs``
 as lists of frequency rows, still load; writing one out gives cert/2.
@@ -100,28 +98,19 @@ def _char_tuple(value, what: str, ndim: int) -> CharTuple:
 def _s1_from_ranks(value, g: GroupSpec) -> CharTuple:
     """S1 from its cert/2 rank list, refused at load if any entry is not a rank of ``g``.
 
-    One ``np.array`` converts the list and infers its dtype.  A 1-D array of
-    signed integers or bools (a bool counts as an integer) is taken as it is.
-    Anything else (a non-integer entry, a nested list, an integer beyond int64
-    or an empty list) goes through the entry-by-entry scan, which names the
-    culprit, and a conversion to int64, which refuses an integer beyond it.
-    One comparison range-checks the ranks.
+    The type check gathers the entries' types at C speed (a bool counts as an
+    integer); one ``np.array`` converts the list, which refuses an integer
+    beyond int64, and one comparison range-checks it.
     """
     if not isinstance(value, list):
         raise DomainError(f"s1_ranks must be a list, got {value!r}")
+    if not all(issubclass(t, int) for t in set(map(type, value))):
+        bad = next(x for x in value if not isinstance(x, int))
+        raise DomainError(f"an S1 rank must be an integer, got {bad!r}")
     try:
-        ranks = np.array(value)
-    except (ValueError, TypeError, OverflowError):
-        ranks = None
-    if ranks is None or ranks.ndim != 1 or ranks.dtype.kind not in "ib":
-        for x in value:
-            if not isinstance(x, int):
-                raise DomainError(f"an S1 rank must be an integer, got {x!r}")
-        try:
-            ranks = np.array(value, dtype=np.int64)
-        except OverflowError as exc:
-            raise ShapeError(f"an S1 rank exceeds int64: {exc}") from exc
-    ranks = ranks.astype(np.int64, copy=False)
+        ranks = np.array(value, dtype=np.int64)
+    except OverflowError as exc:
+        raise ShapeError(f"an S1 rank exceeds int64: {exc}") from exc
     bad = np.flatnonzero((ranks < 0) | (ranks >= g.order))
     if bad.size:
         raise ShapeError(f"S1 rank {ranks[bad[0]]} out of range for group of order {g.order}")

@@ -271,23 +271,11 @@ def _twiddles(n: int, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) 
     return table
 
 
-# The prime-length kernel works on blocks of at most 1/_KERNEL_CHUNKS of its
-# rows, so the product it adds is a temporary of one block, not a second
-# full-size table beside its output.  Blocks keep at least _KERNEL_MIN_CELLS
-# cells, so each numpy call stays long against its fixed cost: blocks of 2048
-# cells made a 5^6 transform 1.6x slower.
-_KERNEL_CHUNKS = 8
-_KERNEL_MIN_CELLS = 1 << 15
-
-
 def _prime_length(x: np.ndarray, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
     """The n-point sum of :func:`_cyclic` for a prime n (or 1), one kernel row at a time.
 
     No n-by-n kernel is built.  At length 2 that is a sum and a difference,
-    since w = -1.  Otherwise the rows go in blocks, and each block adds its
-    products in order of z, so every entry sums the same terms in the same
-    order as with one full-size product per z: the bits do not depend on the
-    blocks.
+    since w = -1.
     """
     n = x.shape[2]
     if n == 2:
@@ -299,13 +287,9 @@ def _prime_length(x: np.ndarray, sign: int, lcm: int, moduli: tuple[tuple[int, i
     powers = _powers(lcm, moduli)
     steps = np.arange(n, dtype=np.int64) * (sign * lcm // n)
     out = np.repeat(x[:, :, :1], n, axis=2)
-    rows = x.shape[1]
-    block = max(-(-rows // _KERNEL_CHUNKS), -(-_KERNEL_MIN_CELLS // n))
-    for lo in range(0, rows, block):
-        part = out[:, lo : lo + block]
-        for z in range(1, n):
-            part += x[:, lo : lo + block, z, None] * powers[:, None, z * steps % lcm]
-            _reduce(part, moduli)
+    for z in range(1, n):
+        out += x[:, :, z, None] * powers[:, None, z * steps % lcm]
+        _reduce(out, moduli)
     return out
 
 

@@ -366,52 +366,6 @@ def test_prime_length_builds_no_square_kernel():
     assert peak <= 8 * 16 * g.order
 
 
-def _one_block_prime_length(x: np.ndarray, sign: int, lcm: int, moduli) -> np.ndarray:
-    """The prime-length kernel with every row in one block: one full-size product per z."""
-    n = x.shape[2]
-    powers = spectral._powers(lcm, moduli)
-    steps = np.arange(n, dtype=np.int64) * (sign * lcm // n)
-    out = np.repeat(x[:, :, :1], n, axis=2)
-    for z in range(1, n):
-        out += x[:, :, z, None] * powers[:, None, z * steps % lcm]
-        spectral._reduce(out, moduli)
-    return out
-
-
-@pytest.mark.parametrize(
-    "rows, n, min_cells", [(37, 5, 1), (12000, 3, None), (9, 97, 1), (1, 7, 1)], ids=str
-)
-def test_prime_length_blocks_keep_every_bit(monkeypatch, rows, n, min_cells):
-    # Blocks of rows, the last one ragged, give the one-block kernel's bits in both rings.
-    if min_cells is not None:
-        monkeypatch.setattr(spectral, "_KERNEL_MIN_CELLS", min_cells)
-    rng = np.random.default_rng(rows * n)
-    x = rng.normal(size=(1, rows, n)) + 1j * rng.normal(size=(1, rows, n))
-    moduli = spectral._ntt_moduli((n,), 1 << 61)
-    residues = rng.integers(0, min(p for p, _ in moduli), size=(len(moduli), rows, n))
-    for sign in (1, -1):
-        got = spectral._prime_length(x, sign, n, ())
-        assert np.array_equal(got.view(np.int64), _one_block_prime_length(x, sign, n, ()).view(np.int64))
-        got = spectral._prime_length(residues, sign, n, moduli)
-        assert np.array_equal(got, _one_block_prime_length(residues, sign, n, moduli))
-
-
-def test_prime_length_holds_no_full_size_product():
-    # Rows are added through blocks of an eighth of the table: a warm transform of F_3^11
-    # peaks under 4.7 tables of 16 N bytes (5.1 with one full-size product per z).
-    g = GroupSpec((3,) * 11)
-    f = _random_density(g, 87)
-    dft_factored(f)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        dft_factored(f)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.7 * 16 * g.order
-
-
 def test_factored_prime_length_blocking(monkeypatch):
     # The factored route, with a prime length of 97, against the definitional sum in tiny blocks.
     g = GroupSpec((3 * 97,))
