@@ -25,7 +25,8 @@ bit for bit.  S1, the large spectrum of a real table, is closed under
 negation, which the real synthesis of the remainder needs.  The pipeline is
 array-native: S1 is a rank array, and ``TrigPoly`` is a thin wrapper over a
 frequency matrix and a coefficient array.  S1 is one ``CharTuple``, shared by
-the certificate and both of its Bohr forms.  c = Re q(a0) keeps the bits of
+the certificate and both of its Bohr forms; it keeps the ranks it was read
+off with, so no stage range-checks or ranks it again.  c = Re q(a0) keeps the bits of
 the scalar route, which calls libm once per term; ``TrigPoly.evaluate`` calls
 it once per distinct angle.  On a worst-case S1, nearly the whole dual group,
 that is far fewer calls than terms on a group of small exponent (16 on 16^4),
@@ -54,11 +55,11 @@ from .groups import (
     Elem,
     CharTuple,
     GroupSpec,
+    char_ranks,
     char_tuple,
     check_elem,
     elem_at,
     ranks_of_rows,
-    rows_at,
 )
 from .spectral import DensityFn, Spectrum, _synthesize_half, dft, idft_real, triple_spectrum
 
@@ -97,7 +98,7 @@ class TrigPoly:
             raise ShapeError(
                 f"{coeffs.size} coefficients for {len(support)} frequencies"
             )
-        if (np.diff(ranks_of_rows(self.group, support.rows)) <= 0).any():
+        if (np.diff(char_ranks(self.group, support)) <= 0).any():
             raise DomainError("frequencies must be distinct and in increasing rank order")
         coeffs.flags.writeable = False
         object.__setattr__(self, "support", support)
@@ -186,8 +187,7 @@ def large_spectrum(spectrum: Spectrum, threshold: float) -> CharTuple:
     """
     if not threshold > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold}")
-    ranks = np.flatnonzero(np.abs(spectrum.coeffs) >= threshold)
-    return CharTuple(rows_at(spectrum.group, ranks))
+    return CharTuple.from_ranks(spectrum.group, np.flatnonzero(np.abs(spectrum.coeffs) >= threshold))
 
 
 def find_witness(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
@@ -240,7 +240,7 @@ def remainder_bound_check(hhat: Spectrum, s1: tuple[Char, ...], delta: float) ->
     chars = char_tuple(grp, s1)
     rows = chars.rows
     in_s1 = np.zeros(grp.order, dtype=bool)
-    in_s1[ranks_of_rows(grp, rows)] = True
+    in_s1[char_ranks(grp, chars)] = True
     unpaired = np.flatnonzero(~in_s1[ranks_of_rows(grp, -rows % grp.factors)])
     if unpaired.size:
         raise DomainError(
@@ -330,8 +330,7 @@ def extract(f: DensityFn, g: DensityFn) -> Certificate:
     a0, h_at_a0 = find_witness(DensityFn(grp, idft_real(hhat)), f1)
 
     k = len(s1)
-    ranks = ranks_of_rows(grp, s1.rows)
-    q = TrigPoly(grp, s1, hhat.coeffs[ranks], constant_shift=-0.25 * delta**4)
+    q = TrigPoly(grp, s1, hhat.coeffs[char_ranks(grp, s1)], constant_shift=-0.25 * delta**4)
     c = q.evaluate(a0).real
     r_max = remainder_bound_check(hhat, s1, delta)
     del hhat

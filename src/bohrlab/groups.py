@@ -247,14 +247,20 @@ def char_at(g: GroupSpec, rank: int) -> Char:
 class CharTuple(Sequence):
     """An immutable sequence of characters, held as their (k, d) frequency matrix.
 
-    ``rows`` (int64, read-only) is the only state.  An integer index builds
+    ``rows`` (int64, read-only) holds the characters.  An integer index builds
     one :class:`Char`, a slice gives a CharTuple, and equality and hashing
     agree with the plain tuple of the characters.  Ragged rows, integers
     beyond int64 and a non-(k, d) shape raise :class:`ShapeError`; range
     checks belong to :func:`char_tuple`.
+
+    Beside ``rows`` a tuple keeps a memo that is a pure function of them: the
+    factors they were last range-checked against, and, once asked for, their
+    canonical ranks under those factors (:func:`char_ranks`).  The rows are
+    read-only, so the memo stays true.  :meth:`from_ranks` builds a tuple with
+    both set; a slice or a pickled copy starts without it.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_factors", "_ranks")
 
     def __init__(self, rows) -> None:
         try:
@@ -265,6 +271,21 @@ class CharTuple(Sequence):
             raise ShapeError(f"frequency rows must form a (k, d) matrix, got shape {rows.shape}")
         rows.flags.writeable = False
         self.rows = rows
+        self._factors = self._ranks = None
+
+    @classmethod
+    def from_ranks(cls, g: GroupSpec, ranks: np.ndarray) -> CharTuple:
+        """The characters of ``g`` at int64 canonical ranks that the caller has range-checked.
+
+        The rows are unravelled once.  ``ranks`` is kept, not copied, and made
+        read-only: the tuple starts checked against ``g``, with these ranks.
+        """
+        rows = rows_at(g, ranks)
+        rows.flags.writeable = False
+        ranks.flags.writeable = False
+        chars = cls.__new__(cls)
+        chars.rows, chars._factors, chars._ranks = rows, g.factors, ranks
+        return chars
 
     def __reduce__(self):
         return CharTuple, (self.rows,)  # through __init__, so the copy is read-only too
@@ -293,21 +314,47 @@ class CharTuple(Sequence):
 def char_tuple(g: GroupSpec, chars) -> CharTuple:
     """``chars`` validated against ``g`` by one array check, as a CharTuple.
 
-    A CharTuple is checked through its matrix and returned as is; any other
-    sequence of characters is converted to one first.  Ragged, wrong-length
-    and out-of-range frequencies raise :class:`ShapeError`.
+    A CharTuple is checked through its matrix and returned as is; one already
+    checked against ``g``'s factors is returned at once.  Any other sequence
+    of characters is converted to one first.  Ragged, wrong-length and
+    out-of-range frequencies raise :class:`ShapeError`.
     """
     if not isinstance(chars, CharTuple):
         chars = CharTuple([t.freq for t in chars] or np.zeros((0, g.ndim)))
+    elif chars._factors == g.factors:
+        return chars
+    _check_range(g, chars)
+    chars._factors, chars._ranks = g.factors, None
+    return chars
+
+
+def _check_range(g: GroupSpec, chars: CharTuple) -> None:
+    """Raise :class:`ShapeError` unless every row of ``chars`` is a frequency of ``g``."""
     rows = chars.rows
     k, d = rows.shape
-    if k and d != g.ndim:
+    if not k:
+        return  # empty tuples are equal whatever their width, so any width passes
+    if d != g.ndim:
         raise ShapeError(f"character {chars[0]} has {d} coords, group {g} has {g.ndim}")
     bad = (rows < 0) | (rows >= np.asarray(g.factors, dtype=np.int64))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ShapeError(f"frequency {rows[i, j]} out of range for factor Z_{g.factors[j]}")
-    return chars
+
+
+def char_ranks(g: GroupSpec, chars) -> np.ndarray:
+    """Canonical ranks of ``chars``, validated against ``g``, as a read-only int64 array.
+
+    A CharTuple computes them at most once per group it is checked against
+    and keeps them.
+    """
+    chars = char_tuple(g, chars)
+    if chars._ranks is None:
+        # The check lets an empty tuple of any width through: give it the group's.
+        ranks = ranks_of_rows(g, chars.rows.reshape(len(chars), g.ndim))
+        ranks.flags.writeable = False
+        chars._ranks = ranks
+    return chars._ranks
 
 
 def ranks_of_rows(g: GroupSpec, rows: np.ndarray) -> np.ndarray:

@@ -12,8 +12,18 @@ order, repeats kept (mixed radix, last factor fastest; see
 radius and center, and share S1's characters.  The writer renders the rank
 list from the rank array as one byte array: numpy computes every decimal
 digit, the separators are laid in place and one mask drops the leading zeros.
-The loader type-checks the rank list at C speed, converts it with one array
-and range-checks it, so a bad file is refused at load.
+
+The loader has two routes to one result.  A file in the writer's layout has
+its rank block cut out of the text and parsed by one numpy call; only the
+small fields go through ``json.loads``.  The block is taken only if the
+writer renders the parsed ranks back to it byte for byte, and if it is the
+value of the top-level ``s1_ranks`` (:func:`certificate_from_json`).  Any
+other text, such as a cert/1 file, compact or re-indented JSON, or a rank
+list in any other spelling, is parsed whole by ``json.loads``; the rank list
+is then type-checked at C speed and converted with one array.  Either way
+the ranks are range-checked, a bad file is refused at load, and S1 keeps
+its ranks (:meth:`bohrlab.groups.CharTuple.from_ranks`), so nothing ranks
+it again.
 
 Files of schema ``bohrlab-cert/1``, which write S1 and both forms' ``freqs``
 as lists of frequency rows, still load; writing one out gives cert/2.
@@ -22,6 +32,7 @@ as lists of frequency rows, still load; writing one out gives cert/2.
 from __future__ import annotations
 
 import json
+import warnings
 from collections.abc import Callable
 from itertools import chain
 
@@ -30,7 +41,7 @@ import numpy as np
 from .bohr import BohrSpec
 from .errors import DomainError, ShapeError
 from .extractor import BoundCheck, Certificate
-from .groups import CharTuple, Elem, GroupSpec, parse_group, ranks_of_rows, rows_at
+from .groups import CharTuple, Elem, GroupSpec, char_ranks, parse_group
 
 CERT_SCHEMA = "bohrlab-cert/2"
 CERT1_SCHEMA = "bohrlab-cert/1"
@@ -51,10 +62,13 @@ def parse_real(value) -> float:
     raise DomainError(f"not a real number: {value!r}")
 
 
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string", dict: "object"}
+
+
 def _json_typed(value, kind: type, what: str):
     """``value`` itself, if it has the JSON type ``kind`` (a bool counts as an int)."""
     if not isinstance(value, kind):
-        raise DomainError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+        raise DomainError(f"{what} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
@@ -95,12 +109,12 @@ def _char_tuple(value, what: str, ndim: int) -> CharTuple:
     return CharTuple(value or np.zeros((0, ndim)))
 
 
-def _s1_from_ranks(value, g: GroupSpec) -> CharTuple:
-    """S1 from its cert/2 rank list, refused at load if any entry is not a rank of ``g``.
+def _rank_array(value) -> np.ndarray:
+    """The cert/2 rank list as an int64 array, refused at load unless every entry is an integer.
 
     The type check gathers the entries' types at C speed (a bool counts as an
     integer); one ``np.array`` converts the list, which refuses an integer
-    beyond int64, and one comparison range-checks it.
+    beyond int64.
     """
     if not isinstance(value, list):
         raise DomainError(f"s1_ranks must be a list, got {value!r}")
@@ -108,13 +122,17 @@ def _s1_from_ranks(value, g: GroupSpec) -> CharTuple:
         bad = next(x for x in value if not isinstance(x, int))
         raise DomainError(f"an S1 rank must be an integer, got {bad!r}")
     try:
-        ranks = np.array(value, dtype=np.int64)
+        return np.array(value, dtype=np.int64)
     except OverflowError as exc:
         raise ShapeError(f"an S1 rank exceeds int64: {exc}") from exc
+
+
+def _s1_at(ranks: np.ndarray, g: GroupSpec) -> CharTuple:
+    """S1 from its int64 ranks, refused at load if any is not a rank of ``g``; the ranks are kept."""
     bad = np.flatnonzero((ranks < 0) | (ranks >= g.order))
     if bad.size:
         raise ShapeError(f"S1 rank {ranks[bad[0]]} out of range for group of order {g.order}")
-    return CharTuple(rows_at(g, ranks))
+    return CharTuple.from_ranks(g, ranks)
 
 
 def bohr_spec_from_dict(d: dict, g: GroupSpec, freqs: Callable[[dict], CharTuple]) -> BohrSpec:
@@ -151,7 +169,7 @@ def _cert2_fields(cert: Certificate) -> dict:
         "group": str(cert.group),
         "delta": fmt_real(cert.delta),
         "a0": list(cert.a0.coords),
-        "s1_ranks": ranks_of_rows(cert.group, cert.s1.rows),
+        "s1_ranks": char_ranks(cert.group, cert.s1),
         "c": fmt_real(cert.c),
         "k": cert.k,
         "h_at_a0": fmt_real(cert.h_at_a0),
@@ -170,16 +188,22 @@ def _cert2_fields(cert: Certificate) -> dict:
 
 def certificate_from_dict(d: dict) -> Certificate:
     """A certificate from its JSON object, of schema cert/2 or cert/1."""
+    return _certificate_from_dict(d, None)
+
+
+def _certificate_from_dict(d: dict, parsed_ranks: np.ndarray | None) -> Certificate:
+    """:func:`certificate_from_dict`; a cert/2 S1 is read from ``parsed_ranks`` when given."""
     if not isinstance(d, dict):
         raise DomainError("certificate must be a JSON object")
     schema = d.get("schema")
     if schema not in (CERT_SCHEMA, CERT1_SCHEMA):
         raise DomainError(f"unsupported certificate schema {schema!r}")
     try:
-        g = parse_group(d["group"])
+        g = parse_group(_json_typed(d["group"], str, "group"))
         a0 = Elem(_coords_list(d["a0"], "a0"))
         if schema == CERT_SCHEMA:
-            s1 = _s1_from_ranks(d["s1_ranks"], g)
+            ranks = _rank_array(d["s1_ranks"]) if parsed_ranks is None else parsed_ranks
+            s1 = _s1_at(ranks, g)
 
             def freqs(form: dict) -> CharTuple:
                 return s1
@@ -189,7 +213,7 @@ def certificate_from_dict(d: dict) -> Certificate:
             def freqs(form: dict) -> CharTuple:
                 chars = _char_tuple(form["freqs"], "frequency", g.ndim)
                 return s1 if chars == s1 else chars
-        bounds_raw = d["bounds"]
+        bounds_raw = _json_typed(d["bounds"], dict, "bounds")
         cert = Certificate(
             group=g,
             delta=parse_real(d["delta"]),
@@ -214,12 +238,16 @@ def certificate_from_dict(d: dict) -> Certificate:
     return cert
 
 
-# S1's rank list stands in the skeleton as this string.
+# The writer's skeleton holds this string where S1's rank list goes.
 _MARK = "\x00s1_ranks"
 
 
-# One rank per line, indented as json.dumps(indent=2) indents the list at depth 1.
+# The writer's rank block, ``"s1_ranks": [\n    0,\n    1\n  ]``: one rank per
+# line, indented as json.dumps(indent=2) indents the list at depth 1.
+_RANK_KEY = '"s1_ranks": '
+_RANK_OPEN = "[\n    "
 _RANK_SEPARATOR = b",\n    "
+_RANK_CLOSE = "\n  ]"
 
 
 def _render_ranks(ranks: np.ndarray) -> str:
@@ -251,7 +279,7 @@ def _render_ranks(ranks: np.ndarray) -> str:
         buf[:, col] = rest
         rest, quotient = quotient, rest
     body = buf[keep][: -len(_RANK_SEPARATOR)]
-    return "[\n    " + str(memoryview(body), "ascii") + "\n  ]"
+    return _RANK_OPEN + str(memoryview(body), "ascii") + _RANK_CLOSE
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -267,7 +295,69 @@ def certificate_to_json(cert: Certificate) -> str:
     return "".join((head, _render_ranks(ranks), tail, "\n"))
 
 
+def _split_rank_block(text: str) -> tuple[dict, np.ndarray] | None:
+    """The JSON object of ``text`` without its S1, and S1's ranks, if the writer laid out the block.
+
+    The block runs from the first ``"s1_ranks": [\\n    `` to the next
+    ``\\n  ]``, and its numbers are parsed by one ``np.fromstring``.  The
+    parse is taken only if the ranks are non-negative and :func:`_render_ranks`
+    gives the block back byte for byte, so the block is a JSON list of
+    integers in the one spelling the writer uses, and ``json.loads`` would
+    read the same ranks.  The rest of the text, with the block replaced by
+    ``NaN``, goes through ``json.loads``.  Its ``parse_constant`` hook must
+    run exactly once, for the block, and return the value of the top-level
+    ``s1_ranks``; so the block is no string's content, no nested or earlier
+    duplicate key's value, and the text is valid JSON exactly when the rest
+    is.  Otherwise, None, as for bytes, which ``json.loads`` also reads.
+    """
+    if not isinstance(text, str):
+        return None
+    start = text.find(_RANK_KEY + _RANK_OPEN)
+    if start < 0:
+        return None
+    start += len(_RANK_KEY)
+    end = text.find(_RANK_CLOSE, start)
+    if end < 0:
+        return None
+    with warnings.catch_warnings():
+        # numpy warns, or in later versions raises, when the parse stops short of the end.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            ranks = np.fromstring(text[start + len(_RANK_OPEN) : end], dtype=np.int64, sep=",")
+        except (DeprecationWarning, ValueError):
+            return None
+    end += len(_RANK_CLOSE)
+    if (ranks < 0).any() or not text.startswith(_render_ranks(ranks), start):
+        return None
+    block = []
+
+    def constant(name: str) -> list:
+        block.append(name)
+        return block
+
+    try:
+        d = json.loads(text[:start] + "NaN" + text[end:], parse_constant=constant)
+    except json.JSONDecodeError:
+        return None
+    if len(block) != 1 or not isinstance(d, dict) or d.get("s1_ranks") is not block:
+        return None
+    return d, ranks
+
+
 def certificate_from_json(text: str) -> Certificate:
+    """The certificate of a JSON text, of schema cert/2 or cert/1, by one of two routes.
+
+    Numpy route: the rank block in the writer's layout is parsed by one numpy
+    call and only the rest of the text by ``json.loads``.  Its gate
+    (:func:`_split_rank_block`): the writer renders the parsed ranks back to
+    the block byte for byte, and the block is the value of the top-level
+    ``s1_ranks``.  Any other text takes the ``json.loads`` route: parsed
+    whole, then read by :func:`certificate_from_dict`.  Both routes give the
+    same certificate, or raise the same exception class.
+    """
+    split = _split_rank_block(text)
+    if split is not None:
+        return _certificate_from_dict(*split)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

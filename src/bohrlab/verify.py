@@ -37,9 +37,9 @@ from .extractor import BOUND_SLACK, RADIUS_SLACK, Certificate
 from .groups import (
     TWO_PI,
     GroupSpec,
+    char_ranks,
     elem_at,
     rank_of_elem,
-    ranks_of_rows,
     require_within_cap,
 )
 from .sets import GroupSubset
@@ -146,9 +146,8 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     hhat_def = dft_factored(h_def).coeffs
 
     a0_rank = rank_of_elem(grp, cert.a0)
-    freq_rows = cert.s1.rows
-    s1_ranks = ranks_of_rows(grp, freq_rows)
-    k = len(freq_rows)
+    s1_ranks = char_ranks(grp, cert.s1)
+    k = len(s1_ranks)
 
     # p is the synthesis of h-hat on S1; a repeated S1 row counts once per copy.
     s1_hhat = np.zeros(grp.order, dtype=np.complex128)

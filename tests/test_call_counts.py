@@ -10,12 +10,16 @@ libm cosine and sine per distinct angle, not per character; and f and g
 are transformed once each: ``extract`` makes two forward and two inverse
 ``np.fft`` transforms (f-hat, g-hat; h and the remainder), whatever k is, and
 all four are real-input transforms, ``rfftn`` and ``irfftn``.  ``good_shift_set``
-draws no translate window, however many members its Bohr set has.
+draws no translate window, however many members its Bohr set has.  S1 crosses
+the JSON boundary as one rank array: ``json.loads`` never reads the rank block
+of a file in the writer's layout, and from extract to verify each S1 tuple is
+range-checked and ranked at most once.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import math
 import sys
 from collections import Counter
@@ -23,12 +27,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bohrlab import extractor, groups, spectral
-from bohrlab.bohr import halve_radius, members_mask
+from bohrlab import extractor, groups, serialize, spectral
+from bohrlab.bohr import FORM_CHAR, BohrSpec, halve_radius, members_mask
+from bohrlab.errors import ShapeError
 from bohrlab.extractor import TrigPoly, extract
 from bohrlab.serialize import certificate_from_json, certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset
-from bohrlab.verify import good_shift_set
+from bohrlab.verify import good_shift_set, verify_certificate
 
 COUNTED = ("check_char", "rank_of_char", "char_eval", "pairing", "elem_at", "char_at")
 Z4096 = groups.GroupSpec((4096,))
@@ -231,3 +236,86 @@ def test_factored_transforms_build_no_phase_table(monkeypatch, g):
     back = spectral.idft_factored(spectral.dft_factored(f))
     assert np.abs(back - f.values).max() < 1e-12
 
+
+
+class _SizedJson:
+    """``json`` with the length of every text ``loads`` reads recorded."""
+
+    def __init__(self, sizes: list[int]):
+        self._sizes = sizes
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+    def loads(self, text, **kwargs):
+        self._sizes.append(len(text))
+        return json.loads(text, **kwargs)
+
+
+def test_json_loads_never_reads_the_rank_block(monkeypatch):
+    """A worst-case cert/2 of k > 60,000 ranks: numpy parses the block, json.loads reads the rest."""
+    g = groups.GroupSpec((16,) * 4)
+    A = random_nonempty_subset(g, 0.1, 5)
+    B = random_nonempty_subset(g, 0.1, 6)
+    cert = extract(A.indicator(), B.indicator())
+    text = certificate_to_json(cert)
+    assert cert.k > 60_000 and len(text) > 500_000
+    sizes: list[int] = []
+    monkeypatch.setattr(serialize, "json", _SizedJson(sizes))
+    loaded = certificate_from_json(text)
+    assert sizes and max(sizes) < 4096
+    assert np.array_equal(loaded.s1.rows, cert.s1.rows)
+
+
+def _spy_rows(monkeypatch, seen: list[tuple[str, np.ndarray]]) -> None:
+    """Record the rows that ``groups._check_range`` scans and ``groups.ranks_of_rows`` ranks, at every binding."""
+
+    check_range, ranks_of_rows = groups._check_range, groups.ranks_of_rows
+
+    def scan(g, chars):
+        seen.append(("scan", chars.rows))
+        return check_range(g, chars)
+
+    def rank(g, rows):
+        seen.append(("rank", rows))
+        return ranks_of_rows(g, rows)
+
+    monkeypatch.setattr(groups, "_check_range", scan)
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "bohrlab"]:
+        for site, value in list(vars(mod).items()):
+            if value is ranks_of_rows:
+                monkeypatch.setattr(mod, site, rank)
+
+
+@pytest.mark.parametrize("g", [Z4096, G8884], ids=str)
+def test_s1_is_range_checked_and_ranked_at_most_once(monkeypatch, g):
+    """Extract, to_json, from_json and verify.  Both S1 tuples, the extracted and the
+    loaded one, are built from ranks already checked, so their rows are never scanned
+    or ranked: the one check and ranking of S1 is that of its ranks."""
+    A = random_nonempty_subset(g, 0.1, 5)
+    B = random_nonempty_subset(g, 0.1, 6)
+    seen: list[tuple[str, np.ndarray]] = []
+    _spy_rows(monkeypatch, seen)
+    cert = extract(A.indicator(), B.indicator())
+    loaded = certificate_from_json(certificate_to_json(cert))
+    assert verify_certificate(loaded, A, B).passed
+    monkeypatch.undo()
+    assert cert.k > 1000 and seen  # the negation check ranks -S1, which is not S1's rows
+    assert [what for what, rows in seen if np.array_equal(rows, cert.s1.rows)] == []
+
+
+def test_a_checked_tuple_is_still_refused_by_a_smaller_group(monkeypatch):
+    A = random_nonempty_subset(G8884, 0.1, 5)
+    B = random_nonempty_subset(G8884, 0.1, 6)
+    s1 = extract(A.indicator(), B.indicator()).s1
+    seen: list[tuple[str, np.ndarray]] = []
+    _spy_rows(monkeypatch, seen)
+    assert groups.char_tuple(G8884, s1) is s1 and seen == []
+    smaller = groups.GroupSpec((8, 8, 8, 2))
+    assert (s1.rows[:, -1] >= 2).any()
+    with pytest.raises(ShapeError):
+        groups.char_tuple(smaller, s1)
+    with pytest.raises(ShapeError):
+        BohrSpec(smaller, s1, 0.1, FORM_CHAR)
+    assert groups.char_tuple(G8884, s1) is s1
+    assert np.array_equal(groups.char_ranks(G8884, s1), groups.ranks_of_rows(G8884, s1.rows))

@@ -7,7 +7,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -19,6 +19,7 @@ from bohrlab.groups import (
     GroupSpec,
     char_at,
     char_eval,
+    char_ranks,
     char_tuple,
     check_char,
     check_elem,
@@ -282,3 +283,35 @@ def test_rows_and_ranks_agree_with_scalar_ranking(g):
     assert [tuple(r) for r in rows.tolist()] == [char_at(g, int(r)).freq for r in ranks]
     assert np.array_equal(ranks_of_rows(g, rows), ranks)
     assert ranks_of_rows(g, rows[:0]).shape == (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@example(factors=(4, 4), other=(5, 5), draws=[5, 0])  # (1, 1) has rank 5 in 4x4, 6 in 5x5
+@example(factors=(4, 4), other=(2, 4), draws=[15])  # (3, 3) is out of range for 2x4
+@given(
+    factors=st.lists(st.integers(1, 9), min_size=1, max_size=4).map(tuple),
+    other=st.lists(st.integers(1, 9), min_size=1, max_size=4).map(tuple),
+    draws=st.lists(st.integers(0, 2**20), max_size=20),
+)
+def test_tuple_from_ranks_is_the_checked_tuple_of_its_rows(factors, other, draws):
+    """The rows, the ranks kept and the group they were checked for agree with a fresh check of the rows."""
+    g, h = GroupSpec(factors), GroupSpec(other)
+    ranks = np.array(draws, dtype=np.int64) % g.order
+    chars = CharTuple.from_ranks(g, ranks)
+    fresh = CharTuple(rows_at(g, ranks))
+    assert chars == fresh and chars.rows.shape == (len(ranks), g.ndim)
+    assert not chars.rows.flags.writeable and not ranks.flags.writeable
+    assert char_tuple(g, chars) is chars and char_ranks(g, chars) is ranks
+    assert np.array_equal(char_ranks(g, fresh), ranks)
+    # Checked against another group, the tuple is checked afresh and ranked for that group.
+    try:
+        want = char_ranks(h, fresh)
+    except ShapeError:
+        with pytest.raises(ShapeError):
+            char_tuple(h, chars)
+    else:
+        assert np.array_equal(char_ranks(h, chars), want)
+        assert want.tolist() == [rank_of_char(h, t) for t in chars]
+    assert np.array_equal(char_ranks(g, chars), ranks)
+    back = pickle.loads(pickle.dumps(chars))
+    assert back == chars and np.array_equal(char_ranks(g, back), ranks)

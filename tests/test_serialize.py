@@ -1,7 +1,9 @@
 """Certificate JSON: byte identity with the stdlib layout, exact round trips,
-the loader's outcomes on malformed S1 ranks, frequency rows and witnesses,
-cert/1 files loading as their cert/2 certificates, and the extract -> JSON ->
-verify contract over random multi-factor groups."""
+the loader's outcomes on malformed S1 ranks, frequency rows and witnesses (in
+compact JSON and in the writer's layout, whose rank block numpy parses), the
+two loader routes agreeing on edited rank blocks, cert/1 files loading as
+their cert/2 certificates, and the extract -> JSON -> verify contract over
+random multi-factor groups."""
 
 from __future__ import annotations
 
@@ -22,8 +24,14 @@ from bohrlab import serialize, verify
 from bohrlab.cli import main
 from bohrlab.errors import DomainError, ShapeError
 from bohrlab.extractor import extract, normalize_means
-from bohrlab.groups import Char, GroupSpec, char_eval, rank_of_char, rows_at
-from bohrlab.serialize import certificate_from_json, certificate_to_json, fmt_real, report_to_json
+from bohrlab.groups import Char, GroupSpec, char_eval, char_ranks, rank_of_char, rows_at
+from bohrlab.serialize import (
+    certificate_from_dict,
+    certificate_from_json,
+    certificate_to_json,
+    fmt_real,
+    report_to_json,
+)
 from bohrlab.sets import GroupSubset, write_set_file
 from bohrlab.spectral import dft
 from bohrlab.verify import verify_certificate
@@ -163,10 +171,11 @@ def test_cert1_writer_reproduces_the_cert1_golden():
 
 # --- malformed frequency rows and witnesses --------------------------------------
 
-def _tampered(edit, text: str | None = None) -> str:
+def _tampered(edit, text: str | None = None, indent: int | None = None) -> str:
+    """The edited certificate as compact JSON, or with ``indent=2`` in the writer's layout."""
     payload = json.loads(GOLDEN.read_text() if text is None else text)
     edit(payload)
-    return json.dumps(payload)
+    return json.dumps(payload) if indent is None else json.dumps(payload, indent=indent) + "\n"
 
 
 def _set_freqs(rows):
@@ -243,6 +252,9 @@ LOAD_ERRORS = LOAD_TIME_REFUSALS + [
     ("float k", _set_field(2.9, "k"), DomainError),
     ("string k", _set_field("2", "k"), DomainError),
     ("string ok", _set_field("false", "bounds", "dimension", "ok"), DomainError),
+    ("list bounds", _set_field([], "bounds"), DomainError),
+    ("string bounds", _set_field("x", "bounds"), DomainError),
+    ("integer group", _set_field(8, "group"), DomainError),
 ]
 
 # cert/2 writes S1 once, as a flat list of ranks; these edit the cert/2 golden.
@@ -258,6 +270,9 @@ CERT2_LOAD_ERRORS = CERT2_LOAD_TIME_REFUSALS + [
     ("rank 2^63", _set_ranks([0, 2**63]), ShapeError),
     ("rank 2^64", _set_ranks([0, 2**64]), ShapeError),
     ("missing s1_ranks", _drop_ranks, DomainError),
+    ("list bounds, cert/2", _set_field([], "bounds"), DomainError),
+    ("string bounds, cert/2", _set_field("x", "bounds"), DomainError),
+    ("integer group, cert/2", _set_field(8, "group"), DomainError),
 ]
 
 # (golden file, label, edit, error)
@@ -269,6 +284,12 @@ REFUSALS = [(GOLDEN, *c) for c in LOAD_TIME_REFUSALS] + [(GOLDEN2, *c) for c in 
 def test_loader_rejects_malformed_rows(golden, label, edit, error):
     with pytest.raises(error):
         certificate_from_json(_tampered(edit, golden.read_text()))
+
+
+@pytest.mark.parametrize("golden,label,edit,error", CASES, ids=[c[1] for c in CASES])
+def test_loader_rejects_malformed_rows_in_the_writer_layout(golden, label, edit, error):
+    with pytest.raises(error):
+        certificate_from_json(_tampered(edit, golden.read_text(), indent=2))
 
 
 def test_loader_accepts_bools_as_ints():
@@ -358,6 +379,163 @@ def test_cert1_file_loads_as_its_cert2_certificate(factors, density_a, density_b
     assert report_to_json(verify_certificate(loaded, A, B)) == report_to_json(
         verify_certificate(cert, A, B)
     )
+
+
+# --- the loader's two routes: the writer's rank block parsed by numpy, or json.loads ---
+
+_BLOCK_HEAD = '  "s1_ranks": [\n'
+
+
+def _respell_rank(spell):
+    """Rewrite one line of the rank block, rank r to ``spell(r)``, leaving the layout as it is."""
+
+    def edit(text: str, i: int) -> str:
+        head = text.index(_BLOCK_HEAD) + len(_BLOCK_HEAD)
+        end = text.index("\n  ]", head)
+        lines = text[head:end].split("\n")
+        j = i % len(lines)
+        rank = lines[j].strip().rstrip(",")
+        lines[j] = lines[j].replace(rank, spell(int(rank)), 1)
+        return text[:head] + "\n".join(lines) + text[end:]
+
+    return edit
+
+
+def _reindent(indent):
+    return lambda text, i: json.dumps(json.loads(text), indent=indent) + "\n"
+
+
+def _writer_block(ranks) -> str:
+    return serialize._render_ranks(np.asarray(ranks, dtype=np.int64))
+
+
+def _duplicate_after(text: str, i: int) -> str:
+    """A second top-level ``s1_ranks`` at the end, in the writer's layout, which overrides the first."""
+    ranks = json.loads(text)["s1_ranks"]
+    return text[: text.rindex("\n}")] + ',\n  "s1_ranks": ' + _writer_block(ranks[: 1 + i % len(ranks)]) + "\n}\n"
+
+
+def _duplicate_before(text: str, i: int) -> str:
+    """A first top-level ``s1_ranks`` in the writer's layout, which the later one overrides."""
+    return '{\n  "s1_ranks": ' + _writer_block([i % 7]) + "," + text[1:]
+
+
+def _cut_block(text: str) -> tuple[str, str, str]:
+    """``text`` around the writer's rank block: up to its key, the block, and after it."""
+    start = text.index(_BLOCK_HEAD) + len('  "s1_ranks": ')
+    end = text.index("\n  ]", start) + len("\n  ]")
+    return text[:start], text[start:end], text[end:]
+
+
+def _in_bound(text: str, block: str) -> str:
+    """``text`` with an ``s1_ranks`` key holding ``block`` first in the ``dimension`` bound."""
+    head = '"dimension": {\n'
+    return text.replace(head, head + '      "s1_ranks": ' + block + ",\n", 1)
+
+
+def _nested_in_bounds(text: str, i: int) -> str:
+    """An ``s1_ranks`` key inside a bound entry, its list laid out as the top-level block."""
+    return _in_bound(text, _writer_block([i % 7]))
+
+
+def _nested_only(text: str, i: int) -> str:
+    """The rank block moved into an object ahead of every other key; no top-level ``s1_ranks``."""
+    before, block, after = _cut_block(text)
+    rest = before[: -len('  "s1_ranks": ')] + after[len(",\n") :]
+    return '{\n  "extra": {"s1_ranks": ' + block + "}," + rest[1:]
+
+
+def _mark_string(text: str, i: int) -> str:
+    """The top-level ``s1_ranks`` replaced by the writer's mark string, the block moved into a bound."""
+    before, block, after = _cut_block(text)
+    return _in_bound(before + json.dumps(serialize._MARK) + after, block)
+
+
+def _nan_ranks(text: str, i: int) -> str:
+    """The top-level ``s1_ranks`` replaced by ``NaN``, the block moved into a bound."""
+    before, block, after = _cut_block(text)
+    return _in_bound(before + "NaN" + after, block)
+
+
+def _nan_k(text: str, i: int) -> str:
+    return text.replace('"k": ', '"k": NaN, "kk": ', 1)
+
+
+BLOCK_EDITS = {
+    "unedited": lambda text, i: text,
+    "leading zero": _respell_rank(lambda r: f"0{r}"),
+    "plus sign": _respell_rank(lambda r: f"+{r}"),
+    "negative": _respell_rank(lambda r: f"-{r}"),
+    "2^63 - 1": _respell_rank(lambda r: str(2**63 - 1)),
+    "2^63": _respell_rank(lambda r: str(2**63)),
+    "2^64": _respell_rank(lambda r: str(2**64)),
+    "float": _respell_rank(lambda r: f"{r}.0"),
+    "exponent": _respell_rank(lambda r: f"{r}e0"),
+    "true": _respell_rank(lambda r: "true"),
+    "extra spaces": _respell_rank(lambda r: f" {r}  "),
+    "tab": _respell_rank(lambda r: f"\t{r}"),
+    "string": _respell_rank(lambda r: f'"{r}"'),
+    "re-indent 4": _reindent(4),
+    "re-indent 1": _reindent(1),
+    "compact": _reindent(None),
+    "duplicate after": _duplicate_after,
+    "duplicate before": _duplicate_before,
+    "nested in bounds": _nested_in_bounds,
+    "nested only": _nested_only,
+    "mark string": _mark_string,
+    "NaN s1_ranks": _nan_ranks,
+    "NaN elsewhere": _nan_k,
+}
+
+
+def _slow_route(text: str):
+    """``json.loads`` of the whole text, then :func:`certificate_from_dict`."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"invalid certificate JSON: {exc}") from exc
+    return certificate_from_dict(payload)
+
+
+def _outcome(load, text: str):
+    """Every field of the loaded certificate, S1's rows and ranks included, or the exception class."""
+    try:
+        cert = load(text)
+    except Exception as exc:
+        return type(exc)
+    forms = [
+        (b.form, b.radius, b.center, b.freqs is cert.s1) for b in (cert.bohr_char_form, cert.bohr_torus_form)
+    ]
+    return (
+        cert.group, cert.delta, cert.a0, cert.s1.rows.shape, cert.s1.rows.tolist(),
+        char_ranks(cert.group, cert.s1).tolist(), cert.c, cert.k, cert.h_at_a0, forms, cert.bounds,
+    )
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(factors=(4, 4, 2), density_a=0.1, density_b=0.1, seed=1, i=0)
+@given(**INSTANCES, i=st.integers(0, 2**16))
+def test_both_loader_routes_agree_on_edited_rank_blocks(factors, density_a, density_b, seed, i):
+    """Every edit of :data:`BLOCK_EDITS`, at rank line ``i``, on one extracted certificate."""
+    A, B, _ = _instance(factors, density_a, density_b, seed)
+    text = certificate_to_json(extract(A.indicator(), B.indicator()))
+    for name, edit in BLOCK_EDITS.items():
+        edited = edit(text, i)
+        assert _outcome(certificate_from_json, edited) == _outcome(_slow_route, edited), name
+
+
+def test_writer_text_takes_the_numpy_route():
+    cert = certificate_from_json(GOLDEN2.read_text())
+    for text in (GOLDEN2.read_text(), _nested_in_bounds(GOLDEN2.read_text(), 0)):
+        skeleton, ranks = serialize._split_rank_block(text)
+        assert ranks.dtype == np.int64 and ranks.tolist() == json.loads(text)["s1_ranks"]
+        assert "s1_ranks" in skeleton and skeleton["k"] == cert.k
+    for edit in (
+        "leading zero", "extra spaces", "re-indent 4", "duplicate after", "duplicate before",
+        "nested only", "mark string", "NaN s1_ranks", "NaN elsewhere",
+    ):
+        assert serialize._split_rank_block(BLOCK_EDITS[edit](GOLDEN2.read_text(), 1)) is None, edit
+    assert certificate_to_json(certificate_from_json(GOLDEN2.read_bytes())) == GOLDEN2.read_text()
 
 
 def _shift(key):
