@@ -14,23 +14,33 @@ radius c / |S1| (character-distance form) sits inside supp h.  Every numbered
 bound the construction promises is recorded and re-checked; a violation is an
 internal error, never a silently weaker certificate.
 
-Each input is transformed once.  S1 is read off f-hat; then f-hat and g-hat
-become the one table h-hat and are dropped.  h-hat feeds everything after: h
-is its synthesis, q's coefficients are its entries at the S1 ranks, and the
-remainder is the synthesis of h-hat with those ranks zeroed.  That is two
-forward and two inverse real FFTs per extraction (f, g, h and the remainder
-are real tables, so each transform reads or writes half the dual group: see
-``spectral.dft`` and ``spectral.idft_real``), and h is ``triple_convolve``'s,
-bit for bit.  S1, the large spectrum of a real table, is closed under
-negation, which the real synthesis of the remainder needs.  The pipeline is
-array-native: S1 is a rank array, and ``TrigPoly`` is a thin wrapper over a
-frequency matrix and a coefficient array.  S1 is one ``CharTuple``, shared by
-the certificate and both of its Bohr forms; it keeps the ranks it was read
-off with, so no stage range-checks or ranks it again.  c = Re q(a0) keeps the bits of
-the scalar route, which calls libm once per term; ``TrigPoly.evaluate`` calls
-it once per distinct angle.  On a worst-case S1, nearly the whole dual group,
-that is far fewer calls than terms on a group of small exponent (16 on 16^4),
-and up to k on Z_n when a0 is a unit.
+Each input is transformed once, on the half of the dual group that a
+real-input FFT computes (``spectral._half_spectrum``); f, g, h and the
+remainder are real tables, and no N-point complex table is formed.  S1 is read
+off f-hat's half as a mask, unfolded as booleans to every character
+(|conj z| = |z| bit for bit).  Then f-hat becomes h-hat = f-hat * |g-hat|^2
+in place, and g-hat is dropped.  h-hat feeds everything after: h is its
+synthesis, q's coefficients are its entries at the S1 ranks (past n/2, the
+conjugate of the entry at -t), and the remainder is the synthesis of the same
+half with S1 zeroed in place, once h and q have read it.  That is two forward
+and two inverse real FFTs per extraction, and h is ``triple_convolve``'s, bit
+for bit, since both take the same private steps.  The certificate is that of
+the full-table route (``spectral.dft``, :func:`large_spectrum`,
+``spectral.triple_spectrum``, ``spectral.idft_real``,
+:func:`remainder_bound_check`) bit for bit: a coefficient of q past n/2 can
+differ from the full product only in the sign of a zero part, which no
+certificate stores and which cannot reach c, a running sum that starts at
+-delta^4 / 4 and so is never -0.  S1, the large spectrum of a real table, is
+closed under negation, which the real synthesis of the remainder needs.
+
+The pipeline is array-native: S1 is a rank array, and ``TrigPoly`` is a thin
+wrapper over a frequency matrix and a coefficient array.  S1 is one
+``CharTuple``, shared by the certificate and both of its Bohr forms; it keeps
+the ranks it was read off with, so no stage range-checks or ranks it again.
+c = Re q(a0) keeps the bits of the scalar route, which calls libm once per
+term; ``TrigPoly.evaluate`` calls it once per distinct angle.  On a worst-case
+S1, nearly the whole dual group, that is far fewer calls than terms on a group
+of small exponent (16 on 16^4), and up to k on Z_n when a0 is a unit.
 """
 
 from __future__ import annotations
@@ -61,7 +71,16 @@ from .groups import (
     elem_at,
     ranks_of_rows,
 )
-from .spectral import DensityFn, Spectrum, _synthesize_half, dft, idft_real, triple_spectrum
+from .spectral import (
+    DensityFn,
+    Spectrum,
+    _half_index,
+    _half_spectrum,
+    _negated_ranks,
+    _synthesize_half,
+    _triple_half,
+    _unfold,
+)
 
 BOUND_SLACK = 1e-9
 RADIUS_SLACK = 1e-12
@@ -185,14 +204,21 @@ def large_spectrum(spectrum: Spectrum, threshold: float) -> CharTuple:
     character is always included whenever threshold <= the mean, which is
     the coefficient at t = 0.
     """
+    return CharTuple.from_ranks(spectrum.group, np.flatnonzero(_at_least(spectrum.coeffs, threshold)))
+
+
+def _at_least(coeffs: np.ndarray, threshold: float) -> np.ndarray:
+    """The mask |coeffs| >= threshold, for a positive threshold."""
     if not threshold > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold}")
-    return CharTuple.from_ranks(spectrum.group, np.flatnonzero(np.abs(spectrum.coeffs) >= threshold))
+    return np.abs(coeffs) >= threshold
 
 
 def find_witness(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
     """Argmax of h over supp f, first in canonical order on ties.
 
+    The argmax is taken over h read at the support's ranks, which are in
+    canonical order, so the first maximum there is the first in the group.
     Ties are broken among the *computed* values of h.  When h comes from
     floating-point transforms, rounding can split an exact tie of the true h
     (h is constant on the cosets of a subgroup, for one) in the last digits;
@@ -205,11 +231,10 @@ def find_witness(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
     """
     if h.group != f.group:
         raise ShapeError(f"inputs live on different groups: {h.group} vs {f.group}")
-    supp = f.values > 0.0
-    if not supp.any():
+    supp = np.flatnonzero(f.values > 0.0)
+    if not supp.size:
         raise EmptyInputError("support of f is empty")
-    masked = np.where(supp, h.values, -np.inf)
-    rank = int(np.argmax(masked))
+    rank = int(supp[np.argmax(h.values[supp])])
     a0 = elem_at(h.group, rank)
     h_at_a0 = float(h.values[rank])
     delta = f.mean
@@ -229,28 +254,56 @@ def remainder_bound_check(hhat: Spectrum, s1: tuple[Char, ...], delta: float) ->
     delta^3.  The remainder is real, and is synthesized from the half of the
     table a real-input FFT reads, so S1 must be closed under negation, as the
     large spectrum of a real table is: an unpaired character would be zeroed
-    on one side only.
+    on one side only.  A copy of that half goes through the routine that
+    :func:`extract` runs on its own half of h-hat.
     """
     grp = hhat.group
-    mean = float(hhat.coeffs[0].real)
-    if abs(mean - delta**3) > BOUND_SLACK * delta**3:
-        raise DomainError(
-            f"inputs are not mean-normalized: h-hat(0) = {mean} vs delta^3 = {delta**3}"
-        )
+    _check_mean(complex(hhat.coeffs[0]), delta)
     chars = char_tuple(grp, s1)
-    rows = chars.rows
+    neg = _negated_ranks(grp.factors[:-1])
+    index, mirrored = _half_index(char_ranks(grp, chars), grp.factors, neg)
+    rest = hhat.as_nd()[..., : grp.factors[-1] // 2 + 1].copy()
+    return _remainder(rest, grp, chars, index[~mirrored], delta)
+
+
+def _check_mean(hhat0: complex, delta: float) -> None:
+    """h-hat(0), the product of the means, must be delta^3."""
+    if abs(hhat0.real - delta**3) > BOUND_SLACK * delta**3:
+        raise DomainError(
+            f"inputs are not mean-normalized: h-hat(0) = {hhat0.real} vs delta^3 = {delta**3}"
+        )
+
+
+def _require_closed(grp: GroupSpec, s1: CharTuple) -> None:
+    """S1 must hold -t for every t it holds; raise naming the first t that it does not.
+
+    A function of its own, so that its (k, d) table of negated rows is freed
+    before the remainder's synthesis.
+    """
     in_s1 = np.zeros(grp.order, dtype=bool)
-    in_s1[char_ranks(grp, chars)] = True
-    unpaired = np.flatnonzero(~in_s1[ranks_of_rows(grp, -rows % grp.factors)])
+    in_s1[char_ranks(grp, s1)] = True
+    negated = np.negative(s1.rows)
+    negated %= grp.factors
+    unpaired = np.flatnonzero(~in_s1[ranks_of_rows(grp, negated)])
     if unpaired.size:
         raise DomainError(
-            f"S1 is not closed under negation: it holds {chars[unpaired[0]].freq} "
+            f"S1 is not closed under negation: it holds {s1[unpaired[0]].freq} "
             "but not its negative"
         )
-    width = grp.factors[-1] // 2 + 1
-    rest = hhat.as_nd()[..., :width].copy()
-    rest[tuple(rows[rows[:, -1] < width].T)] = 0.0
-    r_max = float(np.abs(_synthesize_half(rest, grp)).max())
+
+
+def _remainder(
+    hhat: np.ndarray, grp: GroupSpec, s1: CharTuple, s1_index: np.ndarray, delta: float
+) -> float:
+    """The remainder's max modulus from the ``rfftn`` half of h-hat, which is overwritten.
+
+    ``s1_index`` are the places in the ravelled half of the characters of S1
+    whose last coordinate is at most n/2.  They are zeroed in place, once S1
+    is known to be closed under negation, and the rest is synthesized.
+    """
+    _require_closed(grp, s1)
+    np.put(hhat, s1_index, 0.0)
+    r_max = float(np.abs(_synthesize_half(hhat, grp)).max())
     bound = 0.25 * delta**4 + BOUND_SLACK
     if r_max > bound:
         raise InvariantBreach(
@@ -321,20 +374,30 @@ def extract(f: DensityFn, g: DensityFn) -> Certificate:
     """
     f1, g1, delta = normalize_means(f, g)
     grp = f1.group
-    fhat = dft(f1)
-    s1 = large_spectrum(fhat, 0.25 * delta**3)
-    # Nothing after h-hat reads f-hat or g-hat: dropping them as soon as it exists
-    # keeps at most three N-point complex tables live.
-    hhat = triple_spectrum(fhat, dft(g1))
-    del fhat
-    a0, h_at_a0 = find_witness(DensityFn(grp, idft_real(hhat)), f1)
+    neg = _negated_ranks(grp.factors[:-1])
+    hhat = _half_spectrum(f1, neg)
+    s1 = CharTuple.from_ranks(
+        grp, np.flatnonzero(_unfold(_at_least(hhat, 0.25 * delta**3), grp.factors, neg))
+    )
+    # f-hat becomes h-hat in place; g-hat is dropped as soon as the product exists.
+    hhat = _triple_half(hhat, _half_spectrum(g1, neg))
+    a0, h_at_a0 = find_witness(DensityFn(grp, _synthesize_half(hhat, grp)), f1)
 
+    # q's coefficients are h-hat at the S1 ranks, past n/2 the conjugate at -t.  Then the
+    # half, read by h and q, becomes the remainder's.  The k-sized index arrays and the half
+    # are dropped as soon as they are spent: at worst-case k, q's evaluation sets the peak.
     k = len(s1)
-    q = TrigPoly(grp, s1, hhat.coeffs[char_ranks(grp, s1)], constant_shift=-0.25 * delta**4)
-    c = q.evaluate(a0).real
-    r_max = remainder_bound_check(hhat, s1, delta)
-    del hhat
+    index, mirrored = _half_index(char_ranks(grp, s1), grp.factors, neg)
+    coeffs = hhat.reshape(-1)[index]
+    np.negative(coeffs.imag, out=coeffs.imag, where=mirrored)
+    in_half = index[~mirrored]
+    del index, mirrored
+    _check_mean(complex(hhat.flat[0]), delta)
+    r_max = _remainder(hhat, grp, s1, in_half, delta)
+    del hhat, in_half
 
+    q = TrigPoly(grp, s1, coeffs, constant_shift=-0.25 * delta**4)
+    c = q.evaluate(a0).real
     bohr_char = bohr_from_trigpoly(q, a0, c)
     bohr_torus = char_form_to_torus_form(bohr_char)
 

@@ -2,10 +2,14 @@
 
 Three routes are provided for the transform.  The fast path runs numpy's
 real-input FFT; the extraction pipeline uses it.  A table here is real, so its
-transform is conjugate-symmetric, fhat(-t) = conj(fhat(t)): :func:`dft` runs
-``rfftn`` on half the characters and unfolds them to the full table, exactly
-symmetric by construction, and :func:`idft_real` synthesizes a real table from
-that half with ``irfftn``.  :func:`idft` is the complex synthesis of any
+transform is conjugate-symmetric, fhat(-t) = conj(fhat(t)).  One private half
+transform, ``_half_spectrum``, runs ``rfftn`` on the characters whose last
+coordinate is at most n/2 and makes the planes that hold both t and -t exactly
+symmetric.  The extractor and :func:`triple_convolve` stay on that half, from
+the transform to the synthesis: no N-point complex table is formed.
+:func:`dft` unfolds the half to the full table, exactly symmetric by
+construction, and :func:`idft_real` synthesizes a real table from the half of
+a full one with ``irfftn``.  :func:`idft` is the complex synthesis of any
 spectrum.  The factored path is one Cooley-Tukey engine, axis by axis, over a
 ring: the complex numbers, or the integers mod primes p = 1 (mod L, the lcm of
 the cycle lengths) below 2^31.  Every kernel and twiddle is read off one cached
@@ -22,10 +26,12 @@ off it.  The definitional path evaluates the plain O(N^2) pairing sums; it is
 the oracle the others are tested against.
 
 The fast triple convolution f conv g conv g(-.) is one product of transforms,
-f-hat * |g-hat|^2 (:func:`triple_spectrum`), since the reflection of a real
-table has the conjugate transform, synthesized by :func:`idft_real`: two
-forward and one inverse real FFT.  :func:`reflect` serves the identity suite
-(:func:`fourier_identity_suite`) and the definitional route.
+f-hat * |g-hat|^2, since the reflection of a real table has the conjugate
+transform: :func:`triple_spectrum` forms it on full tables, ``_triple_half``
+in place on half tables, with the same bits where both hold it.
+:func:`triple_convolve` is two forward and one inverse real FFT on the half.
+:func:`reflect` serves the identity suite (:func:`fourier_identity_suite`) and
+the definitional route.
 
 The definitional convolution sums translates of f.  Every translate in the
 package (here, in the sumset unions of ``sets`` and in the verifier's
@@ -153,17 +159,15 @@ def _require_same_group(a, b) -> GroupSpec:
 def dft(f: DensityFn) -> Spectrum:
     """Fourier transform via the real-input FFT, unfolded to every character.
 
-    ``rfftn`` computes the characters whose last coordinate is at most n/2;
-    the rest are the conjugates of their negatives.  On the planes where the
-    last coordinate is 0 or n/2, which hold both t and -t, ``rfftn`` computes
-    each pair twice; the value of the pair's first character in rank order is
-    kept and mirrored, and a self-paired character keeps its real part.  So
-    ``fhat(-t) == conj(fhat(t))`` holds exactly, for every t.
+    The half table of :func:`_half_spectrum`, unfolded by :func:`_unfold`:
+    the characters whose last coordinate exceeds n/2 are the conjugates of
+    their negatives, so ``fhat(-t) == conj(fhat(t))`` holds exactly, for
+    every t.  The extractor never unfolds a complex table; this is the
+    public route to the full one.
     """
     g = f.group
-    half = np.fft.rfftn(f.as_nd(), axes=tuple(range(g.ndim)))
-    half /= g.order
-    coeffs = _unfold(half, g.factors).ravel()
+    neg = _negated_ranks(g.factors[:-1])
+    coeffs = _unfold(_half_spectrum(f, neg), g.factors, neg).ravel()
     coeffs.flags.writeable = False
     return Spectrum(g, coeffs)
 
@@ -174,25 +178,67 @@ def _negated_ranks(factors: tuple[int, ...]) -> np.ndarray:
     return np.arange(math.prod(factors)).reshape(factors)[flip].ravel()
 
 
-def _unfold(half: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
-    """The full ``factors``-shaped transform of a real table from its ``rfftn`` half."""
-    n = factors[-1]
-    width = n // 2 + 1
-    lead = math.prod(factors[:-1])
-    neg = _negated_ranks(factors[:-1])
-    half = half.reshape(lead, width)
-    full = np.empty((lead, n), dtype=np.complex128)
-    full[:, :width] = half
-    # Column j > n/2 is the conjugate of column n - j at the negated leading coordinates.
-    np.conjugate(half[:, (n - 1) // 2 : 0 : -1][neg], out=full[:, width:])
-    # The planes of column 0 and n/2 hold t and -t both: mirror the rank-first of each pair.
-    rank = np.arange(lead)
+def _half_spectrum(f: DensityFn, neg: np.ndarray) -> np.ndarray:
+    """The transform of f at the characters whose last coordinate is at most n/2.
+
+    ``rfftn`` divided by N, a writable table of shape (*factors[:-1], n//2 + 1).
+    ``neg`` is ``_negated_ranks(factors[:-1])``, built once by the caller.  The
+    planes where the last coordinate is 0 or n/2 hold t and -t both, and
+    ``rfftn`` computes each pair twice: the value of the pair's first
+    character in rank order is kept and mirrored, and a self-paired character
+    keeps its real part, so the half is exactly conjugate-symmetric where it
+    holds both.  h and the remainder are synthesized from these planes.
+    """
+    g = f.group
+    half = np.fft.rfftn(f.as_nd(), axes=tuple(range(g.ndim)))
+    half /= g.order
+    n = g.factors[-1]
+    planes = half.reshape(len(neg), n // 2 + 1)
+    rank = np.arange(len(neg))
     later, own = neg < rank, neg == rank
     for col in (0, n // 2) if n % 2 == 0 else (0,):
-        column = full[:, col]
+        column = planes[:, col]
         column[later] = np.conjugate(column[neg[later]])
         column[own] = column[own].real
+    return half
+
+
+def _unfold(half: np.ndarray, factors: tuple[int, ...], neg: np.ndarray) -> np.ndarray:
+    """The full ``factors``-shaped table from a half table in :func:`_half_spectrum`'s layout.
+
+    Column j > n/2 is column n - j at the negated leading coordinates (``neg``),
+    conjugated when the table is complex.  A boolean table unfolds as it is:
+    the mask |fhat| >= threshold on the half unfolds to the mask on every
+    character, since |conj z| == |z| bit for bit.
+    """
+    n = factors[-1]
+    width = n // 2 + 1
+    half = half.reshape(len(neg), width)
+    full = np.empty((len(neg), n), dtype=half.dtype)
+    full[:, :width] = half
+    mirror = half[:, (n - 1) // 2 : 0 : -1][neg]
+    if full.dtype.kind == "c":
+        np.conjugate(mirror, out=full[:, width:])
+    else:
+        full[:, width:] = mirror
     return full.reshape(factors)
+
+
+def _half_index(
+    ranks: np.ndarray, factors: tuple[int, ...], neg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each character of ``ranks`` is read in a ravelled half table: ``(index, mirrored)``.
+
+    A character whose last coordinate is at most n/2 is read at its own place;
+    one past n/2 (``mirrored``) is read as the conjugate of the entry of -t.
+    """
+    n = factors[-1]
+    width = n // 2 + 1
+    lead, col = np.divmod(ranks, n)
+    mirrored = col >= width
+    index = lead * width + col
+    index[mirrored] = neg[lead[mirrored]] * width + (n - col[mirrored])
+    return index, mirrored
 
 
 def idft(spectrum: Spectrum) -> np.ndarray:
@@ -207,7 +253,8 @@ def idft_real(spectrum: Spectrum) -> np.ndarray:
 
     Only valid for the spectrum of a real table, ``F(-t) == conj(F(t))``: the
     characters whose last coordinate exceeds n/2 are never read, and the
-    imaginary part the synthesis would have is dropped.
+    imaginary part the synthesis would have is dropped.  The half it reads
+    goes through ``_synthesize_half``, as the extractor's h and remainder do.
     """
     g = spectrum.group
     return _synthesize_half(spectrum.as_nd()[..., : g.factors[-1] // 2 + 1], g)
@@ -698,8 +745,9 @@ def triple_spectrum(fhat: Spectrum, ghat: Spectrum) -> Spectrum:
     """h-hat = f-hat * |g-hat|^2, the transform of f conv g conv g(-.) for real g.
 
     The transform of g(-.) is conj(g-hat) when g is real, so the two
-    convolutions are one elementwise product.  The extractor reads h, the
-    coefficients of its level polynomial and its remainder off this one table.
+    convolutions are one elementwise product, over every character here; the
+    extractor and :func:`triple_convolve` form it on the half tables instead
+    (``_triple_half``), with the same bits there.
     """
     grp = _require_same_group(fhat, ghat)
     hhat = fhat.coeffs * np.abs(ghat.coeffs) ** 2
@@ -707,15 +755,26 @@ def triple_spectrum(fhat: Spectrum, ghat: Spectrum) -> Spectrum:
     return Spectrum(grp, hhat)
 
 
+def _triple_half(fhat: np.ndarray, ghat: np.ndarray) -> np.ndarray:
+    """h-hat = f-hat * |g-hat|^2 on two half tables, written over ``fhat``, which is returned."""
+    power = np.abs(ghat)
+    np.square(power, out=power)
+    fhat *= power
+    return fhat
+
+
 def triple_convolve(f: DensityFn, g: DensityFn) -> DensityFn:
     """The smoothed sumset profile f conv g conv g(-.), for real g.
 
-    Three real-input transforms: f-hat and g-hat, then the real synthesis of
-    :func:`triple_spectrum`.  The extractor's h is this table, bit for bit.
+    Three real-input transforms on the half of the dual group that ``rfftn``
+    computes: f-hat and g-hat, their product h-hat (``_triple_half``), then
+    its real synthesis.  No full table is unfolded.  The extractor's h goes
+    through these same private steps, so it is this table, bit for bit.
     """
-    _require_same_group(f, g)
-    hhat = triple_spectrum(dft(f), dft(g))
-    return DensityFn(hhat.group, idft_real(hhat))
+    grp = _require_same_group(f, g)
+    neg = _negated_ranks(grp.factors[:-1])
+    hhat = _triple_half(_half_spectrum(f, neg), _half_spectrum(g, neg))
+    return DensityFn(grp, _synthesize_half(hhat, grp))
 
 
 def triple_convolve_definitional(f: DensityFn, g: DensityFn) -> DensityFn:

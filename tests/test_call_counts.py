@@ -9,7 +9,10 @@ The level polynomial q is evaluated once per extraction, for c, with one
 libm cosine and sine per distinct angle, not per character; and f and g
 are transformed once each: ``extract`` makes two forward and two inverse
 ``np.fft`` transforms (f-hat, g-hat; h and the remainder), whatever k is, and
-all four are real-input transforms, ``rfftn`` and ``irfftn``.  ``good_shift_set``
+all four are real-input transforms, ``rfftn`` and ``irfftn``.  ``extract``
+keeps to their half tables: it never calls the full-table ``spectral.dft``,
+``triple_spectrum`` or ``idft_real``, and at small k its traced memory peaks
+under 2.5 tables of 16 N bytes.  ``good_shift_set``
 draws no translate window, however many members its Bohr set has.  S1 crosses
 the JSON boundary as one rank array: ``json.loads`` never reads the rank block
 of a file in the writer's layout, and from extract to verify each S1 tuple is
@@ -22,6 +25,7 @@ import gc
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -197,6 +201,46 @@ def test_extract_makes_only_real_input_transforms(monkeypatch, g):
     B = random_nonempty_subset(g, 0.1, 6)
     extract(A.indicator(), B.indicator())
     assert calls == Counter(rfftn=2, irfftn=2)
+
+
+@pytest.mark.parametrize("g", [Z4096, G8884, groups.GroupSpec((5, 1, 3))], ids=str)
+def test_extract_never_calls_the_full_table_routes(monkeypatch, g):
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract formed a full N-point spectrum")
+
+    for name in ("dft", "triple_spectrum", "idft_real"):
+        original = getattr(spectral, name)
+        for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "bohrlab"]:
+            for site, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, site, refuse)
+    A = random_nonempty_subset(g, 0.1, 5)
+    B = random_nonempty_subset(g, 0.1, 6)
+    assert extract(A.indicator(), B.indicator()).k >= 1
+
+
+@pytest.mark.parametrize("kind", ["subgroup", "random"])
+def test_extract_peak_memory_at_small_k(kind):
+    """One extract on Z_2^16 at k <= 2 peaks under 2.5 tables of 16 N bytes (traced).  The
+    half tables of f-hat and g-hat, h-hat formed over f-hat's, and one real table for h
+    at a time; the full-table route peaked at 3.5 tables."""
+    g = groups.GroupSpec((1 << 16,))
+    if kind == "subgroup":
+        A = B = _subgroup(g, 2)
+    else:
+        A = random_nonempty_subset(g, 0.3, 5)
+        B = random_nonempty_subset(g, 0.3, 6)
+    fa, fb = A.indicator(), B.indicator()
+    extract(fa, fb)  # caches and allocator arenas first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cert = extract(fa, fb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.k <= 2
+    assert peak <= 2.5 * 16 * g.order
 
 
 def test_good_shift_draws_no_translate_window(monkeypatch):

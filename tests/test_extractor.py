@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bohrlab.bohr import FORM_CHAR, FORM_TORUS, bohr_enumerate
+from bohrlab.bohr import FORM_CHAR, FORM_TORUS, bohr_enumerate, char_form_to_torus_form
 from bohrlab.errors import (
     DomainError,
     EmptyInputError,
@@ -20,6 +23,10 @@ from bohrlab.errors import (
     ShapeError,
 )
 from bohrlab.extractor import (
+    BOUND_SLACK,
+    RADIUS_SLACK,
+    BoundCheck,
+    Certificate,
     TrigPoly,
     bohr_from_trigpoly,
     extract,
@@ -35,16 +42,19 @@ from bohrlab.groups import (
     GroupSpec,
     char_at,
     char_eval,
+    char_ranks,
     elem_at,
     rank_of_char,
     rank_of_elem,
     rows_at,
 )
+from bohrlab.serialize import certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset
 from bohrlab.spectral import (
     DensityFn,
     constant_density,
     dft,
+    idft_real,
     triple_convolve,
     triple_convolve_definitional,
     triple_spectrum,
@@ -438,3 +448,138 @@ def test_extract_h_agrees_with_definitional_h(factors, kind_a, kind_b, density, 
     assert a0 == int(np.argmax(np.where(A.mask, h, -np.inf)))
     assert abs(cert.h_at_a0 - h_def[a0]) <= 1e-12
     assert h_def[a0] >= h_def[A.mask].max() - 1e-12
+
+
+def _witness_by_masked_table(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
+    """The witness as it was taken before: argmax over an N-point table with -inf off the support."""
+    supp = f.values > 0.0
+    if not supp.any():
+        raise EmptyInputError("support of f is empty")
+    rank = int(np.argmax(np.where(supp, h.values, -np.inf)))
+    a0, h_at_a0 = elem_at(h.group, rank), float(h.values[rank])
+    if h_at_a0 < f.mean**4 - BOUND_SLACK:
+        raise InvariantBreach(f"witness value {h_at_a0} below delta^4 = {f.mean**4} at {a0.coords}")
+    return a0, h_at_a0
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except Exception as exc:  # compared, not swallowed: both routes must raise alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@example(factors=(8,), levels=1, support=0.5, seed=0)
+@example(factors=(3, 1, 4), levels=2, support=0.1, seed=1)
+@example(factors=(5, 1, 3), levels=3, support=1.0, seed=2)
+@example(factors=(6,), levels=2, support=0.0, seed=3)
+@given(
+    factors=GROUPS,
+    levels=st.integers(1, 4),
+    support=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_find_witness_keeps_the_masked_table_witness(factors, levels, support, seed):
+    """h takes a few exact values (at most 4), so the maximum over the support is an exact
+    tie at many ranks; a low top level makes the delta^4 breach fire, and an empty support
+    raises.  The witness, its value and every error are those of the N-point masked table."""
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    h = DensityFn(g, rng.integers(levels, size=g.order) / 4.0)
+    f = DensityFn(g, rng.random(g.order) < support)
+    assert _outcome(lambda: find_witness(h, f)) == _outcome(lambda: _witness_by_masked_table(h, f))
+
+
+def _full_table_extract(f: DensityFn, g: DensityFn) -> tuple[Certificate, float]:
+    """Extraction on full N-point tables, as it ran before extract kept to the rfftn half:
+    every spectrum unfolded (``dft``), h-hat formed over all N characters, h and q read off it,
+    and the remainder checked by ``remainder_bound_check``.  Returns the certificate and r_max."""
+    f1, g1, delta = normalize_means(f, g)
+    grp = f1.group
+    fhat = dft(f1)
+    s1 = large_spectrum(fhat, 0.25 * delta**3)
+    hhat = triple_spectrum(fhat, dft(g1))
+    a0, h_at_a0 = _witness_by_masked_table(DensityFn(grp, idft_real(hhat)), f1)
+    q = TrigPoly(grp, s1, hhat.coeffs[char_ranks(grp, s1)], constant_shift=-0.25 * delta**4)
+    c = q.evaluate(a0).real
+    r_max = remainder_bound_check(hhat, s1, delta)
+    bohr_char = bohr_from_trigpoly(q, a0, c)
+    bohr_torus = char_form_to_torus_form(bohr_char)
+    k, torus_limit = len(s1), delta**9 / (64.0 * math.pi)
+    bounds = {
+        "dimension": BoundCheck(float(k), 16.0 * delta**-5, k <= 16.0 * delta**-5),
+        "witness_value": BoundCheck(h_at_a0, delta**4, h_at_a0 >= delta**4 - BOUND_SLACK),
+        "c_lower": BoundCheck(c, 0.5 * delta**4, c >= 0.5 * delta**4 - BOUND_SLACK),
+        "torus_radius": BoundCheck(
+            bohr_torus.radius, torus_limit, bohr_torus.radius >= torus_limit - RADIUS_SLACK
+        ),
+        "remainder": BoundCheck(r_max, 0.25 * delta**4, r_max <= 0.25 * delta**4 + BOUND_SLACK),
+    }
+    cert = Certificate(grp, delta, a0, bohr_char.freqs, c, k, h_at_a0, bohr_char, bohr_torus, bounds)
+    return cert, r_max
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+# Up to 4 factors; the last one odd or even, 1 or 2 among them.
+IDENTITY_GROUPS = st.tuples(
+    st.lists(st.integers(1, 10), min_size=0, max_size=3),
+    st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16]),
+).map(lambda p: (*p[0], p[1])).filter(lambda f: math.prod(f) <= 1024)
+
+
+@settings(max_examples=80, deadline=None)
+@example(factors=(5, 1, 3), kind="dense", seed=0)
+@example(factors=(5, 1, 3), kind="sparse", seed=1)
+@example(factors=(4, 1), kind="coset", seed=2)
+@example(factors=(6, 2), kind="coset", seed=3)
+@example(factors=(16, 9), kind="dense", seed=4)
+@example(factors=(8, 8, 8, 2), kind="sparse", seed=5)
+@example(factors=(1, 1), kind="dense", seed=6)
+@given(
+    factors=IDENTITY_GROUPS,
+    kind=st.sampled_from(["dense", "coset", "sparse"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extract_is_the_full_table_route_bit_for_bit(factors, kind, seed):
+    """Dense sets (density 0.95) give k = 1, a coset of 2Z x ... gives a subgroup-sized S1,
+    and sparse sets (density 0.05) a worst-case S1 near the whole dual group."""
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    density = {"dense": 0.95, "coset": 0.5, "sparse": 0.05}[kind]
+    A = _set(g, "coset" if kind == "coset" else "random", density, rng)
+    B = _set(g, "random", density, rng)
+    got = _outcome(lambda: extract(A.indicator(), B.indicator()))
+    want = _outcome(lambda: _full_table_extract(A.indicator(), B.indicator()))
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    ref, r_max = want
+    assert certificate_to_json(got) == certificate_to_json(ref)
+    assert _bits(got.c) == _bits(ref.c)
+    assert _bits(got.h_at_a0) == _bits(ref.h_at_a0)
+    assert _bits(got.bounds["remainder"].value) == _bits(r_max)
+
+
+CENSUS = json.loads((Path(__file__).parent / "data" / "extract_digests.json").read_text())
+
+
+def _census_id(row) -> str:
+    return f"{'x'.join(map(str, row['factors']))}-{row['density']}-{row['seeds'][0]}"
+
+
+@pytest.mark.parametrize("row", CENSUS["instances"], ids=_census_id)
+def test_extract_census_keeps_every_certificate_bit(row):
+    """Certificates of seeded instances hashed by the full-table route, before extract kept
+    to the half tables: Z_2^16, 256^2 and 16^4 at density 0.1 (worst-case k), Z_2^18 and
+    512^2 at 0.3 (k = 1), F_2^10, (5, 1, 3) and 97 x 4."""
+    g = GroupSpec(tuple(row["factors"]))
+    A = random_nonempty_subset(g, row["density"], row["seeds"][0])
+    B = random_nonempty_subset(g, row["density"], row["seeds"][1])
+    cert = extract(A.indicator(), B.indicator())
+    assert cert.k == row["k"]
+    assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == row["sha256"]
