@@ -7,14 +7,24 @@ symmetric neighborhoods of 0.  Converting character-distance radius eta to
 torus-norm radius eta/(2*pi) always shrinks the member set (or keeps it equal),
 since ``|chi(z) - 1| = 2*sin(pi*phase) <= 2*pi*||phase||``.
 
-Membership is strict, and distances that land within a small guard band of the
-radius raise :class:`AmbiguousBoundary` instead of being decided silently.
+Membership is strict and decided in integers.  With L = lcm(n_i), the phase
+of t at z is the exact rational M/L, M = sum_i (t_i z_i mod n_i)(L/n_i) mod L,
+and both distances grow with j = min(M, L - M).  So each form is one integer
+threshold on j: the torus form is exact (a float radius is a dyadic
+rational), and the character form needs one arcsine, enclosed to a few ulps.
+Only a distance that really ties the radius, or whose phase lands inside that
+enclosure, raises :class:`AmbiguousBoundary`.  Green, "Finite field models in
+additive combinatorics" (2005): at the tiny radii a certificate carries, the
+Bohr set is the annihilator of span(S1), and the threshold is j < 1.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,19 +37,20 @@ from .groups import (
     char_tuple,
     check_elem,
     coords_table,
-    pairing,
     require_within_cap,
-    torus_norm,
 )
 from .spectral import phase_blocks
 
 FORM_CHAR = "character-distance"
 FORM_TORUS = "torus-norm"
 
-DEFAULT_GUARD = 1e-12
-# Margin of the guard-band screen: far above the float error of a computed
-# distance (a few ulps per coordinate), far below the guard band's purpose.
-_SCREEN_SLACK = 1e-9
+# Relative half-width of the enclosure of the character-form threshold
+# L asin(r/2)/pi.  r/2 is exact; libm's asin is within 1 ulp; math.pi is
+# within half an ulp of pi; the division, the product by L and the product by
+# (1 -+ margin) round once each, half an ulp apiece.  That is at most 3 ulps
+# of relative error, each ulp at most epsilon relative; 8 leaves room for a
+# libm that is a few ulps worse.
+_THRESHOLD_MARGIN = 8 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -69,88 +80,122 @@ class BohrSpec:
 
 # --- membership --------------------------------------------------------------
 
-def _distances_point(b: BohrSpec, z: Elem) -> list[float]:
-    out = []
-    for t in b.freqs:
-        phase = pairing(b.group, t, z)
-        if b.form == FORM_CHAR:
-            out.append(2.0 * math.sin(math.pi * phase))
-        else:
-            out.append(torus_norm(phase))
-    return out
+@lru_cache(maxsize=32)
+def _lcm_weights(factors: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray]:
+    """L = lcm(n_i), the factors n_i, and the weights L/n_i that put every factor's phase over L."""
+    lcm = math.lcm(*factors)
+    moduli = np.asarray(factors, dtype=np.int64)
+    weights = lcm // moduli
+    moduli.flags.writeable = weights.flags.writeable = False
+    return lcm, moduli, weights
+
+
+def _distances(g: GroupSpec, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The (k, m) exact distances j = min(M, L - M) of ``rows`` at ``coords``.
+
+    M/L is the phase, M = sum_i (t_i z_i mod n_i)(L/n_i) mod L.  Each factor is
+    reduced before it is weighted, so every term is below L and their sum
+    below d L: no int64 overflow for any enumerable group.
+    """
+    lcm, moduli, weights = _lcm_weights(g.factors)
+    phases = ((rows[:, None, :] * coords[None, :, :]) % moduli * weights).sum(axis=2) % lcm
+    return np.minimum(phases, lcm - phases)
+
+
+def _threshold(b: BohrSpec) -> tuple[int, int]:
+    """(T, U) on the distance j: a member below T, undecidable in [T, U], not above U.
+
+    Torus form: j/L < r iff j < r L, exactly.  Character form:
+    2 sin(pi j/L) < r iff j < L asin(r/2)/pi, enclosed to ``_THRESHOLD_MARGIN``;
+    every element is a member above r = 2.  j = 0 always is (r > 0).
+    """
+    lcm = _lcm_weights(b.group.factors)[0]
+    everyone = lcm // 2 + 1, lcm // 2  # j <= L/2 always
+    if b.form == FORM_TORUS:
+        exact = Fraction(b.radius) * lcm
+        if 2 * exact > lcm:
+            return everyone
+        below = math.ceil(exact)
+        return below, below if exact == below else below - 1
+    if b.radius > 2.0:
+        return everyone
+    theta = lcm * math.asin(b.radius / 2.0) / math.pi
+    below = max(1, math.ceil(theta * (1.0 - _THRESHOLD_MARGIN)))
+    return below, math.floor(theta * (1.0 + _THRESHOLD_MARGIN))
+
+
+def _boundary(b: BohrSpec, t_idx: int, where: str, j: int) -> AmbiguousBoundary:
+    lcm = _lcm_weights(b.group.factors)[0]
+    if b.form == FORM_CHAR:
+        dist = f"distance 2 sin(pi {j}/{lcm}) = {2.0 * math.sin(math.pi * j / lcm)!r}"
+        tie = "is within rounding error of"
+    else:
+        dist, tie = f"distance {j}/{lcm}", "equals"
+    return AmbiguousBoundary(f"{dist} {where} (frequency {b.freqs[t_idx]}) {tie} radius {b.radius!r}")
 
 
 def bohr_member(b: BohrSpec, z: Elem) -> bool:
-    """Strict membership test for the untranslated set (centers are metadata)."""
-    check_elem(b.group, z)
-    member = True
-    for t, dist in zip(b.freqs, _distances_point(b, z)):
-        if abs(dist - b.radius) <= DEFAULT_GUARD:
-            raise AmbiguousBoundary(
-                f"distance {dist!r} for frequency {t} is within {DEFAULT_GUARD} "
-                f"of radius {b.radius!r}"
-            )
-        if dist >= b.radius:
-            member = False
-    return member
+    """Strict membership test for the untranslated set (centers are metadata).
 
-
-def _distances(form: str, phases: np.ndarray) -> np.ndarray:
-    if form == FORM_CHAR:
-        return 2.0 * np.sin(np.pi * phases)
-    return np.minimum(phases, 1.0 - phases)
-
-
-def _may_touch_guard_band(b: BohrSpec) -> np.ndarray:
-    """Per frequency: could some element's distance land in the guard band?
-
-    chi_t takes exactly the phases j/L, L the order of t, and both distances
-    grow with j on [0, L/2], so the attainable distances nearest the radius
-    come from the j next to L times the radius's inverse distance.  Testing
-    those within ``_SCREEN_SLACK`` of the band is O(k) work and never misses
-    a frequency the full-group check would flag.
+    The rule of :func:`members_mask`, at one element: raises
+    :class:`AmbiguousBoundary` only when one of its own distances is undecidable.
     """
-    factors = np.asarray(b.group.factors, dtype=np.int64)
-    order = np.lcm.reduce(factors // np.gcd(b.freqs.rows, factors), axis=1)[:, None]
-    if b.form == FORM_CHAR:
-        level = math.asin(min(b.radius / 2.0, 1.0)) / math.pi
-    else:
-        level = min(b.radius, 0.5)
-    j = np.clip(np.floor(level * order) + np.arange(-1, 3), 0, order)
-    dists = _distances(b.form, j / order)
-    return (np.abs(dists - b.radius) <= DEFAULT_GUARD + _SCREEN_SLACK).any(axis=1)
+    check_elem(b.group, z)
+    below, upto = _threshold(b)
+    j = _distances(b.group, b.freqs.rows, np.asarray([z.coords], dtype=np.int64))[:, 0]
+    ties = np.flatnonzero((j >= below) & (j <= upto))
+    if ties.size:
+        raise _boundary(b, int(ties[0]), f"at element {z.coords}", int(j[ties[0]]))
+    return bool((j < below).all())
+
+
+def _walk_order(step: np.ndarray) -> np.ndarray:
+    """Frequencies by descending order L/s, each order class spread by i*phi mod 1.
+
+    In canonical order the first m frequencies of a class span few dimensions
+    (on F_2^n, log2 m), so the survivors of a walk shrink only like N/m and
+    every doubling block costs about N cells.  Frequencies taken across the
+    class, as the golden-ratio sequence spreads them, are independent early.
+    """
+    spread = (np.arange(len(step)) * 0.6180339887498949) % 1.0
+    return np.argsort(step + spread)  # step is a positive integer, spread in [0, 1)
 
 
 def members_mask(b: BohrSpec) -> np.ndarray:
     """Boolean membership table over the whole group, canonical order.
 
-    A boundary distance anywhere raises, naming the first one in (frequency,
-    element) order: the frequencies :func:`_may_touch_guard_band` keeps get
-    the full-group check, in frequency order.  Membership then walks
-    :func:`~bohrlab.spectral.phase_blocks` blocks over the elements still in
-    the running only, so an element drops out at the first block that
-    excludes it and memory is one block's phase table, never (k, N, d).
+    First an exact O(k) screen: t takes exactly the phases that are multiples
+    of s = gcd(t_i L/n_i, L), so a tie is possible only for a frequency with a
+    multiple of s in the undecidable window of :func:`_threshold`.  The first
+    such frequency raises :class:`AmbiguousBoundary`, naming its first tied
+    element from a scan of that one row.  Otherwise membership walks
+    :func:`~bohrlab.spectral.phase_blocks` blocks of integer phases over the
+    elements still in the running, in :func:`_walk_order`: frequencies of
+    highest order L/s first, so the first block removes most candidates, and
+    each order class spread out.  An element drops out at the first
+    block that excludes it, and memory is one block's table, never (k, N, d).
     """
     g = b.group
     rows, coords = b.freqs.rows, coords_table(g)
-    suspects = np.flatnonzero(_may_touch_guard_band(b))
-    for block, phases in phase_blocks(g, rows[suspects], coords):
-        dists = _distances(b.form, phases)
-        near = np.abs(dists - b.radius) <= DEFAULT_GUARD
-        if near.any():
-            t_idx, z_idx = np.argwhere(near)[0]
-            raise AmbiguousBoundary(
-                f"distance {dists[t_idx, z_idx]!r} at element rank {z_idx} "
-                f"(frequency {b.freqs[suspects[block.start + t_idx]]}) is within "
-                f"{DEFAULT_GUARD} of radius {b.radius!r}"
-            )
+    lcm, _, weights = _lcm_weights(g.factors)
+    below, upto = _threshold(b)
+    step = np.gcd(np.gcd.reduce(rows * weights, axis=1), lcm)
+    first = -(-below // step) * step  # the least attainable j >= T
+    ties = np.flatnonzero(first <= min(upto, lcm // 2))
+    if ties.size:
+        t_idx = int(ties[0])
+        j = _distances(g, rows[t_idx : t_idx + 1], coords)[0]
+        z_idx = int(np.flatnonzero((j >= below) & (j <= upto))[0])
+        raise _boundary(b, t_idx, f"at element rank {z_idx}", int(j[z_idx]))
+    if below > lcm // 2:
+        return np.ones(g.order, dtype=bool)
     ranks = np.arange(g.order)
-    walk = phase_blocks(g, rows, coords)
+    walk = phase_blocks(g, rows[_walk_order(step)], coords, _distances)
     try:
-        _, phases = next(walk)
+        _, j = next(walk)
         while True:
-            ranks = ranks[(_distances(b.form, phases) < b.radius).all(axis=0)]
-            _, phases = walk.send(coords[ranks])
+            ranks = ranks[(j < below).all(axis=0)]
+            _, j = walk.send(coords[ranks])
     except StopIteration:
         pass
     members = np.zeros(g.order, dtype=bool)

@@ -30,7 +30,12 @@ class InvariantBreach(BohrlabError):
 
 
 class AmbiguousBoundary(BohrlabError):
-    """A membership distance fell inside the guard band around the radius."""
+    """A membership distance ties the radius, or lies within the rounding of its arcsine.
+
+    Membership is decided in exact integer phases (``bohr``), so this is
+    raised only at a true tie: a torus distance j/L equal to the radius, or a
+    character-form phase inside the few-ulp enclosure of L asin(r/2)/pi.
+    """
 
 
 class RetryExhausted(BohrlabError):

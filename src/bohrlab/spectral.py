@@ -64,22 +64,24 @@ from .groups import TWO_PI, GroupSpec, coords_table, phase_table
 _BLOCK_CELLS = 1 << 21
 
 
-def phase_blocks(g: GroupSpec, rows: np.ndarray, cols: np.ndarray):
-    """Yield ``(block, phase_table(g, rows[block], cols))`` over consecutive row slices.
+def phase_blocks(g: GroupSpec, rows: np.ndarray, cols: np.ndarray, table=phase_table):
+    """Yield ``(block, table(g, rows[block], cols))`` over consecutive row slices.
 
     Blocks grow 1, 2, 4, ... rows, each capped at ``_BLOCK_CELLS`` cells
     against the current columns (and at least one row), so memory stays
     bounded for any ``cols`` of at most N rows.  A walk that prunes columns
     sends the remaining ones back (``walk.send(cols)``); later blocks are sized
     for and computed against them.  Every blocked walk over pairing phases
-    (the definitional transforms, synthesis, Bohr membership) goes through
-    here; the factored transform reads its phases off a power table instead.
+    goes through here: the definitional transforms and synthesis over the
+    float phases of :func:`~bohrlab.groups.phase_table`, Bohr membership over
+    its own ``table`` of exact integer distances.  The factored transform
+    reads its phases off a power table instead.
     """
     start, size = 0, 1
     while start < len(rows):
         cap = max(1, _BLOCK_CELLS // max(1, len(cols) * g.ndim))
         block = slice(start, start + min(size, cap))
-        sent = yield block, phase_table(g, rows[block], cols)
+        sent = yield block, table(g, rows[block], cols)
         if sent is not None:
             cols = sent
         start, size = block.stop, 2 * size
@@ -87,13 +89,21 @@ def phase_blocks(g: GroupSpec, rows: np.ndarray, cols: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class DensityFn:
-    """A real table over the group, indexed by element in canonical order."""
+    """A real table over the group, indexed by element in canonical order.
+
+    The table is frozen.  A read-only float64 array is kept as it is, as
+    :class:`Spectrum` keeps a complex one, so a fresh table handed over
+    read-only is not copied; anything else is copied.
+    """
 
     group: GroupSpec
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.float64)
+        vals = self.values
+        frozen = isinstance(vals, np.ndarray) and not vals.flags.writeable
+        if not (frozen and vals.dtype == np.float64):
+            vals = np.array(vals, dtype=np.float64)
         if vals.shape != (self.group.order,):
             raise ShapeError(
                 f"expected {self.group.order} values for group {self.group}, got shape {vals.shape}"
@@ -249,7 +259,7 @@ def idft(spectrum: Spectrum) -> np.ndarray:
 
 
 def idft_real(spectrum: Spectrum) -> np.ndarray:
-    """The synthesis of a real table's spectrum by the real-input inverse FFT; a real table.
+    """The synthesis of a real table's spectrum by the real-input inverse FFT; a read-only real table.
 
     Only valid for the spectrum of a real table, ``F(-t) == conj(F(t))``: the
     characters whose last coordinate exceeds n/2 are never read, and the
@@ -261,9 +271,13 @@ def idft_real(spectrum: Spectrum) -> np.ndarray:
 
 
 def _synthesize_half(half: np.ndarray, g: GroupSpec) -> np.ndarray:
-    """The real synthesis of the ``rfftn`` half of a conjugate-symmetric table, ravelled."""
+    """The real synthesis of the ``rfftn`` half of a conjugate-symmetric table, ravelled.
+
+    The table is fresh and returned read-only, so a :class:`DensityFn` keeps it uncopied.
+    """
     values = np.fft.irfftn(half, s=g.factors, axes=tuple(range(g.ndim))).ravel()
     values *= g.order
+    values.flags.writeable = False
     return values
 
 

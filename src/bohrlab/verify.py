@@ -4,9 +4,9 @@ Everything here recomputes from definitions: the triple convolution from the
 exact integer count of representations a + b - c, whose support is the
 sumset A+B-B (``spectral.representation_counts``: a number-theoretic
 transform or an integer translate sum), transforms by the exact-phase
-factored transform, Bohr membership by pairing phases.  Nothing here reaches
-``np.fft``.  Every translate, the containment shift by a0 included, is a
-window from ``spectral._translate_windows``.  None of the extractor's
+factored transform, Bohr membership by exact integer phases.  Nothing here
+reaches ``np.fft``.  Every translate, the containment shift by a0 included,
+is a window from ``spectral._translate_windows``.  None of the extractor's
 fast-path results are trusted; a certificate is data to be audited.  Failed
 checks are recorded in the report, not raised -- reports are data too.
 
@@ -108,9 +108,12 @@ def _h_from_counts(g: GroupSpec, counts: np.ndarray, scale_f: float, scale_g: fl
     """h = f1 conv g1 conv g1(-.) for f1 = scale_f 1_A and g1 = scale_g 1_B, from the counts of A+B-B.
 
     h = r scale_f scale_g^2 / N^2.  With both scales 1 and N a power of two
-    every step is exact, so h is the translate sum's table bit for bit.
+    every step is exact, so h is the translate sum's table bit for bit.  The
+    table is fresh and handed over read-only, so the DensityFn keeps it uncopied.
     """
-    return DensityFn(g, counts * (scale_f * scale_g * scale_g) / g.order / g.order)
+    h = counts * (scale_f * scale_g * scale_g) / g.order / g.order
+    h.flags.writeable = False
+    return DensityFn(g, h)
 
 
 def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> VerificationReport:
@@ -119,11 +122,11 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     The checks, in report order: the witness lies in A; the translated Bohr
     set sits inside A+B-B, the support of the exact representation counts
     that h is scaled from; torus-form members are a subset of char-form
-    members (these two become one failed ``undecidable`` check when a member
-    distance lands in the guard band); the dimension, witness-value, level
-    and remainder bounds; then internal consistency (delta, spectrum, radii,
-    centers) against the definitional recomputation, S1 against the large
-    spectrum by one rank mask.
+    members (these two become one failed ``undecidable`` check only at a true
+    tie, a distance whose exact phase sits on the radius, see ``bohr``); the
+    dimension, witness-value, level and remainder bounds; then internal
+    consistency (delta, spectrum, radii, centers) against the definitional
+    recomputation, S1 against the large spectrum by one rank mask.
     A group above the enumeration cap, or counts beyond the primes an int64
     CRT can join, raise :class:`CapacityError` before any transform.
     """
@@ -165,8 +168,8 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
         torus_members = members_mask(cert.bohr_torus_form)
         undecidable = None
     except AmbiguousBoundary as exc:
-        # A distance inside the guard band: membership, and with it
-        # containment, cannot be decided, so the certificate is refuted.
+        # A distance on the radius: membership, and with it containment,
+        # cannot be decided, so the certificate is refuted.
         undecidable = str(exc)
 
     checks: list[CheckResult] = []
@@ -309,8 +312,8 @@ def good_shift_set(A: GroupSubset, B: GroupSubset, b: BohrSpec) -> GroupSubset:
     exact representation counts that :func:`verify_certificate` reads, shared
     with it on equal sets.  The bad shifts, (complement of the sumset) - half,
     are the support of one exact difference count.  Raises
-    :class:`AmbiguousBoundary` when a distance of the half-radius set lands in
-    the guard band, and :class:`CapacityError` above the enumeration cap or
+    :class:`AmbiguousBoundary` when a distance of the half-radius set ties its
+    radius, and :class:`CapacityError` above the enumeration cap or
     when the counts outgrow the primes an int64 CRT can join.
     """
     g = b.group

@@ -16,7 +16,8 @@ under 2.5 tables of 16 N bytes.  ``good_shift_set``
 draws no translate window, however many members its Bohr set has.  S1 crosses
 the JSON boundary as one rank array: ``json.loads`` never reads the rank block
 of a file in the writer's layout, and from extract to verify each S1 tuple is
-range-checked and ranked at most once.
+range-checked and ranked at most once.  Bohr membership at a radius far
+below every nonzero distance walks about (N + k) d phase cells, not k N d.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from bohrlab.bohr import FORM_CHAR, BohrSpec, halve_radius, members_mask
 from bohrlab.errors import ShapeError
 from bohrlab.extractor import TrigPoly, extract
 from bohrlab.serialize import certificate_from_json, certificate_to_json
-from bohrlab.sets import GroupSubset, random_nonempty_subset
+from bohrlab.sets import GroupSubset, random_nonempty_subset, subgroup_subset
 from bohrlab.verify import good_shift_set, verify_certificate
 
 COUNTED = ("check_char", "rank_of_char", "char_eval", "pairing", "elem_at", "char_at")
@@ -263,6 +264,38 @@ def test_good_shift_draws_no_translate_window(monkeypatch):
     good = good_shift_set(A, A, b)
     assert np.array_equal(good.mask, A.mask)
     assert windows == []
+
+
+def test_tiny_radius_membership_is_not_k_by_n(monkeypatch):
+    """A char radius of 9.3e-10 on F_2^12 costs about (N + k) d phase cells, not k N d.
+
+    The walk's blocks visit about 2.5 N elements before the survivors fall to
+    the 4 members; then the rest of the k rows meet those 4.
+    """
+    g = groups.GroupSpec((2,) * 12)
+    A = subgroup_subset(g, (2,) * 10 + (1, 1))
+    cert = extract(A.indicator(), A.indicator())
+    assert cert.k == 1024 and cert.bohr_char_form.radius < 1e-9
+    cells = []
+    original = spectral.phase_blocks
+
+    def counted(grp, *args):
+        walk, sent = original(grp, *args), None
+        while True:
+            try:
+                block, table = walk.send(sent)
+            except StopIteration:
+                return
+            cells.append(table.size * grp.ndim)
+            sent = yield block, table
+
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "bohrlab"]:
+        if vars(mod).get("phase_blocks") is original:
+            monkeypatch.setattr(mod, "phase_blocks", counted)
+    for spec in (cert.bohr_char_form, cert.bohr_torus_form):
+        cells.clear()
+        assert np.array_equal(members_mask(spec), A.mask)
+        assert 0 < sum(cells) <= 4 * (g.order + cert.k) * g.ndim
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 from bohrlab.cli import main
 from bohrlab.groups import GroupSpec
 from bohrlab.serialize import certificate_from_json
-from bohrlab.sets import GroupSubset, write_set_file
+from bohrlab.sets import GroupSubset, subgroup_subset, write_set_file
 
 
 def run_cli(*argv):
@@ -92,6 +92,22 @@ def test_verify_valid_exits_0(evens_cert_file, evens_file):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_verify_tiny_radius_subgroup_certificate_exits_0(tmp_path, n):
+    # A = an order-4 subgroup of F_2^n: a true certificate whose char radius,
+    # 1.8e-12 on F_2^15 and 2.3e-13 on F_2^16, is far below any nonzero distance.
+    group = "x".join(["2"] * n)
+    sets, cert = str(tmp_path / "a.txt"), str(tmp_path / "cert.json")
+    write_set_file(subgroup_subset(GroupSpec((2,) * n), (2,) * (n - 2) + (1, 1)), sets)
+    assert run_cli("extract", "--group", group, "--set-a", sets, "--set-b", sets, "--out", cert)[0] == 0
+    assert certificate_from_json(open(cert).read()).bohr_char_form.radius < 2e-12
+    code, out, err = run_cli("verify", "--cert", cert, "--set-a", sets, "--set-b", sets)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert any(c["detail"] == "4 members, all contained after shifting by a0" for c in report["checks"])
 
 
 def test_verify_csv_format(evens_cert_file, evens_file):

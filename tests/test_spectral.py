@@ -63,6 +63,24 @@ def test_density_fn_validation():
     assert f.scaled(2.0).mean == 0.5
 
 
+def test_density_fn_keeps_a_read_only_float64_table():
+    g = GroupSpec((8,))
+    writable = np.linspace(0.0, 1.0, 8)
+    f = DensityFn(g, writable)
+    assert f.values is not writable
+    writable[0] = 5.0  # the caller's array cannot reach the frozen table
+    assert f.values[0] == 0.0
+    frozen = np.linspace(0.0, 1.0, 8)
+    frozen.flags.writeable = False
+    assert DensityFn(g, frozen).values is frozen
+    ints = np.arange(8)
+    ints.flags.writeable = False
+    kept = DensityFn(g, ints).values
+    assert kept is not ints and kept.dtype == np.float64 and not kept.flags.writeable
+    with pytest.raises(ShapeError):
+        DensityFn(g, frozen[:7])
+
+
 def test_spectrum_validation():
     g = GroupSpec((8,))
     with pytest.raises(ShapeError):

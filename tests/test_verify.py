@@ -256,7 +256,7 @@ def test_good_shift_raises_on_guard_band():
     golden = pathlib.Path(__file__).parent / "data" / "z8_evens_cert.json"
     cert = certificate_from_json(golden.read_text(encoding="utf-8"))
     b = dataclasses.replace(cert.bohr_char_form, radius=4.0)
-    with pytest.raises(AmbiguousBoundary, match="within 1e-12 of radius 2.0"):
+    with pytest.raises(AmbiguousBoundary, match=r"distance 2 sin\(pi 4/8\) = 2.0 at element rank 1 .* is within rounding error of radius 2.0"):
         good_shift_set(EVENS, EVENS, b)
 
 
