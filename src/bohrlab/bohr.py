@@ -8,8 +8,9 @@ torus-norm radius eta/(2*pi) always shrinks the member set (or keeps it equal),
 since ``|chi(z) - 1| = 2*sin(pi*phase) <= 2*pi*||phase||``.
 
 Membership is strict and decided in integers.  With L = lcm(n_i), the phase
-of t at z is the exact rational M/L, M = sum_i (t_i z_i mod n_i)(L/n_i) mod L,
-and both distances grow with j = min(M, L - M).  So each form is one integer
+of t at z is the exact rational M/L, M = sum_i (t_i L/n_i) z_i mod L, a linear
+form in z: one integer matrix product and one reduction by the scalar L per
+block.  Both distances grow with j = min(M, L - M).  So each form is one integer
 threshold on j: the torus form is exact (a float radius is a dyadic
 rational), and the character form needs one arcsine, enclosed to a few ulps.
 Only a distance that really ties the radius, or whose phase lands inside that
@@ -81,25 +82,30 @@ class BohrSpec:
 # --- membership --------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _lcm_weights(factors: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray]:
-    """L = lcm(n_i), the factors n_i, and the weights L/n_i that put every factor's phase over L."""
+def _lcm_weights(factors: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """L = lcm(n_i) and the weights L/n_i that put every factor's phase over L."""
     lcm = math.lcm(*factors)
-    moduli = np.asarray(factors, dtype=np.int64)
-    weights = lcm // moduli
-    moduli.flags.writeable = weights.flags.writeable = False
-    return lcm, moduli, weights
+    weights = lcm // np.asarray(factors, dtype=np.int64)
+    weights.flags.writeable = False
+    return lcm, weights
 
 
 def _distances(g: GroupSpec, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The (k, m) exact distances j = min(M, L - M) of ``rows`` at ``coords``.
 
-    M/L is the phase, M = sum_i (t_i z_i mod n_i)(L/n_i) mod L.  Each factor is
-    reduced before it is weighted, so every term is below L and their sum
-    below d L: no int64 overflow for any enumerable group.
+    M/L is the phase.  It is linear in z: (t_i z_i mod n_i) L/n_i is
+    (t_i L/n_i) z_i mod L, so M = sum_i (t_i L/n_i) z_i mod L, one integer
+    matrix product and one reduction by the scalar L, by floor division as
+    in ``spectral._reduce``.  Each term is below L n_i, so the sum is below
+    L sum_i n_i, which is inside int64 for every group of order below 2^31.
     """
-    lcm, moduli, weights = _lcm_weights(g.factors)
-    phases = ((rows[:, None, :] * coords[None, :, :]) % moduli * weights).sum(axis=2) % lcm
-    return np.minimum(phases, lcm - phases)
+    lcm, weights = _lcm_weights(g.factors)
+    phases = (rows * weights) @ coords.T
+    scratch = np.floor_divide(phases, lcm)
+    scratch *= lcm
+    phases -= scratch
+    np.subtract(lcm, phases, out=scratch)
+    return np.minimum(phases, scratch, out=phases)
 
 
 def _threshold(b: BohrSpec) -> tuple[int, int]:
@@ -177,7 +183,7 @@ def members_mask(b: BohrSpec) -> np.ndarray:
     """
     g = b.group
     rows, coords = b.freqs.rows, coords_table(g)
-    lcm, _, weights = _lcm_weights(g.factors)
+    lcm, weights = _lcm_weights(g.factors)
     below, upto = _threshold(b)
     step = np.gcd(np.gcd.reduce(rows * weights, axis=1), lcm)
     first = -(-below // step) * step  # the least attainable j >= T

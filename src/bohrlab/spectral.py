@@ -14,7 +14,10 @@ spectrum.  The factored path is one Cooley-Tukey engine, axis by axis, over a
 ring: the complex numbers, or the integers mod primes p = 1 (mod L, the lcm of
 the cycle lengths) below 2^31.  Every kernel and twiddle is read off one cached
 table of the powers of a root of unity of order L at an exact integer
-exponent: exp(2 pi i * e/L) from the exact phase e/L, or root^e mod p.  Over C
+exponent: exp(2 pi i * e/L) from the exact phase e/L, or root^e mod p.  Mod p,
+every reduction is x - (x // p) p by a scalar p, one ring row at a time
+(``_reduce``): numpy divides by a scalar through a multiply by its inverse,
+several times faster than int64 ``%``, which divides per element.  Over C
 it is :func:`dft_factored` and :func:`idft_factored`, which call no
 ``np.fft``; the verifier uses them.  Mod primes it is a number-theoretic
 transform: :func:`representation_counts` runs it, or an integer translate sum
@@ -71,16 +74,21 @@ def phase_blocks(g: GroupSpec, rows: np.ndarray, cols: np.ndarray, table=phase_t
     against the current columns (and at least one row), so memory stays
     bounded for any ``cols`` of at most N rows.  A walk that prunes columns
     sends the remaining ones back (``walk.send(cols)``); later blocks are sized
-    for and computed against them.  Every blocked walk over pairing phases
+    for and computed against them, at least (initial columns // current
+    columns) rows, so a block costs about as many cells as the first
+    column set had.  A walk whose survivors collapse after one block (a
+    point-like Bohr set) then ends in a few blocks, not log2 of its rows;
+    a walk that never prunes, as the definitional transforms, keeps the
+    doubling.  Every blocked walk over pairing phases
     goes through here: the definitional transforms and synthesis over the
     float phases of :func:`~bohrlab.groups.phase_table`, Bohr membership over
     its own ``table`` of exact integer distances.  The factored transform
     reads its phases off a power table instead.
     """
-    start, size = 0, 1
+    start, size, initial = 0, 1, len(cols)
     while start < len(rows):
         cap = max(1, _BLOCK_CELLS // max(1, len(cols) * g.ndim))
-        block = slice(start, start + min(size, cap))
+        block = slice(start, start + min(max(size, initial // max(1, len(cols))), cap))
         sent = yield block, table(g, rows[block], cols)
         if sent is not None:
             cols = sent
@@ -317,9 +325,27 @@ def _powers(lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
 
 
 def _reduce(x: np.ndarray, moduli: tuple[tuple[int, int], ...]) -> None:
-    """x mod p_i in place, one prime per index of the leading axis; over C, nothing."""
+    """x mod p_i in place, one prime per index of the leading axis; over C, nothing.
+
+    x - (x // p) p, one ring row at a time, with p a Python int: numpy
+    divides an int64 array by a scalar through a multiply by a precomputed
+    inverse (Granlund and Montgomery, PLDI 1994), where int64 ``%`` divides
+    in hardware per element, about 5x slower.  Floor division makes the
+    result lie in [0, p) for negative x too, as ``%`` does.  One scratch row
+    holds the quotients.
+    """
     if moduli:
-        x %= np.array([p for p, _ in moduli], dtype=np.int64).reshape(-1, *(1,) * (x.ndim - 1))
+        scratch = np.empty(x.shape[1:], dtype=np.int64)
+        for row, (p, _) in zip(x, moduli):
+            _mod(row, p, scratch)
+
+
+def _mod(x: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
+    """x mod p in place by constant-divisor division; ``scratch`` is x-shaped; returns x."""
+    np.floor_divide(x, p, out=scratch)
+    scratch *= p
+    x -= scratch
+    return x
 
 
 @lru_cache(maxsize=64)
@@ -533,7 +559,13 @@ def _counts_by_ntt(
         return residues[0]
     (p1, _), (p2, _) = moduli
     r1, r2 = residues
-    return r1 + p1 * ((r2 - r1) % p2 * pow(p1, -1, p2) % p2)
+    scratch = np.empty_like(r1)
+    lift = _mod(r2 - r1, p2, scratch)
+    lift *= pow(p1, -1, p2)
+    _mod(lift, p2, scratch)
+    lift *= p1
+    lift += r1
+    return lift
 
 
 def _counts_by_translates(tables: tuple[np.ndarray, ...], negated: tuple[bool, ...]) -> np.ndarray:

@@ -88,6 +88,35 @@ def _close(x: float, y: float, rel: float = RADIUS_SLACK) -> bool:
     return math.isclose(x, y, rel_tol=rel, abs_tol=rel)
 
 
+# The certificate's recorded bounds block: each entry's limit as a formula of delta.
+_BOUND_LIMITS = {
+    "dimension": lambda delta: 16.0 * delta**-5,
+    "witness_value": lambda delta: delta**4,
+    "c_lower": lambda delta: 0.5 * delta**4,
+    "torus_radius": lambda delta: delta**9 / (64.0 * math.pi),
+    "remainder": lambda delta: 0.25 * delta**4,
+}
+
+
+def _audit_bound(cert: Certificate, name: str, value: float, slack: float = 0.0) -> str:
+    """What is wrong with the certificate's recorded bound ``name``; empty if nothing is.
+
+    The entry must be present, record ``value`` (to within ``slack``), carry
+    the limit its formula gives at the recorded delta, and be ok.
+    """
+    entry = cert.bounds.get(name)
+    if entry is None:
+        return f"; recorded bound {name} is missing"
+    limit = _BOUND_LIMITS[name](cert.delta)
+    if not abs(entry.value - value) <= slack:
+        return f"; recorded bound {name} has value {entry.value!r}, want {value!r}"
+    if entry.limit != limit:
+        return f"; recorded bound {name} has limit {entry.limit!r}, want {limit!r}"
+    if not entry.ok:
+        return f"; recorded bound {name} is not ok"
+    return ""
+
+
 @lru_cache(maxsize=1)
 def _memo_counts(g: GroupSpec, a: bytes, b: bytes) -> np.ndarray:
     counts = representation_counts(g, np.frombuffer(a, dtype=bool), np.frombuffer(b, dtype=bool))
@@ -126,7 +155,12 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     tie, a distance whose exact phase sits on the radius, see ``bohr``); the
     dimension, witness-value, level and remainder bounds; then internal
     consistency (delta, spectrum, radii, centers) against the definitional
-    recomputation, S1 against the large spectrum by one rank mask.
+    recomputation, S1 against the large spectrum by one rank mask.  The
+    certificate's recorded bounds block is audited by the check of the same
+    quantity: each entry records the certified value (k, h(a0), c, the
+    torus radius; the remainder within ``BOUND_SLACK`` of the recomputed
+    one), its limit is its formula of the recorded delta, and it is ok;
+    forms-and-centers requires exactly the five entries.
     A group above the enumeration cap, or counts beyond the primes an int64
     CRT can join, raise :class:`CapacityError` before any transform.
     """
@@ -204,37 +238,45 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
             detail = f"{int(torus_members.sum())} torus members inside {int(char_members.sum())}"
         checks.append(CheckResult("torus-subset", stray.size == 0, detail))
 
+    # Each bound check also audits the certificate's own record of that bound.
     k_limit = 16.0 * delta**-5
+    recorded = _audit_bound(cert, "dimension", float(k))
     checks.append(
         CheckResult(
             "dimension-bound",
-            cert.k == k and k <= k_limit,
-            f"k = {cert.k}, |S1| = {k}, limit = {k_limit}",
+            cert.k == k and k <= k_limit and not recorded,
+            f"k = {cert.k}, |S1| = {k}, limit = {k_limit}{recorded}",
         )
     )
 
+    recorded = _audit_bound(cert, "witness_value", cert.h_at_a0)
     checks.append(
         CheckResult(
             "witness-value",
             h_at_a0_def >= delta**4 - BOUND_SLACK
-            and abs(h_at_a0_def - cert.h_at_a0) <= BOUND_SLACK,
-            f"h(a0) = {h_at_a0_def} vs certified {cert.h_at_a0}, floor {delta**4}",
+            and abs(h_at_a0_def - cert.h_at_a0) <= BOUND_SLACK
+            and not recorded,
+            f"h(a0) = {h_at_a0_def} vs certified {cert.h_at_a0}, floor {delta**4}{recorded}",
         )
     )
 
+    recorded = _audit_bound(cert, "c_lower", cert.c)
     checks.append(
         CheckResult(
             "level-value",
-            abs(c_def - cert.c) <= BOUND_SLACK and c_def >= 0.5 * delta**4 - BOUND_SLACK,
-            f"c = {c_def} vs certified {cert.c}, floor {0.5 * delta**4}",
+            abs(c_def - cert.c) <= BOUND_SLACK
+            and c_def >= 0.5 * delta**4 - BOUND_SLACK
+            and not recorded,
+            f"c = {c_def} vs certified {cert.c}, floor {0.5 * delta**4}{recorded}",
         )
     )
 
+    recorded = _audit_bound(cert, "remainder", r_max_def, BOUND_SLACK)
     checks.append(
         CheckResult(
             "remainder-bound",
-            r_max_def <= 0.25 * delta**4 + BOUND_SLACK,
-            f"max |h - p| = {r_max_def}, cap {0.25 * delta**4}",
+            r_max_def <= 0.25 * delta**4 + BOUND_SLACK and not recorded,
+            f"max |h - p| = {r_max_def}, cap {0.25 * delta**4}{recorded}",
         )
     )
 
@@ -267,16 +309,18 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     checks.append(CheckResult("large-spectrum", spectrum_ok, detail))
 
     want_char = cert.c / k if k else cert.c
+    recorded = _audit_bound(cert, "torus_radius", cert.bohr_torus_form.radius)
     radii_ok = (
         _close(cert.bohr_char_form.radius, want_char)
         and _close(cert.bohr_torus_form.radius, cert.bohr_char_form.radius / TWO_PI)
+        and not recorded
     )
     checks.append(
         CheckResult(
             "radius-consistency",
             radii_ok,
             f"char {cert.bohr_char_form.radius} (want {want_char}), "
-            f"torus {cert.bohr_torus_form.radius}",
+            f"torus {cert.bohr_torus_form.radius}{recorded}",
         )
     )
 
@@ -288,13 +332,14 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
         and cert.bohr_char_form.freqs == cert.s1
         and cert.bohr_torus_form.freqs == cert.s1
     )
-    checks.append(
-        CheckResult(
-            "forms-and-centers",
-            forms_ok,
-            "both forms carry S1 and are centered at a0" if forms_ok else "metadata mismatch",
-        )
-    )
+    bounds_ok = set(cert.bounds) == set(_BOUND_LIMITS)
+    if not forms_ok:
+        detail = "metadata mismatch"
+    elif not bounds_ok:
+        detail = f"bounds block holds {sorted(cert.bounds)}, want {sorted(_BOUND_LIMITS)}"
+    else:
+        detail = "both forms carry S1 and are centered at a0"
+    checks.append(CheckResult("forms-and-centers", forms_ok and bounds_ok, detail))
 
     return VerificationReport(
         group=grp,

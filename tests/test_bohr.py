@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlab import spectral
+from bohrlab import bohr, spectral
 from bohrlab.bohr import (
     FORM_CHAR,
     FORM_TORUS,
@@ -30,6 +30,7 @@ from bohrlab.groups import (
     coords_table,
     elem_add,
     enumerate_elems,
+    pairing_exact,
     phase_table,
 )
 
@@ -216,6 +217,26 @@ def test_spec_shares_validated_frequency_tuple():
     torus = char_form_to_torus_form(b)
     assert torus.freqs is b.freqs and halve_radius(b).freqs is b.freqs
     assert b.freqs.rows.tolist() == [[0], [4]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    factors=st.lists(st.sampled_from([1, 1, 2, 3, 4, 6, 8, 9, 12, 97]), min_size=1, max_size=4).map(tuple),
+    data=st.data(),
+)
+def test_distances_are_the_exact_pairing(factors, data):
+    # The linear form (rows * L/n) @ coords mod L is L times the exact pairing, folded to min(M, L - M).
+    g = GroupSpec(factors)
+    lcm = math.lcm(*factors)
+    elem = st.tuples(*(st.integers(0, n - 1) for n in factors))
+    chars = data.draw(st.lists(elem, min_size=1, max_size=5))
+    elems = data.draw(st.lists(elem, min_size=1, max_size=5))
+    got = bohr._distances(g, np.array(chars, dtype=np.int64), np.array(elems, dtype=np.int64))
+    for t, row in zip(chars, got):
+        for z, j in zip(elems, row):
+            m = pairing_exact(g, Char(t), Elem(z)) * lcm
+            assert m.denominator == 1
+            assert j == min(m, lcm - m)
 
 
 def test_members_mask_blocking_changes_nothing(monkeypatch):

@@ -32,7 +32,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bohrlab import extractor, groups, serialize, spectral
+from bohrlab import bohr, extractor, groups, serialize, spectral
 from bohrlab.bohr import FORM_CHAR, BohrSpec, halve_radius, members_mask
 from bohrlab.errors import ShapeError
 from bohrlab.extractor import TrigPoly, extract
@@ -296,6 +296,37 @@ def test_tiny_radius_membership_is_not_k_by_n(monkeypatch):
         cells.clear()
         assert np.array_equal(members_mask(spec), A.mask)
         assert 0 < sum(cells) <= 4 * (g.order + cert.k) * g.ndim
+
+
+def test_point_like_membership_walks_few_blocks(monkeypatch):
+    """Blocks are sized by the survivors: once the first block leaves a few
+    elements, the next covers about N cells, so a point-like Bohr set on Z_2048
+    is decided in a few blocks, not the log2 k of blocks that double."""
+    g = groups.GroupSpec((2048,))
+    A = random_nonempty_subset(g, 0.3, 91)
+    B = random_nonempty_subset(g, 0.3, 92)
+    cert = extract(A.indicator(), B.indicator())
+    assert cert.k > 1000
+    blocks = []
+    original = spectral.phase_blocks
+
+    def counted(*args):
+        walk, sent = original(*args), None
+        while True:
+            try:
+                block, table = walk.send(sent)
+            except StopIteration:
+                return
+            blocks.append(block)
+            sent = yield block, table
+
+    monkeypatch.setattr(bohr, "phase_blocks", counted)
+    for spec in (cert.bohr_char_form, cert.bohr_torus_form):
+        blocks.clear()
+        members = members_mask(spec)
+        assert np.flatnonzero(members).tolist() == [0]
+        assert 0 < len(blocks) <= 4
+        assert blocks[-1].stop >= cert.k
 
 
 @pytest.mark.parametrize(

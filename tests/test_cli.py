@@ -132,6 +132,43 @@ def test_verify_tampered_radius_exits_1(tmp_path, evens_cert_file, evens_file):
     assert "radius-consistency" in err
 
 
+def _set_bound(name, key, value):
+    def tamper(bounds):
+        bounds[name][key] = value
+
+    return tamper
+
+
+def _add_bound(bounds):
+    bounds["extra"] = dict(bounds["remainder"])
+
+
+@pytest.mark.parametrize(
+    "tamper, check, entry",
+    [
+        (_set_bound("c_lower", "ok", False), "level-value", "c_lower is not ok"),
+        (_set_bound("c_lower", "value", "123"), "level-value", "c_lower has value 123.0"),
+        (_set_bound("dimension", "limit", "1"), "dimension-bound", "dimension has limit 1.0"),
+        (_add_bound, "forms-and-centers", "'extra'"),
+        (dict.clear, "dimension-bound", "dimension is missing"),
+    ],
+    ids=["c_lower not ok", "c_lower value", "dimension limit", "extra bound", "empty bounds"],
+)
+def test_verify_tampered_bounds_block_exits_1(tmp_path, tamper, check, entry):
+    g = GroupSpec((8, 8))
+    sets, cert = str(tmp_path / "a.txt"), tmp_path / "cert.json"
+    write_set_file(GroupSubset.from_ranks(g, [r for r in range(64) if r % 2 == 0 and r // 8 % 2 == 0]), sets)
+    assert run_cli("extract", "--group", "8x8", "--set-a", sets, "--set-b", sets, "--out", str(cert))[0] == 0
+    assert run_cli("verify", "--cert", str(cert), "--set-a", sets, "--set-b", sets)[0] == 0
+    payload = json.loads(cert.read_text())
+    tamper(payload["bounds"])
+    cert.write_text(json.dumps(payload))
+    code, _, err = run_cli("verify", "--cert", str(cert), "--set-a", sets, "--set-b", sets)
+    assert code == 1
+    assert err.startswith(f"verification failed: {check}: ")
+    assert entry in err
+
+
 def test_verify_mismatched_group_exits_2(tmp_path, evens_cert_file):
     big = tmp_path / "big.txt"
     big.write_text("11\n")  # rank 11 cannot live in a group of order 8

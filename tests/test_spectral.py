@@ -369,6 +369,54 @@ def test_unrolled_factored_transform_is_the_recursion_bit_for_bit(monkeypatch, g
         assert np.array_equal(table, spectral._factored(residues, sign, moduli))
 
 
+def _ntt_by_definition(table: np.ndarray, sign: int, p: int, root: int) -> list[int]:
+    """sum_z x(z) root^(sign L <t, z>) mod p for every t, in Python ints; ``root`` has order L."""
+    factors = table.shape
+    lcm = math.lcm(*factors)
+    coords = [tuple(int(c) for c in np.unravel_index(r, factors)) for r in range(table.size)]
+    values = [int(v) for v in table.ravel()]
+    out = []
+    for t in coords:
+        acc = 0
+        for z, v in zip(coords, values):
+            e = sum(ti * zi * (lcm // n) for ti, zi, n in zip(t, z, factors)) % lcm
+            acc += v * pow(root, sign * e % lcm, p)
+        out.append(acc % p)
+    return out
+
+
+@pytest.mark.parametrize(
+    "factors", [(2,), (3,), (4,), (97,), (210,), (6, 4), (3,) * 5], ids=lambda f: "x".join(map(str, f))
+)
+@pytest.mark.parametrize("primes", [1, 2])
+def test_ntt_reduction_at_the_int64_edge(factors, primes):
+    # Residues p - 1 make every product (p - 1)^2 plus a residue, the largest an int64 must hold.
+    moduli = spectral._ntt_moduli(factors, 1 << 61)[:primes]
+    assert len(moduli) == primes
+    rng = np.random.default_rng(87)
+    near = rng.integers(1, 64, size=factors)
+    table = np.stack(
+        [np.stack([np.full(factors, p - 1), p - near]) for p, _ in moduli]
+    ).astype(np.int64)
+    for sign in (1, -1):
+        got = spectral._factored(table, sign, moduli)
+        assert got.dtype == np.int64
+        for i, (p, root) in enumerate(moduli):
+            for j in range(2):
+                assert got[i, j].ravel().tolist() == _ntt_by_definition(table[i, j], sign, p, root)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-(1 << 62), 1 << 62), min_size=1, max_size=40))
+def test_reduce_is_the_remainder(values):
+    # One prime per row of the leading axis, as the engine's ring rows are reduced.
+    moduli = spectral._ntt_moduli((8, 3), 1 << 61)
+    x = np.array([values, values[::-1]], dtype=np.int64)
+    want = np.array([[v % p for v in row] for row, (p, _) in zip(x.tolist(), moduli)], dtype=np.int64)
+    spectral._reduce(x, moduli)
+    assert np.array_equal(x, want)
+
+
 def test_prime_length_builds_no_square_kernel():
     # One kernel row at a time: the peak is a few N-point tables, not an N-by-N block.
     g = GroupSpec((2039,))

@@ -316,6 +316,31 @@ def test_suite_report_dict_shape():
 
 # --- the synthesis of h-hat on S1 ------------------------------------------------
 
+@pytest.mark.parametrize(
+    "entry, check",
+    [
+        ("dimension", "dimension-bound"),
+        ("witness_value", "witness-value"),
+        ("c_lower", "level-value"),
+        ("remainder", "remainder-bound"),
+        ("torus_radius", "radius-consistency"),
+    ],
+)
+@pytest.mark.parametrize("field", ["value", "limit", "ok"])
+def test_recorded_bound_is_audited_by_its_check(entry, check, field):
+    # Only the check of the same quantity fails, and its detail names the entry.
+    g = GroupSpec((6, 8))
+    A = random_nonempty_subset(g, 0.3, 31)
+    B = random_nonempty_subset(g, 0.4, 32)
+    cert = extract(A.indicator(), B.indicator())
+    bounds = dict(cert.bounds)
+    old = bounds[entry]
+    bounds[entry] = dataclasses.replace(old, **{field: False if field == "ok" else getattr(old, field) + 1e-6})
+    report = verify_certificate(dataclasses.replace(cert, bounds=bounds), A, B)
+    assert [c.name for c in report.checks if not c.passed] == [check]
+    assert f"recorded bound {entry} " in _check(report, check).detail
+
+
 def _detail_value(report, name: str, prefix: str) -> float:
     detail = _check(report, name).detail
     return float(re.match(re.escape(prefix) + r" (\S+?),? ", detail).group(1))
@@ -329,14 +354,6 @@ def test_repeated_s1_row_counts_twice_as_in_synthesis():
     B = random_nonempty_subset(g, 0.4, 32)
     cert = extract(A.indicator(), B.indicator())
     rows = np.concatenate([cert.s1.rows, cert.s1.rows[[-1]]])
-    bad = dataclasses.replace(
-        cert,
-        s1=CharTuple(rows),
-        k=len(rows),
-        bohr_char_form=dataclasses.replace(cert.bohr_char_form, freqs=CharTuple(rows)),
-        bohr_torus_form=dataclasses.replace(cert.bohr_torus_form, freqs=CharTuple(rows)),
-    )
-    report = verify_certificate(bad, A, B)
 
     delta = min(A.density, B.density)
     f1 = A.indicator().scaled(delta / A.density)
@@ -347,6 +364,20 @@ def test_repeated_s1_row_counts_twice_as_in_synthesis():
     a0 = rank_of_elem(g, cert.a0)
     c_ref = float(p[a0].real) - 0.25 * delta**4
     r_ref = float(np.abs(h.values - p).max())
+
+    # The recorded bounds follow the repeated row, so only the checks above can fail.
+    bounds = dict(cert.bounds)
+    bounds["dimension"] = dataclasses.replace(bounds["dimension"], value=float(len(rows)))
+    bounds["remainder"] = dataclasses.replace(bounds["remainder"], value=r_ref)
+    bad = dataclasses.replace(
+        cert,
+        s1=CharTuple(rows),
+        k=len(rows),
+        bohr_char_form=dataclasses.replace(cert.bohr_char_form, freqs=CharTuple(rows)),
+        bohr_torus_form=dataclasses.replace(cert.bohr_torus_form, freqs=CharTuple(rows)),
+        bounds=bounds,
+    )
+    report = verify_certificate(bad, A, B)
 
     assert abs(_detail_value(report, "level-value", "c =") - c_ref) <= 1e-12
     assert abs(_detail_value(report, "remainder-bound", "max |h - p| =") - r_ref) <= 1e-12
