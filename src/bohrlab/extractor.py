@@ -31,16 +31,19 @@ the full-table route (``spectral.dft``, :func:`large_spectrum`,
 differ from the full product only in the sign of a zero part, which no
 certificate stores and which cannot reach c, a running sum that starts at
 -delta^4 / 4 and so is never -0.  S1, the large spectrum of a real table, is
-closed under negation, which the real synthesis of the remainder needs.
+closed under negation, which the real synthesis of the remainder needs; that
+is checked on the unfolded mask itself, which is freed before the syntheses.
 
 The pipeline is array-native: S1 is a rank array, and ``TrigPoly`` is a thin
-wrapper over a frequency matrix and a coefficient array.  S1 is one
-``CharTuple``, shared by the certificate and both of its Bohr forms; it keeps
-the ranks it was read off with, so no stage range-checks or ranks it again.
-c = Re q(a0) keeps the bits of the scalar route, which calls libm once per
-term; ``TrigPoly.evaluate`` calls it once per distinct angle.  On a worst-case
-S1, nearly the whole dual group, that is far fewer calls than terms on a group
-of small exponent (16 on 16^4), and up to k on Z_n when a0 is a unit.
+wrapper over a support and a coefficient array.  S1 is one ``CharTuple``,
+shared by the certificate and both of its Bohr forms, built from the ranks
+it was read off with: no stage range-checks or ranks it again, and none forms
+its (k, d) frequency table; q reads per-axis frequency columns unravelled
+from the ranks.  c = Re q(a0) keeps the bits of the scalar route, which calls
+libm once per term; ``TrigPoly.evaluate`` calls it once per distinct angle.
+On a worst-case S1, nearly the whole dual group, that is far fewer calls than
+terms on a group of small exponent (16 on 16^4), and up to k on Z_n when a0
+is a unit.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from .groups import (
     char_tuple,
     check_elem,
     elem_at,
+    freq_columns,
     ranks_of_rows,
 )
 from .spectral import (
@@ -137,21 +141,21 @@ class TrigPoly:
         """The value at z, summed term by term in rank order.
 
         Each term is computed as the scalar route would: the pairing phase
-        accumulated factor by factor, ``math.cos``/``math.sin`` of 2 pi times
-        it, the complex product written out in separate real operations, then
-        a left-to-right sum starting from the shift.  libm is called once per
-        *distinct* angle and its results gathered back to the terms: an equal
-        float gives an equal libm result, so no bit changes, and a group of
-        small exponent, such as 16^4, takes a handful of calls for any k.  The
-        result does not depend on how numpy vectorizes or reduces.
+        accumulated factor by factor from the support's per-axis frequency
+        columns (:func:`~bohrlab.groups.freq_columns`, unravelled from the
+        ranks of a support that holds no rows) and reduced mod 1,
+        ``math.cos``/``math.sin`` of 2 pi times it, the complex product written
+        out in separate real operations, then a left-to-right sum starting from
+        the shift.  libm is called once per *distinct* angle and its results
+        gathered back to the terms: an equal float gives an equal libm result,
+        so no bit changes, and a group of small exponent, such as 16^4, takes a
+        handful of calls for any k.  The result does not depend on how numpy
+        vectorizes or reduces.
         """
         check_elem(self.group, z)
-        rows = self.support.rows
-        phase = np.zeros(len(rows))
-        for j, (zj, n) in enumerate(zip(z.coords, self.group.factors)):
-            phase = phase + ((rows[:, j] * zj) % n) / n
         # Every angle is >= +0.0, so no -0.0 is merged with +0.0; equal angles share one libm call.
-        angle, where = np.unique(TWO_PI * (phase % 1.0), return_inverse=True)
+        phase = _pairing_phases(self.group, self.support, z)
+        angle, where = np.unique(TWO_PI * phase, return_inverse=True)
         distinct = angle.tolist()
         cos = np.fromiter(map(math.cos, distinct), dtype=np.float64, count=len(distinct))[where]
         sin = np.fromiter(map(math.sin, distinct), dtype=np.float64, count=len(distinct))[where]
@@ -168,6 +172,20 @@ class TrigPoly:
         if self._last is not None and self._last[0] == z:
             return self._last[1]
         return self.evaluate(z)
+
+
+def _pairing_phases(group: GroupSpec, support: CharTuple, z: Elem) -> np.ndarray:
+    """The pairing phase at z of each character of ``support``, in [0, 1), summed factor by factor.
+
+    A function of its own, so that the frequency columns are freed before
+    :meth:`TrigPoly.evaluate` sorts the angles.  A finite phase >= +0.0 minus
+    its floor is its remainder mod 1 bit for bit, and faster.
+    """
+    phase = np.zeros(len(support))
+    for col, zj, n in zip(freq_columns(group, support), z.coords, group.factors):
+        phase += ((col * zj) % n) / n
+    phase -= np.floor(phase)
+    return phase
 
 
 def normalize_means(f: DensityFn, g: DensityFn) -> tuple[DensityFn, DensityFn, float]:
@@ -254,16 +272,21 @@ def remainder_bound_check(hhat: Spectrum, s1: tuple[Char, ...], delta: float) ->
     delta^3.  The remainder is real, and is synthesized from the half of the
     table a real-input FFT reads, so S1 must be closed under negation, as the
     large spectrum of a real table is: an unpaired character would be zeroed
-    on one side only.  A copy of that half goes through the routine that
-    :func:`extract` runs on its own half of h-hat.
+    on one side only.  That is checked on S1's boolean table, built from its
+    ranks, as :func:`extract` checks the table it reads S1 off.  A copy of
+    that half goes through the routine that :func:`extract` runs on its own
+    half of h-hat.
     """
     grp = hhat.group
     _check_mean(complex(hhat.coeffs[0]), delta)
-    chars = char_tuple(grp, s1)
-    neg = _negated_ranks(grp.factors[:-1])
-    index, mirrored = _half_index(char_ranks(grp, chars), grp.factors, neg)
+    ranks = char_ranks(grp, s1)
+    in_s1 = np.zeros(grp.factors, dtype=bool)
+    in_s1.reshape(-1)[ranks] = True
+    _require_closed(in_s1)
+    del in_s1
+    index, mirrored = _half_index(ranks, grp.factors, _negated_ranks(grp.factors[:-1]))
     rest = hhat.as_nd()[..., : grp.factors[-1] // 2 + 1].copy()
-    return _remainder(rest, grp, chars, index[~mirrored], delta)
+    return _remainder(rest, grp, index[~mirrored], delta)
 
 
 def _check_mean(hhat0: complex, delta: float) -> None:
@@ -274,34 +297,39 @@ def _check_mean(hhat0: complex, delta: float) -> None:
         )
 
 
-def _require_closed(grp: GroupSpec, s1: CharTuple) -> None:
-    """S1 must hold -t for every t it holds; raise naming the first t that it does not.
+def _require_closed(in_s1: np.ndarray) -> None:
+    """S1's boolean table must hold -t for each t it holds; else raise, naming the first t by rank.
 
-    A function of its own, so that its (k, d) table of negated rows is freed
-    before the remainder's synthesis.
+    ``in_s1`` has the group's shape.  The table at -t is built axis by axis:
+    on an axis of length n, coordinate i goes to (n - i) mod n, so place 0
+    stays and places 1 to n - 1 are read reversed.  An axis of length at most
+    2 is its own negation and is skipped, so on F_2^n there is nothing to check.
     """
-    in_s1 = np.zeros(grp.order, dtype=bool)
-    in_s1[char_ranks(grp, s1)] = True
-    negated = np.negative(s1.rows)
-    negated %= grp.factors
-    unpaired = np.flatnonzero(~in_s1[ranks_of_rows(grp, negated)])
-    if unpaired.size:
-        raise DomainError(
-            f"S1 is not closed under negation: it holds {s1[unpaired[0]].freq} "
-            "but not its negative"
-        )
+    axes = [j for j, n in enumerate(in_s1.shape) if n > 2]
+    if not axes:
+        return
+    negated = in_s1
+    for axis in axes:
+        lead = (slice(None),) * axis
+        out = np.empty_like(negated)
+        out[lead + (0,)] = negated[lead + (0,)]
+        out[lead + (slice(1, None),)] = negated[lead + (slice(None, 0, -1),)]
+        negated = out
+    unpaired = np.greater(in_s1, negated, out=negated)  # t in S1, -t not
+    first = int(np.argmax(unpaired))
+    if unpaired.flat[first]:
+        freq = tuple(int(x) for x in np.unravel_index(first, in_s1.shape))
+        raise DomainError(f"S1 is not closed under negation: it holds {freq} but not its negative")
 
 
-def _remainder(
-    hhat: np.ndarray, grp: GroupSpec, s1: CharTuple, s1_index: np.ndarray, delta: float
-) -> float:
+def _remainder(hhat: np.ndarray, grp: GroupSpec, s1_index: np.ndarray, delta: float) -> float:
     """The remainder's max modulus from the ``rfftn`` half of h-hat, which is overwritten.
 
     ``s1_index`` are the places in the ravelled half of the characters of S1
-    whose last coordinate is at most n/2.  They are zeroed in place, once S1
-    is known to be closed under negation, and the rest is synthesized.
+    whose last coordinate is at most n/2; the caller has checked that S1 is
+    closed under negation (:func:`_require_closed`).  They are zeroed in
+    place, and the rest is synthesized.
     """
-    _require_closed(grp, s1)
     np.put(hhat, s1_index, 0.0)
     r_max = float(np.abs(_synthesize_half(hhat, grp)).max())
     bound = 0.25 * delta**4 + BOUND_SLACK
@@ -376,9 +404,10 @@ def extract(f: DensityFn, g: DensityFn) -> Certificate:
     grp = f1.group
     neg = _negated_ranks(grp.factors[:-1])
     hhat = _half_spectrum(f1, neg)
-    s1 = CharTuple.from_ranks(
-        grp, np.flatnonzero(_unfold(_at_least(hhat, 0.25 * delta**3), grp.factors, neg))
-    )
+    in_s1 = _unfold(_at_least(hhat, 0.25 * delta**3), grp.factors, neg)
+    s1 = CharTuple.from_ranks(grp, np.flatnonzero(in_s1))
+    _require_closed(in_s1)
+    del in_s1  # before the syntheses, which set extract's peak at small k
     # f-hat becomes h-hat in place; g-hat is dropped as soon as the product exists.
     hhat = _triple_half(hhat, _half_spectrum(g1, neg))
     a0, h_at_a0 = find_witness(DensityFn(grp, _synthesize_half(hhat, grp)), f1)
@@ -393,7 +422,7 @@ def extract(f: DensityFn, g: DensityFn) -> Certificate:
     in_half = index[~mirrored]
     del index, mirrored
     _check_mean(complex(hhat.flat[0]), delta)
-    r_max = _remainder(hhat, grp, s1, in_half, delta)
+    r_max = _remainder(hhat, grp, in_half, delta)
     del hhat, in_half
 
     q = TrigPoly(grp, s1, coeffs, constant_shift=-0.25 * delta**4)

@@ -256,11 +256,14 @@ class CharTuple(Sequence):
     Beside ``rows`` a tuple keeps a memo that is a pure function of them: the
     factors they were last range-checked against, and, once asked for, their
     canonical ranks under those factors (:func:`char_ranks`).  The rows are
-    read-only, so the memo stays true.  :meth:`from_ranks` builds a tuple with
-    both set; a slice or a pickled copy starts without it.
+    read-only, so the memo stays true.  :meth:`from_ranks` builds a tuple from
+    its ranks alone, with the memo set; its rows are unravelled only when
+    something reads ``rows``, while ``len``, an integer index and
+    :func:`freq_columns` read the ranks.  A slice or a pickled copy starts
+    from rows, without the memo.
     """
 
-    __slots__ = ("rows", "_factors", "_ranks")
+    __slots__ = ("_rows", "_factors", "_ranks")
 
     def __init__(self, rows) -> None:
         try:
@@ -270,33 +273,42 @@ class CharTuple(Sequence):
         if rows.ndim != 2:
             raise ShapeError(f"frequency rows must form a (k, d) matrix, got shape {rows.shape}")
         rows.flags.writeable = False
-        self.rows = rows
+        self._rows = rows
         self._factors = self._ranks = None
 
     @classmethod
     def from_ranks(cls, g: GroupSpec, ranks: np.ndarray) -> CharTuple:
         """The characters of ``g`` at int64 canonical ranks that the caller has range-checked.
 
-        The rows are unravelled once.  ``ranks`` is kept, not copied, and made
-        read-only: the tuple starts checked against ``g``, with these ranks.
+        ``ranks`` is kept, not copied, and made read-only: the tuple starts
+        checked against ``g``, with these ranks, and no rows.
         """
-        rows = rows_at(g, ranks)
-        rows.flags.writeable = False
         ranks.flags.writeable = False
         chars = cls.__new__(cls)
-        chars.rows, chars._factors, chars._ranks = rows, g.factors, ranks
+        chars._rows, chars._factors, chars._ranks = None, g.factors, ranks
         return chars
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (k, d) int64 frequency matrix, read-only; unravelled from the ranks on first read."""
+        if self._rows is None:
+            rows = rows_at(GroupSpec(self._factors), self._ranks)
+            rows.flags.writeable = False
+            self._rows = rows
+        return self._rows
 
     def __reduce__(self):
         return CharTuple, (self.rows,)  # through __init__, so the copy is read-only too
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._ranks) if self._rows is None else len(self._rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return CharTuple(self.rows[i])
-        return Char(self.rows[i].tolist())
+        if self._rows is None:
+            return Char(np.unravel_index(self._ranks[i], self._factors))
+        return Char(self._rows[i].tolist())
 
     def __iter__(self):
         return map(Char, self.rows.tolist())
@@ -355,6 +367,18 @@ def char_ranks(g: GroupSpec, chars) -> np.ndarray:
         ranks.flags.writeable = False
         chars._ranks = ranks
     return chars._ranks
+
+
+def freq_columns(g: GroupSpec, chars) -> tuple[np.ndarray, ...]:
+    """The d per-axis frequency columns of ``chars``, validated against ``g``, as int64 arrays.
+
+    Read off the rows where a tuple holds them, else unravelled from its
+    ranks, so a tuple built by :meth:`CharTuple.from_ranks` forms no (k, d) table.
+    """
+    chars = char_tuple(g, chars)
+    if chars._rows is None:
+        return np.unravel_index(chars._ranks, g.factors)
+    return tuple(chars._rows.reshape(len(chars), g.ndim).T)
 
 
 def ranks_of_rows(g: GroupSpec, rows: np.ndarray) -> np.ndarray:

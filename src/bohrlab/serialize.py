@@ -15,15 +15,17 @@ digit, the separators are laid in place and one mask drops the leading zeros.
 
 The loader has two routes to one result.  A file in the writer's layout has
 its rank block cut out of the text and parsed by one numpy call; only the
-small fields go through ``json.loads``.  The block is taken only if the
-writer renders the parsed ranks back to it byte for byte, and if it is the
-value of the top-level ``s1_ranks`` (:func:`certificate_from_json`).  Any
-other text, such as a cert/1 file, compact or re-indented JSON, or a rank
-list in any other spelling, is parsed whole by ``json.loads``; the rank list
-is then type-checked at C speed and converted with one array.  Either way
-the ranks are range-checked, a bad file is refused at load, and S1 keeps
-its ranks (:meth:`bohrlab.groups.CharTuple.from_ranks`), so nothing ranks
-it again.
+small fields go through ``json.loads``.  The block is taken only if its bytes
+are the writer's spelling of the parsed ranks, checked without rendering
+them again: digits, and the writer's separators at the offsets the ranks'
+digit counts give (:func:`_writer_spelled`); and only if it is the value of
+the top-level ``s1_ranks`` (:func:`certificate_from_json`).  Any other text,
+such as a cert/1 file, compact or re-indented JSON, or a rank list in any
+other spelling or out of rank order, is parsed whole by ``json.loads``; the
+rank list is then type-checked at C speed and converted with one array.
+Either way the ranks are range-checked, a bad file is refused at load, and
+S1 keeps its ranks (:meth:`bohrlab.groups.CharTuple.from_ranks`), so nothing
+ranks it again.
 
 Files of schema ``bohrlab-cert/1``, which write S1 and both forms' ``freqs``
 as lists of frequency rows, still load; writing one out gives cert/2.
@@ -298,17 +300,17 @@ def certificate_to_json(cert: Certificate) -> str:
 def _split_rank_block(text: str) -> tuple[dict, np.ndarray] | None:
     """The JSON object of ``text`` without its S1, and S1's ranks, if the writer laid out the block.
 
-    The block runs from the first ``"s1_ranks": [\\n    `` to the next
-    ``\\n  ]``, and its numbers are parsed by one ``np.fromstring``.  The
-    parse is taken only if the ranks are non-negative and :func:`_render_ranks`
-    gives the block back byte for byte, so the block is a JSON list of
-    integers in the one spelling the writer uses, and ``json.loads`` would
-    read the same ranks.  The rest of the text, with the block replaced by
-    ``NaN``, goes through ``json.loads``.  Its ``parse_constant`` hook must
-    run exactly once, for the block, and return the value of the top-level
-    ``s1_ranks``; so the block is no string's content, no nested or earlier
-    duplicate key's value, and the text is valid JSON exactly when the rest
-    is.  Otherwise, None, as for bytes, which ``json.loads`` also reads.
+    The block runs from the first ``"s1_ranks": [\\n    `` to the first
+    ``]`` after it, which must close the writer's ``\\n  ]``, and its numbers
+    are parsed by one ``np.fromstring``.  The parse is taken only if the block
+    is in the one spelling the writer uses (:func:`_writer_spelled`), so it
+    is a JSON list of integers, and ``json.loads`` would read the same ranks.
+    The rest of the text, with the block replaced by ``NaN``, goes through
+    ``json.loads``.  Its ``parse_constant`` hook must run exactly once, for
+    the block, and return the value of the top-level ``s1_ranks``; so the
+    block is no string's content, no nested or earlier duplicate key's value,
+    and the text is valid JSON exactly when the rest is.  Otherwise, None, as
+    for bytes, which ``json.loads`` also reads.
     """
     if not isinstance(text, str):
         return None
@@ -316,18 +318,22 @@ def _split_rank_block(text: str) -> tuple[dict, np.ndarray] | None:
     if start < 0:
         return None
     start += len(_RANK_KEY)
-    end = text.find(_RANK_CLOSE, start)
-    if end < 0:
+    close = text.find("]", start)
+    end = close + 1 - len(_RANK_CLOSE)
+    if close < 0 or not text.startswith(_RANK_CLOSE, end):
+        return None
+    try:
+        body = text[start + len(_RANK_OPEN) : end].encode("ascii")
+    except UnicodeEncodeError:
         return None
     with warnings.catch_warnings():
         # numpy warns, or in later versions raises, when the parse stops short of the end.
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            ranks = np.fromstring(text[start + len(_RANK_OPEN) : end], dtype=np.int64, sep=",")
+            ranks = np.fromstring(body, dtype=np.int64, sep=",")
         except (DeprecationWarning, ValueError):
             return None
-    end += len(_RANK_CLOSE)
-    if (ranks < 0).any() or not text.startswith(_render_ranks(ranks), start):
+    if not _writer_spelled(body, ranks):
         return None
     block = []
 
@@ -336,7 +342,7 @@ def _split_rank_block(text: str) -> tuple[dict, np.ndarray] | None:
         return block
 
     try:
-        d = json.loads(text[:start] + "NaN" + text[end:], parse_constant=constant)
+        d = json.loads(text[:start] + "NaN" + text[close + 1 :], parse_constant=constant)
     except json.JSONDecodeError:
         return None
     if len(block) != 1 or not isinstance(d, dict) or d.get("s1_ranks") is not block:
@@ -344,16 +350,59 @@ def _split_rank_block(text: str) -> tuple[dict, np.ndarray] | None:
     return d, ranks
 
 
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _writer_spelled(body: bytes, ranks: np.ndarray) -> bool:
+    """Whether ``body`` is ``",\\n    ".join(map(str, ranks))``, for the ranks parsed from it.
+
+    Checked on the bytes, with nothing rendered, for ranks in non-decreasing
+    order, as S1 is written; any other block is left to ``json.loads``.  The
+    ranks of w digits then lie in one run of rows of w + 6 bytes, a rank and
+    its separator (the last rank has none), which fixes every separator's
+    offset.  The separator columns of each run must hold the separator, and
+    no other byte may be a non-digit, so the check does not lean on how
+    ``np.fromstring`` treats spaces or signs.  Then each run of digits is one
+    rank, exactly as long as its value's decimal form: no leading zero.  A
+    parse that saturated at the int64 maximum is refused, since a run of 19
+    nines has as many digits.
+    """
+    step = len(_RANK_SEPARATOR)
+    if not ranks.size or ranks[-1] == np.iinfo(np.int64).max:
+        return False
+    if (ranks[1:] < ranks[:-1]).any():
+        return False
+    # The ranks below each power of ten; the ranks of w digits are those in [cuts[w - 1], cuts[w]).
+    cuts = np.r_[0, np.searchsorted(ranks, _POWERS_OF_TEN[_POWERS_OF_TEN <= ranks[-1]]), ranks.size]
+    counts = np.diff(cuts)
+    if len(body) != int(counts @ np.arange(1 + step, len(cuts) + step)) - step:
+        return False
+    data = np.frombuffer(body, dtype=np.uint8)
+    non_digits = np.count_nonzero(data < ord("0")) + np.count_nonzero(data > ord("9"))
+    if non_digits != step * (ranks.size - 1):
+        return False
+    offset = 0
+    for width, count in enumerate(counts.tolist(), start=1 + step):
+        table = data[offset : offset + count * width]
+        offset += table.size
+        table = table[: table.size // width * width].reshape(-1, width)  # the last rank has none
+        for column, byte in enumerate(_RANK_SEPARATOR, start=width - step):
+            if (table[:, column] != byte).any():
+                return False
+    return True
+
+
 def certificate_from_json(text: str) -> Certificate:
     """The certificate of a JSON text, of schema cert/2 or cert/1, by one of two routes.
 
     Numpy route: the rank block in the writer's layout is parsed by one numpy
     call and only the rest of the text by ``json.loads``.  Its gate
-    (:func:`_split_rank_block`): the writer renders the parsed ranks back to
-    the block byte for byte, and the block is the value of the top-level
-    ``s1_ranks``.  Any other text takes the ``json.loads`` route: parsed
-    whole, then read by :func:`certificate_from_dict`.  Both routes give the
-    same certificate, or raise the same exception class.
+    (:func:`_split_rank_block`): the block's bytes are the writer's spelling
+    of the parsed ranks, checked byte by byte without rendering them, and the
+    block is the value of the top-level ``s1_ranks``.  Any other text takes
+    the ``json.loads`` route: parsed whole, then read by
+    :func:`certificate_from_dict`.  Both routes give the same certificate, or
+    raise the same exception class.
     """
     split = _split_rank_block(text)
     if split is not None:

@@ -407,9 +407,35 @@ def test_s1_is_range_checked_and_ranked_at_most_once(monkeypatch, g):
     cert = extract(A.indicator(), B.indicator())
     loaded = certificate_from_json(certificate_to_json(cert))
     assert verify_certificate(loaded, A, B).passed
+    # The spy is wired: a polynomial built from its terms scans and ranks its rows through it.
+    probe = len(seen)
+    TrigPoly.from_terms(g, {groups.Char((1,) * g.ndim): 1.0})
     monkeypatch.undo()
-    assert cert.k > 1000 and seen  # the negation check ranks -S1, which is not S1's rows
+    assert cert.k > 1000 and {what for what, rows in seen[probe:]} == {"scan", "rank"}
     assert [what for what, rows in seen if np.array_equal(rows, cert.s1.rows)] == []
+
+
+def test_worst_k_round_trip_forms_no_row_table_and_renders_once(monkeypatch):
+    """Extract, to_json and from_json at k near N keep S1 as ranks: ``groups.rows_at``
+    never runs, and the rank block is rendered once, by the writer; the loader's
+    gate checks the block's bytes without rendering it again."""
+    A = random_nonempty_subset(G8884, 0.1, 5)
+    B = random_nonempty_subset(G8884, 0.1, 6)
+    calls: Counter = Counter()
+    for mod, name in ((groups, "rows_at"), (serialize, "_render_ranks")):
+        original = getattr(mod, name)
+
+        def wrapper(*args, _name=name, _fn=original):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(mod, name, wrapper)
+    cert = extract(A.indicator(), B.indicator())
+    loaded = certificate_from_json(certificate_to_json(cert))
+    monkeypatch.undo()
+    assert cert.k > 0.9 * G8884.order and loaded.k == cert.k
+    assert calls == Counter({"_render_ranks": 1})
+    assert np.array_equal(loaded.s1.rows, cert.s1.rows)  # read on demand, outside the count
 
 
 def test_a_checked_tuple_is_still_refused_by_a_smaller_group(monkeypatch):

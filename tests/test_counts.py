@@ -89,12 +89,19 @@ def test_both_routes_count_every_representation(factors, density_a, density_b, s
 
 
 def _brute_differences(g: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """c by ``np.add.at`` over every pair (u, z)."""
+    """c by ``np.bincount`` over every pair (u, z), about 2^20 pairs at a time.
+
+    Blocks of u keep the (pairs, d) table of differences near 32 MB, where one
+    table for all |X| |Y| pairs would take gigabytes on 12^4.
+    """
     coords = coords_table(g)
-    diffs = coords[x][:, None] - coords[y][None, :]
-    ranks = np.ravel_multi_index(diffs.reshape(-1, g.ndim).T, g.factors, mode="wrap")
+    us, zs = coords[x], coords[y]
+    step = max(1, (1 << 20) // max(1, len(zs)))
     out = np.zeros(g.order, dtype=np.int64)
-    np.add.at(out, ranks, 1)
+    for start in range(0, len(us), step):
+        diffs = us[start : start + step, None] - zs[None, :]
+        ranks = np.ravel_multi_index(diffs.reshape(-1, g.ndim).T, g.factors, mode="wrap")
+        out += np.bincount(ranks, minlength=g.order)
     return out
 
 

@@ -28,6 +28,7 @@ from bohrlab.extractor import (
     BoundCheck,
     Certificate,
     TrigPoly,
+    _require_closed,
     bohr_from_trigpoly,
     extract,
     find_witness,
@@ -46,12 +47,14 @@ from bohrlab.groups import (
     elem_at,
     rank_of_char,
     rank_of_elem,
+    ranks_of_rows,
     rows_at,
 )
 from bohrlab.serialize import certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset
 from bohrlab.spectral import (
     DensityFn,
+    _negated_ranks,
     constant_density,
     dft,
     idft_real,
@@ -198,6 +201,45 @@ def test_remainder_names_the_first_unpaired_character(factors, density, pair, se
     else:
         with pytest.raises(DomainError, match=re.escape(f"holds {unpaired[0].freq} but not")):
             remainder_bound_check(hhat, s1, 0.5)
+
+
+def _first_unpaired_by_rows(g: GroupSpec, ranks: np.ndarray):
+    """The per-row closure check: negate S1's (k, d) rows, rank them, look each up in S1.
+
+    The first frequency of S1, in rank order, whose negative S1 lacks, or None.
+    """
+    in_s1 = np.zeros(g.order, dtype=bool)
+    in_s1[ranks] = True
+    rows = rows_at(g, np.sort(ranks))
+    unpaired = np.flatnonzero(~in_s1[ranks_of_rows(g, np.negative(rows) % g.factors)])
+    return tuple(rows[unpaired[0]].tolist()) if unpaired.size else None
+
+
+@settings(max_examples=200, deadline=None)
+@example(factors=(1, 2, 3, 2), density=0.5, symmetric=False, seed=4)
+@example(factors=(2, 2, 2, 2), density=0.3, symmetric=False, seed=5)
+@example(factors=(7, 1), density=0.0, symmetric=False, seed=6)
+@given(
+    factors=st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 11]), min_size=1, max_size=4).map(tuple),
+    density=st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closure_check_on_the_table_agrees_with_the_per_row_check(factors, density, symmetric, seed):
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    in_s1 = (rng.random(g.order) < density).reshape(factors)
+    if symmetric:
+        in_s1 |= in_s1.reshape(-1)[_negated_ranks(factors)].reshape(factors)
+    elif in_s1.any():
+        in_s1.reshape(-1)[rng.choice(np.flatnonzero(in_s1))] = False  # may unpair one character
+    want = _first_unpaired_by_rows(g, np.flatnonzero(in_s1))
+    assert not (symmetric and want)
+    if want is None:
+        _require_closed(in_s1)
+    else:
+        with pytest.raises(DomainError, match=re.escape(f"holds {want} but not its negative")):
+            _require_closed(in_s1)
 
 
 @pytest.mark.parametrize("factors", [(4096,), (8, 8, 8, 4), (5, 1, 9)], ids=str)

@@ -401,6 +401,32 @@ def _respell_rank(spell):
     return edit
 
 
+def _reseparate(separator: str):
+    """Write the separator after rank line ``i`` (of a block of two or more) as ``separator``."""
+
+    def edit(text: str, i: int) -> str:
+        head = text.index(_BLOCK_HEAD) + len("  \"s1_ranks\": [\n    ")
+        end = text.index("\n  ]", head)
+        ranks = text[head:end].split(",\n    ")
+        if len(ranks) < 2:
+            return text
+        j = i % (len(ranks) - 1)
+        body = ",\n    ".join(ranks[: j + 1]) + separator + ",\n    ".join(ranks[j + 1 :])
+        return text[:head] + body + text[end:]
+
+    return edit
+
+
+def _close_one_space(text: str, i: int) -> str:
+    head = text.index(_BLOCK_HEAD)
+    end = text.index("\n  ]", head)
+    return text[:end] + "\n ]" + text[end + len("\n  ]") :]
+
+
+FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x0660, 0x066A))))
+
+
 def _reindent(indent):
     return lambda text, i: json.dumps(json.loads(text), indent=indent) + "\n"
 
@@ -475,6 +501,16 @@ BLOCK_EDITS = {
     "extra spaces": _respell_rank(lambda r: f" {r}  "),
     "tab": _respell_rank(lambda r: f"\t{r}"),
     "string": _respell_rank(lambda r: f'"{r}"'),
+    "bracketed": _respell_rank(lambda r: f"[{r}]"),
+    "fullwidth digits": _respell_rank(lambda r: str(r).translate(FULLWIDTH)),
+    "arabic-indic digits": _respell_rank(lambda r: str(r).translate(ARABIC_INDIC)),
+    "19-digit overflow": _respell_rank(lambda r: "9999999999999999999"),
+    "00": _respell_rank(lambda r: "00"),
+    "0": _respell_rank(lambda r: "0"),
+    "separator with 3 spaces": _reseparate(",\n   "),
+    "separator with CRLF": _reseparate(",\r\n    "),
+    "separator reordered": _reseparate(",    \n"),
+    "close with 1 space": _close_one_space,
     "re-indent 4": _reindent(4),
     "re-indent 1": _reindent(1),
     "compact": _reindent(None),
@@ -526,13 +562,17 @@ def test_both_loader_routes_agree_on_edited_rank_blocks(factors, density_a, dens
 
 def test_writer_text_takes_the_numpy_route():
     cert = certificate_from_json(GOLDEN2.read_text())
-    for text in (GOLDEN2.read_text(), _nested_in_bounds(GOLDEN2.read_text(), 0)):
+    for text in (
+        GOLDEN2.read_text(), _nested_in_bounds(GOLDEN2.read_text(), 0), BLOCK_EDITS["0"](GOLDEN2.read_text(), 1)
+    ):
         skeleton, ranks = serialize._split_rank_block(text)
         assert ranks.dtype == np.int64 and ranks.tolist() == json.loads(text)["s1_ranks"]
         assert "s1_ranks" in skeleton and skeleton["k"] == cert.k
     for edit in (
         "leading zero", "extra spaces", "re-indent 4", "duplicate after", "duplicate before",
-        "nested only", "mark string", "NaN s1_ranks", "NaN elsewhere",
+        "nested only", "mark string", "NaN s1_ranks", "NaN elsewhere", "bracketed",
+        "fullwidth digits", "arabic-indic digits", "19-digit overflow", "00",
+        "separator with 3 spaces", "separator with CRLF", "separator reordered", "close with 1 space",
     ):
         assert serialize._split_rank_block(BLOCK_EDITS[edit](GOLDEN2.read_text(), 1)) is None, edit
     assert certificate_to_json(certificate_from_json(GOLDEN2.read_bytes())) == GOLDEN2.read_text()
