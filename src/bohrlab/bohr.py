@@ -90,6 +90,73 @@ def _lcm_weights(factors: tuple[int, ...]) -> tuple[int, np.ndarray]:
     return lcm, weights
 
 
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+@lru_cache(maxsize=32)
+def _step_tables(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list]:
+    """The lookup tables of :func:`_steps`: ``(offsets, codes, fields)``.
+
+    A divisor of L = prod q^E_q is coded with one field of E_q bits per prime
+    q, holding e low ones for the power q^e it has (at most 31 bits in all
+    below 2^31), so the code of a gcd of divisors is the AND of their codes.
+    For each distinct cycle length n, a block of ``codes`` holds at t the code
+    of (L/n) gcd(t, n); ``offsets[i]`` is where axis i's block starts, so axes
+    of one length share a block.  ``fields`` lists (shift, width, q^0..q^E_q)
+    per prime.
+    """
+    lcm = _lcm_weights(factors)[0]
+    fields, rest, shift = [], lcm, 0
+    for q in _divisors(lcm)[1:]:
+        width = 0
+        while rest % q == 0:
+            rest, width = rest // q, width + 1
+        if width:
+            powers = q ** np.arange(width + 1, dtype=np.int64)
+            powers.flags.writeable = False
+            fields.append((shift, width, powers))
+            shift += width
+
+    def code(d: int) -> int:
+        out = 0
+        for shift, width, powers in fields:
+            q, e = int(powers[1]), 0
+            while d % q == 0:
+                d, e = d // q, e + 1
+            out |= ((1 << e) - 1) << shift
+        return out
+
+    lengths = sorted(set(factors))
+    starts = dict(zip(lengths, np.cumsum([0] + lengths[:-1]).tolist()))
+    codes = np.empty(sum(lengths), dtype=np.uint32)
+    for n in lengths:
+        block = codes[starts[n] : starts[n] + n]
+        for d in _divisors(n):  # increasing, so t keeps its largest divisor d of n: gcd(t, n)
+            block[::d] = code(lcm // n * d)
+    codes.flags.writeable = False
+    return np.array([starts[n] for n in factors], dtype=np.int64), codes, fields
+
+
+def _steps(g: GroupSpec, rows: np.ndarray) -> np.ndarray:
+    """s = gcd(t_1 L/n_1, ..., t_d L/n_d, L) for every frequency row t, with no per-element Euclid.
+
+    gcd(t_i L/n_i, L) = (L/n_i) gcd(t_i, n_i), a divisor of L read off a
+    table of n_i entries per axis, by its code in :func:`_step_tables`.  The
+    axes fold by one AND of the gathered codes.  A field of e ones is
+    2^e - 1, whose binary exponent ``frexp`` reads exactly, and s is the
+    product of the q^e.
+    """
+    offsets, codes, fields = _step_tables(g.factors)
+    folded = np.bitwise_and.reduce(codes[rows + offsets if offsets.any() else rows], axis=1)
+    steps = np.ones(len(rows), dtype=np.int64)
+    for shift, width, powers in fields:
+        ones = (folded >> shift) & ((1 << width) - 1)
+        steps *= powers[np.frexp(ones + 1)[1] - 1]
+    return steps
+
+
 def _distances(g: GroupSpec, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The (k, m) exact distances j = min(M, L - M) of ``rows`` at ``coords``.
 
@@ -171,10 +238,11 @@ def members_mask(b: BohrSpec) -> np.ndarray:
     """Boolean membership table over the whole group, canonical order.
 
     First an exact O(k) screen: t takes exactly the phases that are multiples
-    of s = gcd(t_i L/n_i, L), so a tie is possible only for a frequency with a
-    multiple of s in the undecidable window of :func:`_threshold`.  The first
-    such frequency raises :class:`AmbiguousBoundary`, naming its first tied
-    element from a scan of that one row.  Otherwise membership walks
+    of s = gcd(t_i L/n_i, L), read off tables (:func:`_steps`), so a tie is
+    possible only for a frequency with a multiple of s in the undecidable
+    window of :func:`_threshold`.  The first such frequency raises
+    :class:`AmbiguousBoundary`, naming its first tied element from a scan of
+    that one row.  Otherwise membership walks
     :func:`~bohrlab.spectral.phase_blocks` blocks of integer phases over the
     elements still in the running, in :func:`_walk_order`: frequencies of
     highest order L/s first, so the first block removes most candidates, and
@@ -183,9 +251,9 @@ def members_mask(b: BohrSpec) -> np.ndarray:
     """
     g = b.group
     rows, coords = b.freqs.rows, coords_table(g)
-    lcm, weights = _lcm_weights(g.factors)
+    lcm = _lcm_weights(g.factors)[0]
     below, upto = _threshold(b)
-    step = np.gcd(np.gcd.reduce(rows * weights, axis=1), lcm)
+    step = _steps(g, rows)
     first = -(-below // step) * step  # the least attainable j >= T
     ties = np.flatnonzero(first <= min(upto, lcm // 2))
     if ties.size:

@@ -10,11 +10,17 @@ the transform to the synthesis: no N-point complex table is formed.
 :func:`dft` unfolds the half to the full table, exactly symmetric by
 construction, and :func:`idft_real` synthesizes a real table from the half of
 a full one with ``irfftn``.  :func:`idft` is the complex synthesis of any
-spectrum.  The factored path is one Cooley-Tukey engine, axis by axis, over a
-ring: the complex numbers, or the integers mod primes p = 1 (mod L, the lcm of
-the cycle lengths) below 2^31.  Every kernel and twiddle is read off one cached
+spectrum.  The factored path is one engine of matrix stages over a ring: the
+complex numbers, or the integers mod primes p = 1 (mod L, the lcm of the cycle
+lengths) below 2^31.  Adjacent axes whose lengths multiply to at most 64 are one
+stage, a product by their Kronecker kernel; a longer cycle splits by Bailey's
+four-step (J. Supercomputing 4, 1990) into such stages and a twiddle; a prime
+above 64 is a row loop.  Every kernel and twiddle entry is read off one cached
 table of the powers of a root of unity of order L at an exact integer
-exponent: exp(2 pi i * e/L) from the exact phase e/L, or root^e mod p.  Mod p,
+exponent: exp(2 pi i * e/L) from the exact phase e/L, exact at the quarter
+turns, or root^e mod p.  A stage is one BLAS matrix product on a C-contiguous
+table, in complex128 over C; mod p in float64, on the two 16-bit halves of
+every residue, where every sum is an integer below 2^53 and so exact.  Mod p,
 every reduction is x - (x // p) p by a scalar p, one ring row at a time
 (``_reduce``): numpy divides by a scalar through a multiply by its inverse,
 several times faster than int64 ``%``, which divides per element.  Over C
@@ -53,6 +59,7 @@ convolution of indicator tables counts representations divided by N^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -303,11 +310,17 @@ def _powers(lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
     """``powers[i, e]`` is w_i^e for e < ``lcm``, one row per ring; read-only.
 
     Over C (no ``moduli``) the one row is exp(2 pi i * e/lcm), from the exact
-    phase e/lcm, with w^(lcm - e) = conj(w^e), so no phase above 1/2 is
-    evaluated; mod primes, w_i is root_i mod p_i, of order ``lcm``.
+    phase e/lcm: a quarter turn i^q, exact, times exp(2 pi i * r/(4 lcm)) for
+    4e = q lcm + r, so 1, i and -1 are exact and a kernel of F_2^n is +-1.
+    w^(lcm - e) = conj(w^e), so no phase above 1/2 is evaluated.  Mod
+    primes, w_i is root_i mod p_i, of order ``lcm``.  These rows, 16 bytes a
+    cell over C and 8 per prime mod primes, are all that the engine caches
+    at the group's size: a stage kernel has at most ``_STAGE``^2 cells per
+    ring row, and twiddles are gathered from the rows per call.
     """
     if not moduli:
-        half = np.exp(1j * TWO_PI * (np.arange(lcm // 2 + 1) / lcm))
+        quarter, rest = np.divmod(4 * np.arange(lcm // 2 + 1), lcm)
+        half = np.exp(1j * (TWO_PI / 4) * (rest / lcm)) * np.array([1, 1j, -1])[quarter]
         powers = np.concatenate([half, half[(lcm - 1) // 2 : 0 : -1].conj()])[None]
     else:
         primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None]
@@ -332,7 +345,8 @@ def _reduce(x: np.ndarray, moduli: tuple[tuple[int, int], ...]) -> None:
     inverse (Granlund and Montgomery, PLDI 1994), where int64 ``%`` divides
     in hardware per element, about 5x slower.  Floor division makes the
     result lie in [0, p) for negative x too, as ``%`` does.  One scratch row
-    holds the quotients.
+    holds the quotients.  The engine reduces once per stage, when it joins
+    the sums of a residue's two halves, and once per twiddle product.
     """
     if moduli:
         scratch = np.empty(x.shape[1:], dtype=np.int64)
@@ -348,83 +362,210 @@ def _mod(x: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
     return x
 
 
+# The longest stage the engine contracts in one matrix product.  Mod p a
+# residue r < p < 2^31 is split as r = 2^16 h + l (``_HALF_BITS``), h < 2^15
+# and l < 2^16.  Each half goes through one float64 product against kernel
+# entries below p, each term is below 2^47, and a sum of 64 of them stays
+# below 2^53: every partial sum is an integer that float64 holds exactly, in
+# whatever order or with whatever fused multiply-add BLAS uses.  This is a
+# bound, not a tuning knob.
+_STAGE = 64
+_HALF_BITS = 16
+# Cells per ring row in one block of a modular stage: its float64 halves and
+# their sums, 32 bytes a cell per prime, stay at a few MB.
+_STAGE_BLOCK = 1 << 16
+# A multiply-add inside a BLAS stage costs about 1/16 of a cell that an
+# elementwise pass (a translate, a reduction) moves: fitted on the crossover
+# grid of BENCH_verify_matmul.json, where it picks the faster count route at
+# every point where the two differ by 2x or more.
+_BLAS_SPEEDUP = 16
+
+
 @lru_cache(maxsize=64)
-def _twiddles(n: int, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """w^(sign*(z1*t2 mod n)) for z1 < p and t2 < m, n = p*m, p the least prime factor; (P, 1, p, m)."""
-    p = _smallest_prime_factor(n)
-    exponents = np.outer(np.arange(p), sign * np.arange(n // p)) % n * (lcm // n)
-    table = _powers(lcm, moduli)[:, None, exponents]
-    table.flags.writeable = False
-    return table
+def _kernel(axes: tuple[int, ...], sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The pairing kernel of the adjacent cycle lengths ``axes``, n = prod(axes) <= ``_STAGE``; read-only.
+
+    K[i, t, z] is w_i^(sign L <t, z>) over the Kronecker product of the axes,
+    t and z in row-major order, read off :func:`_powers` at the exact
+    exponent sum_j t_j z_j L/n_j mod L, so K is symmetric.  Over C it is
+    (1, n, n) complex128.  Mod primes it is (P, 2, n, n) float64, every
+    entry below p and so exact: row 0 is 2^16 K mod p, for the high halves,
+    so that the two sums of a stage add to the residue's sum mod p; row 1
+    is K, for the low halves.
+    """
+    coords = np.indices(axes).reshape(len(axes), -1)
+    exponents = sum(np.outer(c, c) * (lcm // n) for c, n in zip(coords, axes)) * sign % lcm
+    kernel = _powers(lcm, moduli)[:, exponents]
+    if moduli:
+        primes = np.array([p for p, _ in moduli], dtype=np.int64)[:, None, None]
+        kernel = np.stack([(kernel << _HALF_BITS) % primes, kernel], axis=1).astype(np.float64)
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _contract(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_z kernel[..., t, z] x[..., a, z, c]`` by BLAS matrix products, broadcast over the leading axes.
+
+    ``x`` is C-contiguous (..., A, n, C), so numpy hands every product to
+    BLAS.  With one trailing column the rows a stack into one product
+    against the symmetric kernel; else one product per row a.
+    """
+    *lead, rows, n, cols = x.shape
+    if cols == 1:
+        out = np.matmul(x.reshape(*lead, rows, n), kernel)
+        return out.reshape(*out.shape, 1)
+    return np.matmul(kernel[..., None, :, :], x)
+
+
+def _stage(x: np.ndarray, kernel: np.ndarray, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The kernel applied along axis 2 of a (P, A, n, C) table, exactly in each ring; a fresh table.
+
+    Over C it is one complex product.  Mod p_i, a residue r = 2^16 h + l
+    goes through as its halves, float64 tables against the two kernel rows
+    (see ``_STAGE`` and :func:`_kernel`); the sums, below 2^52 and 2^53, are
+    exact integers, and their sum, congruent to the residue's sum mod p, is
+    reduced once in int64.  A boolean table (P may be 1, broadcast against
+    the primes) has no high half.  The table goes through in blocks of rows a
+    and columns c of about ``_STAGE_BLOCK`` cells, so the float64 tables stay
+    small.
+    """
+    if not moduli:
+        return _contract(kernel, x)
+    _, rows, n, cols = x.shape
+    out = np.empty((len(kernel), rows, n, cols), dtype=np.int64)
+    col_step = min(cols, max(1, _STAGE_BLOCK // n))
+    row_step = max(1, _STAGE_BLOCK // (n * col_step))
+    for r, c in itertools.product(range(0, rows, row_step), range(0, cols, col_step)):
+        part = (slice(None), slice(r, r + row_step), slice(None), slice(c, c + col_step))
+        block, into = x[part], out[part]
+        if x.dtype == np.bool_:
+            into[...] = _contract(kernel[:, 1], block.astype(np.float64, order="C"))
+        else:
+            halves = np.empty((len(block), 2, *block.shape[1:]), dtype=np.float64)
+            np.right_shift(block, _HALF_BITS, out=halves[:, 0], casting="unsafe")
+            np.bitwise_and(block, (1 << _HALF_BITS) - 1, out=halves[:, 1], casting="unsafe")
+            sums = _contract(kernel, halves)
+            np.add(sums[:, 0], sums[:, 1], out=into, dtype=np.int64, casting="unsafe")
+        _reduce(into, moduli)
+    return out
 
 
 def _prime_length(x: np.ndarray, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """The n-point sum of :func:`_cyclic` for a prime n (or 1), one kernel row at a time.
+    """The n-point sum along axis 2 of a (P, A, n, C) table, n a prime above ``_STAGE``, row by row.
 
-    No n-by-n kernel is built.  At length 2 that is a sum and a difference,
-    since w = -1.
+    No n-by-n kernel is built.  The rows run along the last axis of the
+    output, so each product is contiguous.  Mod p_i, residues stay below
+    p < 2^31, so a product plus a residue stays inside int64 before it is
+    reduced.
     """
-    n = x.shape[2]
-    if n == 2:
-        out = np.empty_like(x)
-        np.add(x[:, :, 0], x[:, :, 1], out=out[:, :, 0])
-        np.subtract(x[:, :, 0], x[:, :, 1], out=out[:, :, 1])
-        _reduce(out, moduli)
-        return out
+    x = np.moveaxis(x, 2, -1)
+    n = x.shape[-1]
     powers = _powers(lcm, moduli)
     steps = np.arange(n, dtype=np.int64) * (sign * lcm // n)
-    out = np.repeat(x[:, :, :1], n, axis=2)
+    out = np.empty((len(powers), *x.shape[1:]), dtype=powers.dtype)
+    out[:] = x[..., :1]
     for z in range(1, n):
-        out += x[:, :, z, None] * powers[:, None, z * steps % lcm]
+        out += x[..., z, None] * powers[:, None, None, z * steps % lcm]
         _reduce(out, moduli)
-    return out
+    return np.ascontiguousarray(np.moveaxis(out, -1, 2))
 
 
-def _cyclic(x: np.ndarray, sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """``sum_z x[i, :, z] * w_i^(sign*t*z)`` for every t, per ring row i and row of (P, M, n) ``x``.
+def _split(n: int) -> int:
+    """n1 of the four-step split n = n1 n2: the product of n's smallest prime factors, up to ``_STAGE``.
 
-    w_i is the power of order n in :func:`_powers`, read at exponent
-    ``lcm/n`` times an exact integer.  Cooley-Tukey on n = p*m with p the
-    smallest prime factor: writing z = z1 + p*z2 and t = m*t1 + t2, the sum is
-    m-point transforms over z2, the twiddle w^(z1*t2 mod n), then p-point sums
-    over z1.  The recursion is unrolled: the splits go down to a prime length,
-    then each level is merged on the way up, so one table per step is alive,
-    not one per level.  Mod p_i, residues stay below p < 2^31, so a product
-    plus a residue stays inside int64 before it is reduced.
+    A smallest prime factor above ``_STAGE`` is n1 on its own.
     """
-    ring = x.shape[0]
-    levels = []
-    n = x.shape[2]
-    while (p := _smallest_prime_factor(n)) < n:
-        rows, m = x.shape[1], n // p
-        x = x.reshape(ring, rows, m, p).transpose(0, 1, 3, 2).reshape(ring, rows * p, m)
-        levels.append((rows, p, n))
-        n = m
-    x = _prime_length(x, sign, lcm, moduli)
-    for rows, p, n in reversed(levels):
-        m = n // p
-        x = x.reshape(ring, rows, p, m)
-        x *= _twiddles(n, sign, lcm, moduli)
-        _reduce(x, moduli)
-        x = _prime_length(x.transpose(0, 1, 3, 2).reshape(ring, rows * m, p), sign, lcm, moduli)
-        x = x.reshape(ring, rows, m, p).transpose(0, 1, 3, 2).reshape(ring, rows, n)
-    return x
+    n1, rest = 1, n
+    while rest > 1 and n1 * (p := _smallest_prime_factor(rest)) <= _STAGE:
+        n1, rest = n1 * p, rest // p
+    return n1 if n1 > 1 else _smallest_prime_factor(n)
+
+
+def _stage_lengths(factors: tuple[int, ...]) -> list[int]:
+    """The length of every stage :func:`_factored` runs on a table of shape ``factors``, in order.
+
+    A run of fused axes is one stage; a longer cycle is its split's stages,
+    n2's then n1's; a prime above ``_STAGE`` is one row loop of its length.
+    """
+
+    def cycle(n: int) -> list[int]:
+        if n <= _STAGE or _smallest_prime_factor(n) == n:
+            return [n]
+        n1 = _split(n)
+        return cycle(n // n1) + cycle(n1)
+
+    return [m for start, stop in _fused_axes(factors) for m in cycle(math.prod(factors[start:stop]))]
+
+
+def _transform(
+    x: np.ndarray, axes: tuple[int, ...], sign: int, lcm: int, moduli: tuple[tuple[int, int], ...]
+) -> np.ndarray:
+    """The pairing sum along axis 2 of a (P, A, n, C) table, n = prod(``axes``), per ring row i.
+
+    At most ``_STAGE`` points, one :func:`_stage` of the Kronecker kernel of
+    ``axes``.  A prime above it, :func:`_prime_length`.  Else one cycle of
+    length n splits n = n1 n2 (:func:`_split`; Bailey's four-step): with
+    z = z1 + n1 z2 and t = n2 t1 + t2, the n2-point transforms over z2
+    (recursively), the twiddle w^(z1 t2) gathered from :func:`_powers`, then
+    the n1-point transform over z1.  The twiddle product writes its table with
+    z1 leading, so the last step is one C-contiguous stage whose (t1, t2)
+    output is in natural order.
+    """
+    n = math.prod(axes)
+    if n <= _STAGE:
+        return _stage(x, _kernel(axes, sign, lcm, moduli), moduli)
+    if _smallest_prime_factor(n) == n:
+        return _prime_length(x, sign, lcm, moduli)
+    _, rows, _, cols = x.shape
+    n1 = _split(n)
+    n2 = n // n1
+    inner = _transform(x.reshape(-1, rows, n2, n1 * cols), (n2,), sign, lcm, moduli)
+    ring = inner.shape[0]
+    # z1 t2 (L/n) < L needs no reduction; w^-e is powers[L - e], read as
+    # reversed[e - 1], where index -1 is powers[0].
+    exponents = np.outer(np.arange(n1), np.arange(n2) * (lcm // n))
+    powers = _powers(lcm, moduli)
+    if sign < 0:
+        powers, exponents = powers[:, ::-1], np.subtract(exponents, 1, out=exponents)
+    twiddled = np.empty((ring, rows, n1, n2, cols), dtype=inner.dtype)
+    np.multiply(
+        inner.reshape(ring, rows, n2, n1, cols).transpose(0, 1, 3, 2, 4),
+        powers[:, None, exponents, None],
+        out=twiddled,
+    )
+    _reduce(twiddled, moduli)
+    del inner
+    return _transform(twiddled.reshape(ring, rows, n1, n2 * cols), (n1,), sign, lcm, moduli)
+
+
+def _fused_axes(factors: tuple[int, ...]) -> list[tuple[int, int]]:
+    """``(start, stop)`` runs of adjacent axes whose lengths multiply to at most ``_STAGE``, or one longer axis."""
+    runs, start = [], 0
+    for axis in range(1, len(factors) + 1):
+        if axis == len(factors) or math.prod(factors[start : axis + 1]) > _STAGE:
+            runs.append((start, axis))
+            start = axis
+    return runs
 
 
 def _factored(table: np.ndarray, sign: int, moduli: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """The pairing sum of a (P, batch, *factors) table, per ring row and batch row, axis by axis.
+    """The pairing sum of a (P, batch, *factors) table, per ring row and batch row; a fresh table.
 
     Over C when ``moduli`` is empty (a complex table, P = 1; the float
     transforms pass batch 1), else mod p_i in row i (an int64 table of
-    residues).
+    residues, or a boolean table with P = 1 that every prime reads).
+    Adjacent axes whose lengths multiply to at most ``_STAGE`` are one stage
+    of their Kronecker kernel; a longer axis is split by :func:`_transform`.
+    Each stage reads the table as (P, A, n, C), A the cells before its axes
+    and C those after.
     """
-    lcm = math.lcm(*table.shape[2:])
-    out = table
-    for axis in range(2, table.ndim):
-        moved = np.moveaxis(out, axis, -1)
-        summed = _cyclic(moved.reshape(table.shape[0], -1, moved.shape[-1]), sign, lcm, moduli)
-        out = np.moveaxis(summed.reshape(moved.shape), -1, axis)
-    return out
+    _, batch, *factors = table.shape
+    lcm = math.lcm(*factors)
+    out = np.ascontiguousarray(table)
+    for start, stop in _fused_axes(tuple(factors)):
+        view = out.reshape(len(out), batch * math.prod(factors[:start]), math.prod(factors[start:stop]), -1)
+        out = _transform(view, tuple(factors[start:stop]), sign, lcm, moduli)
+    return out.reshape(-1, *table.shape[1:])
 
 
 def dft_factored(f: DensityFn) -> Spectrum:
@@ -538,9 +679,8 @@ def _counts_by_ntt(
     order = tables[0].size
     distinct = {id(t): t for t in tables}
     slots = list(distinct)
-    stacked = np.stack(list(distinct.values()))
-    stacked = np.broadcast_to(stacked, (len(moduli), *stacked.shape)).astype(np.int64)
-    hats = _factored(stacked, 1, moduli).reshape(len(moduli), len(slots), order)
+    stacked = np.stack(list(distinct.values())).astype(bool, copy=False)
+    hats = _factored(stacked[None], 1, moduli).reshape(len(moduli), len(slots), order)
     neg = _negated_ranks(factors)
     product = None
     for table, flip in zip(tables, negated):
@@ -551,6 +691,7 @@ def _counts_by_ntt(
         else:
             product *= hat
             _reduce(product, moduli)
+    del stacked, hats, hat
     inverse = _factored(product.reshape(len(moduli), 1, *factors), -1, moduli)
     residues = inverse.reshape(len(moduli), order)
     residues *= np.array([pow(order, -1, p) for p, _ in moduli], dtype=np.int64)[:, None]
@@ -595,18 +736,21 @@ def _signed_counts(g: GroupSpec, tables: tuple[np.ndarray, ...], negated: tuple[
     says whether z_i enters with a minus sign.  Two routes, the cheaper by an
     estimate of cells.  The number-theoretic transform (Pollard 1971) runs
     :func:`_factored` once per distinct table and once more for the inverse,
-    per prime, each over N cells per prime factor of a cycle length, counted
-    with multiplicity.  The primes are the fewest whose product exceeds the
-    product of every support size but the largest, which bounds every count:
-    fix x and all the z_i but one of largest support, and that one is
-    determined.  The translate sum moves one table of N cells per element of
+    per prime.  Its stages (:func:`_stage_lengths`) do 2n multiply-adds per
+    cell at length n: two halves through a BLAS product, each multiply-add
+    about 1/``_BLAS_SPEEDUP`` of a cell that an elementwise pass moves, or n
+    rows of a product and a reduction in a prime-length row loop.  The
+    primes are the fewest whose product exceeds the product of every support
+    size but the largest, which bounds every count: fix x and all the z_i but
+    one of largest support, and that one is determined.  The translate sum moves one table of N cells per element of
     each later support.  Counts that two primes below 2^31 cannot hold raise
     :class:`CapacityError` before either route runs.
     """
     sizes = [int(t.sum()) for t in tables]
     moduli = _ntt_moduli(g.factors, math.prod(sorted(sizes)[:-1]))
     transforms = len({id(t) for t in tables}) + 1
-    ntt_cells = transforms * len(moduli) * g.order * sum(sum(_prime_factors(n)) for n in g.factors)
+    stage_cells = sum(2 * n / _BLAS_SPEEDUP if n <= _STAGE else 2 * n for n in _stage_lengths(g.factors))
+    ntt_cells = transforms * len(moduli) * g.order * stage_cells
     if sum(sizes[1:]) * g.order < ntt_cells:
         return _counts_by_translates(tables, negated)
     return _counts_by_ntt(tables, negated, moduli)

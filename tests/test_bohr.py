@@ -239,6 +239,25 @@ def test_distances_are_the_exact_pairing(factors, data):
             assert j == min(m, lcm - m)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    factors=st.lists(
+        st.sampled_from([1, 2, 3, 5, 7, 97, 4, 8, 9, 25, 27, 64, 6, 12, 30]), min_size=1, max_size=5
+    ).map(tuple),
+    data=st.data(),
+)
+def test_screen_steps_are_the_gcd(factors, data):
+    # The table-and-code fold of the membership screen against np.gcd, the Euclid it replaces.
+    g = GroupSpec(factors)
+    lcm, weights = bohr._lcm_weights(factors)
+    elem = st.tuples(*(st.integers(0, n - 1) for n in factors))
+    rows = np.array(data.draw(st.lists(elem, min_size=1, max_size=40)), dtype=np.int64)
+    want = np.gcd(np.gcd.reduce(rows * weights, axis=1), lcm)
+    got = bohr._steps(g, rows)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
 def test_members_mask_blocking_changes_nothing(monkeypatch):
     g = GroupSpec((4, 3, 2))
     rng = np.random.default_rng(8)

@@ -211,16 +211,8 @@ def test_verify_exits_2_when_the_primes_run_out(monkeypatch, tmp_path):
     assert "CapacityError" in err.getvalue()
 
 
-@pytest.mark.parametrize(
-    "factors, density, route",
-    [((97,), 0.3, "translates"), ((2039,), 0.3, "translates"), ((2048,), 0.3, "ntt"),
-     ((8, 8, 8, 4), 0.3, "ntt"), ((2,) * 10, 0.3, "ntt")],
-    ids=str,
-)
-def test_cell_estimate_picks_the_route(monkeypatch, factors, density, route):
-    g = GroupSpec(factors)
-    rng = np.random.default_rng(7)
-    a, b = rng.random(g.order) < density, rng.random(g.order) < density
+def _routes_taken(monkeypatch, g: GroupSpec, a: np.ndarray, b: np.ndarray) -> list[str]:
+    """The count routes ``representation_counts(g, a, b)`` runs, in order."""
     taken = []
     for name in ("ntt", "translates"):
         original = getattr(spectral, f"_counts_by_{name}")
@@ -231,7 +223,38 @@ def test_cell_estimate_picks_the_route(monkeypatch, factors, density, route):
 
         monkeypatch.setattr(spectral, f"_counts_by_{name}", spy)
     representation_counts(g, a, b)
-    assert taken == [route]
+    return taken
+
+
+@pytest.mark.parametrize(
+    "factors, density, route",
+    [((97,), 0.3, "translates"), ((2039,), 0.3, "translates"), ((2048,), 0.3, "ntt"),
+     ((8, 8, 8, 4), 0.3, "ntt"), ((2,) * 10, 0.3, "ntt")],
+    ids=str,
+)
+def test_cell_estimate_picks_the_route(monkeypatch, factors, density, route):
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(7)
+    a, b = rng.random(g.order) < density, rng.random(g.order) < density
+    assert _routes_taken(monkeypatch, g, a, b) == [route]
+
+
+@pytest.mark.parametrize(
+    "factors, size_a, size_b, route",
+    # Points of the crossover grid (BENCH_verify_matmul.json) where one route
+    # measured at least 2x faster than the other.
+    [((64, 32), 512, 32, "ntt"), ((2,) * 10, 256, 16, "ntt"), ((3,) * 6, 182, 11, "ntt"),
+     ((2048,), 512, 128, "ntt"), ((243, 8), 486, 60, "ntt"), ((97, 4), 97, 6, "translates"),
+     ((97, 4), 97, 97, "translates")],
+    ids=str,
+)
+def test_stage_estimate_picks_the_faster_route_on_the_crossover_grid(monkeypatch, factors, size_a, size_b, route):
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(3)
+    a, b = np.zeros(g.order, dtype=bool), np.zeros(g.order, dtype=bool)
+    a[rng.choice(g.order, size_a, replace=False)] = True
+    b[rng.choice(g.order, size_b, replace=False)] = True
+    assert _routes_taken(monkeypatch, g, a, b) == [route]
 
 
 def test_primes_are_sized_by_the_largest_single_count(monkeypatch):

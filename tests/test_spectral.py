@@ -330,43 +330,82 @@ def test_factored_transform_matches_definitional(g):
     assert np.abs(idft_factored(Spectrum(g, sparse)) - want).max() < 1e-12
 
 
-def _recursive_cyclic(x: np.ndarray, sign: int, lcm: int, moduli) -> np.ndarray:
-    """The engine's cyclic transform in its recursive form: one level per call."""
-    ring, rows, n = x.shape
-    p = spectral._smallest_prime_factor(n)
-    if p == n:
-        return spectral._prime_length(x, sign, lcm, moduli)
-    m = n // p
-    split = x.reshape(ring, rows, m, p).transpose(0, 1, 3, 2).reshape(ring, rows * p, m)
-    inner = _recursive_cyclic(split, sign, lcm, moduli).reshape(ring, rows, p, m)
-    inner = inner * spectral._twiddles(n, sign, lcm, moduli)
-    spectral._reduce(inner, moduli)
-    outer = _recursive_cyclic(inner.transpose(0, 1, 3, 2).reshape(ring, rows * m, p), sign, lcm, moduli)
-    return outer.reshape(ring, rows, m, p).transpose(0, 1, 3, 2).reshape(ring, rows, n)
+def _axis_by_axis(table: np.ndarray, sign: int, moduli) -> np.ndarray:
+    """The pairing sum of a (P, batch, *factors) table one axis at a time, each by its plain n x n sum.
+
+    Mod p_i every product is reduced by int64 ``%`` before the sum over z;
+    over C the kernel is exp(2 pi i sign t z / n), independent of the
+    engine's power table.  Outputs t go 64 at a time, so no n x n table is
+    built.
+    """
+    out = table
+    for axis, n in enumerate(table.shape[2:], start=2):
+        moved = np.moveaxis(out, axis, -1)
+        summed = np.empty(moved.shape, dtype=moved.dtype)
+        roots = [pow(root, math.lcm(*table.shape[2:]) // n, p) for p, root in moduli]
+        powers = [np.array([pow(w, sign * e % n, p) for e in range(n)]) for w, (p, _) in zip(roots, moduli)]
+        for t in range(0, n, 64):
+            tz = np.outer(np.arange(t, min(t + 64, n)), np.arange(n)) % n
+            if moduli:
+                for i, (p, _) in enumerate(moduli):
+                    summed[i, ..., t : t + 64] = (moved[i, ..., None, :] * powers[i][tz] % p).sum(axis=-1) % p
+            else:
+                summed[..., t : t + 64] = moved @ np.exp(sign * 2j * np.pi * tz / n).T
+        out = np.moveaxis(summed, -1, axis)
+    return out
 
 
-@pytest.mark.parametrize(
-    "g", [GroupSpec((2048,)), GroupSpec((64, 32)), GroupSpec((8, 8, 8, 4)), GroupSpec((97, 4)),
-          GroupSpec((3,) * 6)], ids=str,
-)
-def test_unrolled_factored_transform_is_the_recursion_bit_for_bit(monkeypatch, g):
-    # Over C: the float transforms, compared bit for bit.
-    f = _random_density(g, 84)
-    got = dft_factored(f)
-    got_back = idft_factored(got)
-    # Mod each of two primes: a batch of two residue tables, compared exactly.
+STAGE_GROUPS = [
+    GroupSpec((2048,)), GroupSpec((64, 32)), GroupSpec((8, 8, 8, 4)), GroupSpec((97, 4)),
+    GroupSpec((3,) * 6), GroupSpec((2, 97)), GroupSpec((96,)),
+]
+
+
+@pytest.mark.parametrize("g", STAGE_GROUPS, ids=str)
+def test_stage_engine_is_the_axis_by_axis_sum(g):
+    # Mod each of two primes, a batch of two residue tables: exact.
     moduli = spectral._ntt_moduli(g.factors, 1 << 61)
     assert len(moduli) == 2
     rng = np.random.default_rng(85)
     residues = rng.integers(0, min(p for p, _ in moduli), size=(len(moduli), 2, *g.factors))
-    got_mod = [spectral._factored(residues, sign, moduli) for sign in (1, -1)]
-    monkeypatch.setattr(spectral, "_cyclic", _recursive_cyclic)
-    want = dft_factored(f)
-    assert np.array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
-    assert np.array_equal(got_back.view(np.int64), idft_factored(want).view(np.int64))
-    for sign, table in zip((1, -1), got_mod):
-        assert table.dtype == np.int64
-        assert np.array_equal(table, spectral._factored(residues, sign, moduli))
+    for sign in (1, -1):
+        got = spectral._factored(residues, sign, moduli)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _axis_by_axis(residues, sign, moduli))
+    # Over C, at the analysis normalization: within 1e-12.
+    table = (rng.random(g.factors) + 1j * rng.random(g.factors))[None, None]
+    for sign in (1, -1):
+        got = spectral._factored(table, sign, ())
+        assert np.abs(got - _axis_by_axis(table, sign, ())).max() / g.order < 1e-12
+
+
+@pytest.mark.parametrize(
+    "factors, stages",
+    [((2,) * 10, [64, 16]), ((8, 8, 8, 4), [64, 32]), ((64, 32), [64, 32]), ((2048,), [32, 64]),
+     ((65536,), [16, 64, 64]), ((3 * 97,), [97, 3]), ((5, 1, 3), [15])],
+    ids=str,
+)
+def test_stages_are_at_most_64_points(monkeypatch, factors, stages):
+    seen = []
+    original = spectral._stage
+
+    def spy(x, kernel, moduli):
+        seen.append(kernel.shape[-1])
+        return original(x, kernel, moduli)
+
+    monkeypatch.setattr(spectral, "_stage", spy)
+    prime = []
+    original_prime = spectral._prime_length
+
+    def spy_prime(x, *args):
+        seen.append(x.shape[2])
+        prime.append(x.shape[2])
+        return original_prime(x, *args)
+
+    monkeypatch.setattr(spectral, "_prime_length", spy_prime)
+    spectral._factored(np.ones((1, 1, *factors), dtype=complex), 1, ())
+    assert seen == stages
+    assert all(n > 64 for n in prime)
 
 
 def _ntt_by_definition(table: np.ndarray, sign: int, p: int, root: int) -> list[int]:
@@ -386,11 +425,16 @@ def _ntt_by_definition(table: np.ndarray, sign: int, p: int, root: int) -> list[
 
 
 @pytest.mark.parametrize(
-    "factors", [(2,), (3,), (4,), (97,), (210,), (6, 4), (3,) * 5], ids=lambda f: "x".join(map(str, f))
+    "factors",
+    [(2,), (3,), (4,), (97,), (210,), (6, 4), (3,) * 5,
+     # Fused stages and the four-step split around the 64-point limit.
+     (64,), (128,), (2,) * 7, (4, 4, 4), (8, 8, 2), (96,), (3 * 97,), (2, 97)],
+    ids=lambda f: "x".join(map(str, f)),
 )
 @pytest.mark.parametrize("primes", [1, 2])
 def test_ntt_reduction_at_the_int64_edge(factors, primes):
-    # Residues p - 1 make every product (p - 1)^2 plus a residue, the largest an int64 must hold.
+    # Residues p - 1 make every twiddle product (p - 1)^2 plus a residue, the
+    # largest an int64 must hold, and fill both halves of every stage's sums.
     moduli = spectral._ntt_moduli(factors, 1 << 61)[:primes]
     assert len(moduli) == primes
     rng = np.random.default_rng(87)
@@ -422,7 +466,7 @@ def test_prime_length_builds_no_square_kernel():
     g = GroupSpec((2039,))
     f = _random_density(g, 86)
     spectral._powers.cache_clear()
-    spectral._twiddles.cache_clear()
+    spectral._kernel.cache_clear()
     tracemalloc.start()
     try:
         dft_factored(f)
@@ -430,6 +474,57 @@ def test_prime_length_builds_no_square_kernel():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 16 * g.order
+
+
+@pytest.mark.parametrize(
+    "factors", [(2048,), (8, 8, 8, 4), (2,) * 10, (96,), (3 * 97,), (1 << 14,)], ids=str
+)
+def test_modular_products_stay_exact_in_float64(monkeypatch, factors):
+    # Every float64 product of the modular ring contracts at most 64 terms, and
+    # every sum it returns is an integer below 2^53, so no bit was rounded.
+    products = []
+    original = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        out = original(a, b, *args, **kwargs)
+        if a.dtype == np.float64 and b.dtype == np.float64:
+            products.append((a.shape[-1], float(np.abs(out).max())))
+        return out
+
+    monkeypatch.setattr(spectral.np, "matmul", spy)
+    moduli = spectral._ntt_moduli(factors, 1 << 61)
+    # p - 1, and a residue whose low 17 bits are all ones: the largest low half.
+    table = np.stack(
+        [np.stack([np.full(factors, p - 1), np.full(factors, ((p - 1) >> 17 << 17) - 1)]) for p, _ in moduli]
+    ).astype(np.int64)
+    for sign in (1, -1):
+        spectral._factored(table, sign, moduli)
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(88)
+    spectral.representation_counts(g, rng.random(g.order) < 0.5, rng.random(g.order) < 0.5)
+    assert products
+    assert max(n for n, _ in products) <= 64
+    assert max(top for _, top in products) < 2**53
+
+
+def test_engine_caches_hold_no_table_per_level():
+    # After a dft/idft pair and a count on Z_2^16, with the results dropped,
+    # the caches hold the power rows (one complex, one int64 per prime) and
+    # kernels of at most 64^2 cells: no twiddle table per level.
+    g = GroupSpec((1 << 16,))
+    f = _random_density(g, 89)
+    rng = np.random.default_rng(90)
+    a, b = rng.random(g.order) < 0.3, rng.random(g.order) < 0.3
+    spectral._powers.cache_clear()
+    spectral._kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        idft_factored(dft_factored(f))
+        spectral.representation_counts(g, a, b)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.5 * 16 * g.order
 
 
 def test_factored_prime_length_blocking(monkeypatch):
