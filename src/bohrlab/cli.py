@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -27,7 +28,7 @@ from .errors import (
     RetryExhausted,
     ShapeError,
 )
-from .extractor import extract
+from .extractor import BOUNDS, extract
 from .groups import GroupSpec, parse_group, require_within_cap
 from .serialize import (
     certificate_from_json,
@@ -114,7 +115,7 @@ def _sweep_trial(n: int, delta: float, trial: int, master_seed: int) -> dict:
         "delta": delta,
         "trial": trial,
         "k": None,
-        "k_limit": 16.0 * delta**-5,
+        "k_limit": BOUNDS["dimension"].limit(delta),
         "c": None,
         "eta": None,
         "h_at_a0": None,
@@ -203,10 +204,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         (n, d, t, args.seed) for n in ns for d in deltas for t in range(args.trials)
     ]
     columns = zip(*tasks)
-    if args.jobs == 1:
+    # At most one worker per cell and per CPU: the pool forks every worker at its first task.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         rows = list(map(_sweep_trial, *columns))
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_trial, *columns, chunksize=1))
     rows.sort(key=lambda r: (r["N"], r["delta"], r["trial"]))
 
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--out", required=True, help="output report path")
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
-    sw.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    sw.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per cell and CPU")
     sw.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -49,7 +49,7 @@ is a unit.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +90,53 @@ BOUND_SLACK = 1e-9
 RADIUS_SLACK = 1e-12
 
 MEAN_TOLERANCE = 1e-12
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    """One recorded inequality: its achieved value against its stated limit."""
+
+    value: float
+    limit: float
+    ok: bool
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One of the paper's numbered bounds: its limit as a formula of delta, its slack, floor or cap."""
+
+    limit: Callable[[float], float]
+    slack: float
+    floor: bool
+
+
+# The one definition of the paper's bounds, which extract records, verify audits and the sweep
+# reports.  A floor holds when value >= limit - slack, a cap when value <= limit + slack.
+BOUNDS = {
+    "dimension": Bound(lambda delta: 16.0 * delta**-5, 0.0, floor=False),
+    "witness_value": Bound(lambda delta: delta**4, BOUND_SLACK, floor=True),
+    "c_lower": Bound(lambda delta: 0.5 * delta**4, BOUND_SLACK, floor=True),
+    "torus_radius": Bound(lambda delta: delta**9 / (64.0 * math.pi), RADIUS_SLACK, floor=True),
+    "remainder": Bound(lambda delta: 0.25 * delta**4, BOUND_SLACK, floor=False),
+}
+
+
+def bound_check(name: str, value: float, delta: float) -> BoundCheck:
+    """``value`` against bound ``name`` of :data:`BOUNDS` at ``delta``."""
+    bound = BOUNDS[name]
+    limit = bound.limit(delta)
+    ok = value >= limit - bound.slack if bound.floor else value <= limit + bound.slack
+    return BoundCheck(value, limit, ok)
+
+
+def s1_threshold(delta: float) -> float:
+    """The large-spectrum threshold delta^3 / 4 that S1 is read off at."""
+    return 0.25 * delta**3
+
+
+def radius_rule(c: float, k: int) -> float:
+    """The character-form radius c / k of a level-c polynomial on k frequencies; c when k = 0."""
+    return c / k if k else c
 
 
 def _running_sum(start: float, values: np.ndarray) -> float:
@@ -255,11 +302,9 @@ def find_witness(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
     rank = int(supp[np.argmax(h.values[supp])])
     a0 = elem_at(h.group, rank)
     h_at_a0 = float(h.values[rank])
-    delta = f.mean
-    if h_at_a0 < delta**4 - BOUND_SLACK:
-        raise InvariantBreach(
-            f"witness value {h_at_a0} below delta^4 = {delta**4} at {a0.coords}"
-        )
+    check = bound_check("witness_value", h_at_a0, f.mean)
+    if not check.ok:
+        raise InvariantBreach(f"witness value {h_at_a0} below delta^4 = {check.limit} at {a0.coords}")
     return a0, h_at_a0
 
 
@@ -332,11 +377,9 @@ def _remainder(hhat: np.ndarray, grp: GroupSpec, s1_index: np.ndarray, delta: fl
     """
     np.put(hhat, s1_index, 0.0)
     r_max = float(np.abs(_synthesize_half(hhat, grp)).max())
-    bound = 0.25 * delta**4 + BOUND_SLACK
-    if r_max > bound:
-        raise InvariantBreach(
-            f"remainder {r_max} exceeds delta^4 / 4 = {0.25 * delta**4}"
-        )
+    check = bound_check("remainder", r_max, delta)
+    if not check.ok:
+        raise InvariantBreach(f"remainder {r_max} exceeds delta^4 / 4 = {check.limit}")
     return r_max
 
 
@@ -359,18 +402,7 @@ def bohr_from_trigpoly(p: TrigPoly, a: Elem, c: float) -> BohrSpec:
     re_pa = p._value_at(a).real
     if re_pa < c - RADIUS_SLACK:
         raise PreconditionError(f"Re p(a) = {re_pa} is below the level c = {c}")
-    k = len(p.support)
-    radius = c / k if k else c
-    return BohrSpec(p.group, p.support, radius, FORM_CHAR, center=a)
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """One recorded inequality: its achieved value against its stated limit."""
-
-    value: float
-    limit: float
-    ok: bool
+    return BohrSpec(p.group, p.support, radius_rule(c, len(p.support)), FORM_CHAR, center=a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,7 +436,7 @@ def extract(f: DensityFn, g: DensityFn) -> Certificate:
     grp = f1.group
     neg = _negated_ranks(grp.factors[:-1])
     hhat = _half_spectrum(f1, neg)
-    in_s1 = _unfold(_at_least(hhat, 0.25 * delta**3), grp.factors, neg)
+    in_s1 = _unfold(_at_least(hhat, s1_threshold(delta)), grp.factors, neg)
     s1 = CharTuple.from_ranks(grp, np.flatnonzero(in_s1))
     _require_closed(in_s1)
     del in_s1  # before the syntheses, which set extract's peak at small k
@@ -425,31 +457,22 @@ def extract(f: DensityFn, g: DensityFn) -> Certificate:
     r_max = _remainder(hhat, grp, in_half, delta)
     del hhat, in_half
 
-    q = TrigPoly(grp, s1, coeffs, constant_shift=-0.25 * delta**4)
+    q = TrigPoly(grp, s1, coeffs, constant_shift=-BOUNDS["remainder"].limit(delta))
     c = q.evaluate(a0).real
     bohr_char = bohr_from_trigpoly(q, a0, c)
     bohr_torus = char_form_to_torus_form(bohr_char)
 
-    bounds = {
-        "dimension": BoundCheck(float(k), 16.0 * delta**-5, k <= 16.0 * delta**-5),
-        "witness_value": BoundCheck(
-            h_at_a0, delta**4, h_at_a0 >= delta**4 - BOUND_SLACK
-        ),
-        "c_lower": BoundCheck(c, 0.5 * delta**4, c >= 0.5 * delta**4 - BOUND_SLACK),
-        "torus_radius": BoundCheck(
-            bohr_torus.radius,
-            delta**9 / (64.0 * math.pi),
-            bohr_torus.radius >= delta**9 / (64.0 * math.pi) - RADIUS_SLACK,
-        ),
-        "remainder": BoundCheck(
-            r_max, 0.25 * delta**4, r_max <= 0.25 * delta**4 + BOUND_SLACK
-        ),
+    values = {
+        "dimension": float(k),
+        "witness_value": h_at_a0,
+        "c_lower": c,
+        "torus_radius": bohr_torus.radius,
+        "remainder": r_max,
     }
+    bounds = {name: bound_check(name, value, delta) for name, value in values.items()}
     for name, check in bounds.items():
         if not check.ok:
-            raise InvariantBreach(
-                f"bound {name} failed: value {check.value} vs limit {check.limit}"
-            )
+            raise InvariantBreach(f"bound {name} failed: value {check.value} vs limit {check.limit}")
     return Certificate(
         group=grp,
         delta=delta,

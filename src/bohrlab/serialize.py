@@ -150,19 +150,12 @@ def bohr_spec_from_dict(d: dict, g: GroupSpec, freqs: Callable[[dict], CharTuple
     return BohrSpec(g, chars, parse_real(radius), form, center=elem)
 
 
-def certificate_to_dict(cert: Certificate) -> dict:
-    """The cert/2 JSON object of a certificate.
+def _cert2_fields(cert: Certificate) -> dict:
+    """The cert/2 JSON object, with the S1 ranks as an int64 array.
 
     Both Bohr forms must carry S1, which cert/2 writes once; a form on other
     frequencies cannot be written and raises :class:`DomainError`.
     """
-    d = _cert2_fields(cert)
-    d["s1_ranks"] = d["s1_ranks"].tolist()
-    return d
-
-
-def _cert2_fields(cert: Certificate) -> dict:
-    """The cert/2 JSON object, with the S1 ranks as an int64 array."""
     for b in (cert.bohr_char_form, cert.bohr_torus_form):
         if b.freqs is not cert.s1 and b.freqs != cert.s1:
             raise DomainError(f"the {b.form} Bohr form does not carry S1, which cert/2 writes once")

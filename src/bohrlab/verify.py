@@ -33,7 +33,15 @@ from .bohr import (
     members_mask,
 )
 from .errors import AmbiguousBoundary, EmptyInputError, ShapeError
-from .extractor import BOUND_SLACK, RADIUS_SLACK, Certificate
+from .extractor import (
+    BOUND_SLACK,
+    BOUNDS,
+    RADIUS_SLACK,
+    Certificate,
+    bound_check,
+    radius_rule,
+    s1_threshold,
+)
 from .groups import (
     TWO_PI,
     GroupSpec,
@@ -88,26 +96,16 @@ def _close(x: float, y: float, rel: float = RADIUS_SLACK) -> bool:
     return math.isclose(x, y, rel_tol=rel, abs_tol=rel)
 
 
-# The certificate's recorded bounds block: each entry's limit as a formula of delta.
-_BOUND_LIMITS = {
-    "dimension": lambda delta: 16.0 * delta**-5,
-    "witness_value": lambda delta: delta**4,
-    "c_lower": lambda delta: 0.5 * delta**4,
-    "torus_radius": lambda delta: delta**9 / (64.0 * math.pi),
-    "remainder": lambda delta: 0.25 * delta**4,
-}
-
-
 def _audit_bound(cert: Certificate, name: str, value: float, slack: float = 0.0) -> str:
     """What is wrong with the certificate's recorded bound ``name``; empty if nothing is.
 
     The entry must be present, record ``value`` (to within ``slack``), carry
-    the limit its formula gives at the recorded delta, and be ok.
+    the limit ``BOUNDS`` gives at the recorded delta, and be ok.
     """
     entry = cert.bounds.get(name)
     if entry is None:
         return f"; recorded bound {name} is missing"
-    limit = _BOUND_LIMITS[name](cert.delta)
+    limit = BOUNDS[name].limit(cert.delta)
     if not abs(entry.value - value) <= slack:
         return f"; recorded bound {name} has value {entry.value!r}, want {value!r}"
     if entry.limit != limit:
@@ -159,8 +157,8 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     certificate's recorded bounds block is audited by the check of the same
     quantity: each entry records the certified value (k, h(a0), c, the
     torus radius; the remainder within ``BOUND_SLACK`` of the recomputed
-    one), its limit is its formula of the recorded delta, and it is ok;
-    forms-and-centers requires exactly the five entries.
+    one), its limit is that of ``extractor.BOUNDS`` at the recorded delta,
+    and it is ok; forms-and-centers requires exactly the entries of ``BOUNDS``.
     A group above the enumeration cap, or counts beyond the primes an int64
     CRT can join, raise :class:`CapacityError` before any transform.
     """
@@ -190,7 +188,7 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     s1_hhat = np.zeros(grp.order, dtype=np.complex128)
     np.add.at(s1_hhat, s1_ranks, hhat_def[s1_ranks])
     p_vals = idft_factored(Spectrum(grp, s1_hhat))
-    c_def = float(p_vals[a0_rank].real) - 0.25 * delta**4
+    c_def = float(p_vals[a0_rank].real) - BOUNDS["remainder"].limit(delta)
     h_at_a0_def = float(h_def.values[a0_rank])
     r_max_def = float(np.abs(h_def.values - p_vals).max())
 
@@ -239,46 +237,27 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
         checks.append(CheckResult("torus-subset", stray.size == 0, detail))
 
     # Each bound check also audits the certificate's own record of that bound.
-    k_limit = 16.0 * delta**-5
+    bound = bound_check("dimension", float(k), delta)
     recorded = _audit_bound(cert, "dimension", float(k))
-    checks.append(
-        CheckResult(
-            "dimension-bound",
-            cert.k == k and k <= k_limit and not recorded,
-            f"k = {cert.k}, |S1| = {k}, limit = {k_limit}{recorded}",
-        )
-    )
+    detail = f"k = {cert.k}, |S1| = {k}, limit = {bound.limit}{recorded}"
+    checks.append(CheckResult("dimension-bound", cert.k == k and bound.ok and not recorded, detail))
 
+    bound = bound_check("witness_value", h_at_a0_def, delta)
     recorded = _audit_bound(cert, "witness_value", cert.h_at_a0)
-    checks.append(
-        CheckResult(
-            "witness-value",
-            h_at_a0_def >= delta**4 - BOUND_SLACK
-            and abs(h_at_a0_def - cert.h_at_a0) <= BOUND_SLACK
-            and not recorded,
-            f"h(a0) = {h_at_a0_def} vs certified {cert.h_at_a0}, floor {delta**4}{recorded}",
-        )
-    )
+    ok = bound.ok and abs(h_at_a0_def - cert.h_at_a0) <= BOUND_SLACK and not recorded
+    detail = f"h(a0) = {h_at_a0_def} vs certified {cert.h_at_a0}, floor {bound.limit}{recorded}"
+    checks.append(CheckResult("witness-value", ok, detail))
 
+    bound = bound_check("c_lower", c_def, delta)
     recorded = _audit_bound(cert, "c_lower", cert.c)
-    checks.append(
-        CheckResult(
-            "level-value",
-            abs(c_def - cert.c) <= BOUND_SLACK
-            and c_def >= 0.5 * delta**4 - BOUND_SLACK
-            and not recorded,
-            f"c = {c_def} vs certified {cert.c}, floor {0.5 * delta**4}{recorded}",
-        )
-    )
+    ok = abs(c_def - cert.c) <= BOUND_SLACK and bound.ok and not recorded
+    detail = f"c = {c_def} vs certified {cert.c}, floor {bound.limit}{recorded}"
+    checks.append(CheckResult("level-value", ok, detail))
 
+    bound = bound_check("remainder", r_max_def, delta)
     recorded = _audit_bound(cert, "remainder", r_max_def, BOUND_SLACK)
-    checks.append(
-        CheckResult(
-            "remainder-bound",
-            r_max_def <= 0.25 * delta**4 + BOUND_SLACK and not recorded,
-            f"max |h - p| = {r_max_def}, cap {0.25 * delta**4}{recorded}",
-        )
-    )
+    detail = f"max |h - p| = {r_max_def}, cap {bound.limit}{recorded}"
+    checks.append(CheckResult("remainder-bound", bound.ok and not recorded, detail))
 
     checks.append(
         CheckResult(
@@ -290,7 +269,7 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
 
     # The certified S1 must match the definitional large spectrum, allowing a
     # band around the threshold where floating-point could go either way.
-    threshold = 0.25 * delta**3
+    threshold = s1_threshold(delta)
     moduli = np.abs(fhat_def)
     claimed = np.zeros(grp.order, dtype=bool)
     claimed[s1_ranks] = True
@@ -308,8 +287,10 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     spectrum_ok = not (missing.size or excess.size or duplicates)
     checks.append(CheckResult("large-spectrum", spectrum_ok, detail))
 
-    want_char = cert.c / k if k else cert.c
+    want_char = radius_rule(cert.c, k)
     recorded = _audit_bound(cert, "torus_radius", cert.bohr_torus_form.radius)
+    # Not char_form_to_torus_form, which raises on a relabelled form or a radius that
+    # underflows: either refutes here (exit 1) and must not be refused as bad input.
     radii_ok = (
         _close(cert.bohr_char_form.radius, want_char)
         and _close(cert.bohr_torus_form.radius, cert.bohr_char_form.radius / TWO_PI)
@@ -332,11 +313,11 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
         and cert.bohr_char_form.freqs == cert.s1
         and cert.bohr_torus_form.freqs == cert.s1
     )
-    bounds_ok = set(cert.bounds) == set(_BOUND_LIMITS)
+    bounds_ok = set(cert.bounds) == set(BOUNDS)
     if not forms_ok:
         detail = "metadata mismatch"
     elif not bounds_ok:
-        detail = f"bounds block holds {sorted(cert.bounds)}, want {sorted(_BOUND_LIMITS)}"
+        detail = f"bounds block holds {sorted(cert.bounds)}, want {sorted(BOUNDS)}"
     else:
         detail = "both forms carry S1 and are centered at a0"
     checks.append(CheckResult("forms-and-centers", forms_ok and bounds_ok, detail))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 
@@ -10,7 +11,7 @@ import pytest
 
 from bohrlab.cli import main
 from bohrlab.groups import GroupSpec
-from bohrlab.serialize import certificate_from_json
+from bohrlab.serialize import certificate_from_json, fmt_real
 from bohrlab.sets import GroupSubset, subgroup_subset, write_set_file
 
 
@@ -111,8 +112,6 @@ def test_verify_tiny_radius_subgroup_certificate_exits_0(tmp_path, n):
 
 
 def test_verify_csv_format(evens_cert_file, evens_file):
-    import csv
-
     code, out, _ = run_cli("verify", "--cert", evens_cert_file, "--set-a", evens_file, "--set-b", evens_file, "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
@@ -149,10 +148,17 @@ def _add_bound(bounds):
         (_set_bound("c_lower", "ok", False), "level-value", "c_lower is not ok"),
         (_set_bound("c_lower", "value", "123"), "level-value", "c_lower has value 123.0"),
         (_set_bound("dimension", "limit", "1"), "dimension-bound", "dimension has limit 1.0"),
+        (_set_bound("witness_value", "limit", "1"), "witness-value", "witness_value has limit 1.0"),
+        (_set_bound("c_lower", "limit", "1"), "level-value", "c_lower has limit 1.0"),
+        (_set_bound("torus_radius", "limit", "1"), "radius-consistency", "torus_radius has limit 1.0"),
+        (_set_bound("remainder", "limit", "1"), "remainder-bound", "remainder has limit 1.0"),
         (_add_bound, "forms-and-centers", "'extra'"),
         (dict.clear, "dimension-bound", "dimension is missing"),
     ],
-    ids=["c_lower not ok", "c_lower value", "dimension limit", "extra bound", "empty bounds"],
+    ids=[
+        "c_lower not ok", "c_lower value", "dimension limit", "witness_value limit", "c_lower limit",
+        "torus_radius limit", "remainder limit", "extra bound", "empty bounds",
+    ],
 )
 def test_verify_tampered_bounds_block_exits_1(tmp_path, tamper, check, entry):
     g = GroupSpec((8, 8))
@@ -167,6 +173,23 @@ def test_verify_tampered_bounds_block_exits_1(tmp_path, tamper, check, entry):
     assert code == 1
     assert err.startswith(f"verification failed: {check}: ")
     assert entry in err
+
+
+@pytest.mark.parametrize(
+    "key, value, check",
+    [("form", "torus-norm", "forms-and-centers"), ("radius", "5e-324", "radius-consistency")],
+    ids=["relabelled torus", "subnormal radius"],
+)
+def test_verify_tampered_char_form_exits_1(tmp_path, evens_cert_file, evens_file, key, value, check):
+    # Refuted, not refused as bad input: the char form is read as it stands, never
+    # converted by char_form_to_torus_form, which raises on both.
+    payload = json.loads(open(evens_cert_file).read())
+    payload["bohr_char_form"][key] = value
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(payload))
+    code, _, err = run_cli("verify", "--cert", str(tampered), "--set-a", evens_file, "--set-b", evens_file)
+    assert code == 1
+    assert err.startswith(f"verification failed: {check}: ")
 
 
 def test_verify_mismatched_group_exits_2(tmp_path, evens_cert_file):
@@ -204,6 +227,21 @@ def test_sweep_writes_sorted_rows(tmp_path):
     assert keys == sorted(keys)
 
 
+def test_sweep_k_limit_is_the_dimension_bound(tmp_path):
+    out = tmp_path / "sweep.csv"
+    deltas = (0.5, 0.3, 0.25, 0.7)
+    code, _, _ = run_cli(
+        "sweep", "--n", "16,9", "--delta", ",".join(map(str, deltas)), "--trials", "1",
+        "--seed", "2", "--out", str(out),
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 2 * len(deltas)
+    for row in rows:
+        delta = float(row["delta"])
+        assert row["k_limit"] == fmt_real(16.0 * delta**-5)
+
+
 def test_sweep_seed_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("sweep", "--n", "32", "--delta", "0.4", "--trials", "3", "--seed", "7")
@@ -217,6 +255,46 @@ def test_sweep_parallel_matches_serial(tmp_path):
     args = ("sweep", "--n", "32,16", "--delta", "0.4", "--trials", "2", "--seed", "3")
     assert run_cli(*args, "--out", str(a), "--jobs", "1")[0] == 0
     assert run_cli(*args, "--out", str(b), "--jobs", "2")[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "n, trials, jobs, cpus, size",
+    [
+        ("16", 1, 100000, 64, None),  # one cell runs in this process, whatever --jobs says
+        ("16,8", 2, 100000, 64, 4),  # one worker per cell
+        ("16,8", 2, 100000, 3, 3),  # one worker per CPU
+        ("16,8", 2, 2, 64, 2),  # --jobs
+        ("16,8", 2, 8, None, None),  # an unknown CPU count counts as one
+    ],
+)
+def test_sweep_workers_are_bounded(monkeypatch, tmp_path, n, trials, jobs, cpus, size):
+    from bohrlab import cli
+
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _SerialPool(sizes, max_workers))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ("sweep", "--n", n, "--delta", "0.5", "--trials", str(trials), "--seed", "4")
+    assert run_cli(*args, "--out", str(a), "--jobs", str(jobs))[0] == 0
+    assert sizes == ([] if size is None else [size])
+    assert run_cli(*args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
 
 
