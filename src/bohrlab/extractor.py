@@ -23,8 +23,10 @@ in place, and g-hat is dropped.  h-hat feeds everything after: h is its
 synthesis, q's coefficients are its entries at the S1 ranks (past n/2, the
 conjugate of the entry at -t), and the remainder is the synthesis of the same
 half with S1 zeroed in place, once h and q have read it.  That is two forward
-and two inverse real FFTs per extraction, and h is ``triple_convolve``'s, bit
-for bit, since both take the same private steps.  The certificate is that of
+and two inverse real transforms per extraction, each ``rfftn`` or ``irfftn``
+bit for bit, with length-2 axes as sum/difference passes (none of numpy's
+transforms runs on F_2^n), and h is ``triple_convolve``'s, bit for bit, since
+both take the same private steps.  The certificate is that of
 the full-table route (``spectral.dft``, :func:`large_spectrum`,
 ``spectral.triple_spectrum``, ``spectral.idft_real``,
 :func:`remainder_bound_check`) bit for bit: a coefficient of q past n/2 can
@@ -78,6 +80,7 @@ from .groups import (
 from .spectral import (
     DensityFn,
     Spectrum,
+    _at_negated,
     _half_index,
     _half_spectrum,
     _negated_ranks,
@@ -345,21 +348,13 @@ def _check_mean(hhat0: complex, delta: float) -> None:
 def _require_closed(in_s1: np.ndarray) -> None:
     """S1's boolean table must hold -t for each t it holds; else raise, naming the first t by rank.
 
-    ``in_s1`` has the group's shape.  The table at -t is built axis by axis:
-    on an axis of length n, coordinate i goes to (n - i) mod n, so place 0
-    stays and places 1 to n - 1 are read reversed.  An axis of length at most
-    2 is its own negation and is skipped, so on F_2^n there is nothing to check.
+    ``in_s1`` has the group's shape, and is read at -t by ``spectral._at_negated``.
+    An axis of length at most 2 is its own negation, so on F_2^n there is
+    nothing to check.
     """
-    axes = [j for j, n in enumerate(in_s1.shape) if n > 2]
-    if not axes:
+    if max(in_s1.shape) <= 2:
         return
-    negated = in_s1
-    for axis in axes:
-        lead = (slice(None),) * axis
-        out = np.empty_like(negated)
-        out[lead + (0,)] = negated[lead + (0,)]
-        out[lead + (slice(1, None),)] = negated[lead + (slice(None, 0, -1),)]
-        negated = out
+    negated = _at_negated(in_s1)
     unpaired = np.greater(in_s1, negated, out=negated)  # t in S1, -t not
     first = int(np.argmax(unpaired))
     if unpaired.flat[first]:

@@ -1,16 +1,22 @@
 """Fourier transform, convolution and reflection for tables on a finite group.
 
-Three routes are provided for the transform.  The fast path runs numpy's
-real-input FFT; the extraction pipeline uses it.  A table here is real, so its
-transform is conjugate-symmetric, fhat(-t) = conj(fhat(t)).  One private half
-transform, ``_half_spectrum``, runs ``rfftn`` on the characters whose last
-coordinate is at most n/2 and makes the planes that hold both t and -t exactly
-symmetric.  The extractor and :func:`triple_convolve` stay on that half, from
-the transform to the synthesis: no N-point complex table is formed.
-:func:`dft` unfolds the half to the full table, exactly symmetric by
-construction, and :func:`idft_real` synthesizes a real table from the half of
-a full one with ``irfftn``.  :func:`idft` is the complex synthesis of any
-spectrum.  The factored path is one engine of matrix stages over a ring: the
+Three routes are provided for the transform.  The fast path is numpy's
+real-input FFT, bit for bit; the extraction pipeline uses it.  A table here is
+real, so its transform is conjugate-symmetric, fhat(-t) = conj(fhat(t)).  One
+private half transform, ``_half_spectrum``, computes ``rfftn`` on the
+characters whose last coordinate is at most n/2 and makes the planes that hold
+both t and -t exactly symmetric; one private synthesis, ``_synthesize_half``,
+is ``irfftn``.  Both walk the axes in numpy's order: a length-2 axis is one
+sum/difference pass over the whole table (``_pair_passes``), which is
+pocketfft's length-2 transform exactly, and each maximal run of other axes is
+one numpy call.  On F_2^n no numpy transform runs at all; a group with no
+length-2 axis makes one ``rfftn`` and one ``irfftn`` call.  The extractor and
+:func:`triple_convolve` stay on that half, from the transform to the
+synthesis: no N-point complex table is formed.  :func:`dft` unfolds the half
+to the full table, exactly symmetric by construction, and :func:`idft_real`
+synthesizes a real table from the half of a full one.  :func:`idft` is the
+complex synthesis of any spectrum.  The factored path is one engine of matrix
+stages over a ring: the
 complex numbers, or the integers mod primes p = 1 (mod L, the lcm of the cycle
 lengths) below 2^31.  Adjacent axes whose lengths multiply to at most 64 are one
 stage, a product by their Kronecker kernel; a longer cycle splits by Bailey's
@@ -199,14 +205,107 @@ def dft(f: DensityFn) -> Spectrum:
 
 def _negated_ranks(factors: tuple[int, ...]) -> np.ndarray:
     """``neg[r]`` is the rank of -t for the t of rank r, over a table of shape ``factors``."""
-    flip = np.ix_(*((-np.arange(n)) % n for n in factors))
-    return np.arange(math.prod(factors)).reshape(factors)[flip].ravel()
+    return _at_negated(np.arange(math.prod(factors)).reshape(factors)).ravel()
+
+
+def _at_negated(table: np.ndarray) -> np.ndarray:
+    """The table read at -t, a fresh table of the same shape.
+
+    Axis by axis: on an axis of length n, coordinate i goes to (n - i) mod n,
+    so place 0 stays and places 1 to n - 1 are read reversed, one slice copy
+    each.  An axis of length at most 2 is its own negation and is skipped.
+    """
+    out = table
+    for axis, n in enumerate(table.shape):
+        if n <= 2:
+            continue
+        lead = (slice(None),) * axis
+        src, out = out, np.empty_like(out)
+        out[lead + (0,)] = src[lead + (0,)]
+        out[lead + (slice(1, None),)] = src[lead + (slice(None, 0, -1),)]
+    return table.copy() if out is table else out
+
+
+def _axis_runs(factors: tuple[int, ...]) -> list[tuple[int, int, bool]]:
+    """The maximal runs of adjacent axes, ``(start, stop, pairs)``, ``pairs`` when every length is 2."""
+    runs, start = [], 0
+    for pairs, run in itertools.groupby(factors, key=lambda n: n == 2):
+        stop = start + len(list(run))
+        runs.append((start, stop, pairs))
+        start = stop
+    return runs
+
+
+def _pair_passes(
+    table: np.ndarray, start: int, stop: int, descending: bool, scratch: bool = False
+) -> np.ndarray:
+    """The length-2 transform (x0 + x1, x0 - x1) on the axes ``start`` to ``stop - 1``; a fresh table.
+
+    That is pocketfft's length-2 transform in either direction, bit for bit:
+    one add and one subtract per pair, with no multiply, real and imaginary
+    parts apart.  Its inverse then multiplies by 1/2, which the caller drops
+    and makes up with one power-of-two scale at the end.  The axes go in
+    descending order (numpy's forward order) or ascending (its inverse order),
+    in Stockham's self-sorting (autosort) layout: a descending pass reads the
+    run's last axis as adjacent pairs and writes its sums and differences as
+    the run's first axis, two contiguous halves, so after the run's last pass
+    every axis is back in place; an ascending pass is the mirror image.  Each
+    pass writes one whole table, and two tables take turns; ``table`` is one
+    of them only when ``scratch`` says it may be overwritten and it is
+    C-ordered.
+    """
+    shape = table.shape
+    lead, tail, half = math.prod(shape[:start]), math.prod(shape[stop:]), 1 << (stop - start - 1)
+    pairs, halves = (lead, half, 2, tail), (lead, 2, half, tail)
+    (read, at_read), (write, at_write) = (pairs, 2), (halves, 1)
+    if not descending:
+        (read, at_read), (write, at_write) = (write, at_write), (read, at_read)
+    first, second = (slice(None),) * at_read + (0,), (slice(None),) * at_read + (1,)
+    sums, differences = (slice(None),) * at_write + (0,), (slice(None),) * at_write + (1,)
+    reusable = scratch and table.flags.c_contiguous
+    src, free = table, []
+    for _ in range(start, stop):
+        out = free.pop() if free else np.empty(shape, table.dtype)
+        x, y = src.reshape(read), out.reshape(write)
+        np.add(x[first], x[second], out=y[sums])
+        np.subtract(x[first], x[second], out=y[differences])
+        if reusable or src is not table:
+            free.append(src)
+        src = out
+    return src
+
+
+def _real_forward(table: np.ndarray) -> np.ndarray:
+    """``np.fft.rfftn(table)`` over every axis, bit for bit, with each length-2 axis one pass.
+
+    numpy's order: the real transform on the last axis, then the complex one
+    on the others from last to first.  A maximal run of other axes is one
+    numpy call: ``rfftn`` if it holds the last axis, else ``fftn`` in place,
+    which walks its axes from last to first too.  A run of length-2 axes is
+    :func:`_pair_passes`.  When the last axis has length 2, its run goes on
+    the real table: pairs of real numbers with zero imaginary parts sum and
+    subtract to exactly zero imaginary parts, as pocketfft leaves them.  A
+    group with no length-2 axis makes one ``rfftn`` call.
+    """
+    runs = _axis_runs(table.shape)
+    start, stop, pairs = runs[-1]
+    if pairs:
+        half = _pair_passes(table, start, stop, descending=True).astype(np.complex128)
+    else:
+        half = np.fft.rfftn(table, axes=tuple(range(start, stop)))
+    for start, stop, pairs in reversed(runs[:-1]):
+        if pairs:
+            half = _pair_passes(half, start, stop, descending=True, scratch=True)
+        else:
+            np.fft.fftn(half, axes=tuple(range(start, stop)), out=half)
+    return half
 
 
 def _half_spectrum(f: DensityFn, neg: np.ndarray) -> np.ndarray:
     """The transform of f at the characters whose last coordinate is at most n/2.
 
-    ``rfftn`` divided by N, a writable table of shape (*factors[:-1], n//2 + 1).
+    ``rfftn`` divided by N, bit for bit (:func:`_real_forward`), a writable
+    table of shape (*factors[:-1], n//2 + 1).
     ``neg`` is ``_negated_ranks(factors[:-1])``, built once by the caller.  The
     planes where the last coordinate is 0 or n/2 hold t and -t both, and
     ``rfftn`` computes each pair twice: the value of the pair's first
@@ -215,7 +314,7 @@ def _half_spectrum(f: DensityFn, neg: np.ndarray) -> np.ndarray:
     holds both.  h and the remainder are synthesized from these planes.
     """
     g = f.group
-    half = np.fft.rfftn(f.as_nd(), axes=tuple(range(g.ndim)))
+    half = _real_forward(f.as_nd())
     half /= g.order
     n = g.factors[-1]
     planes = half.reshape(len(neg), n // 2 + 1)
@@ -288,10 +387,47 @@ def idft_real(spectrum: Spectrum) -> np.ndarray:
 def _synthesize_half(half: np.ndarray, g: GroupSpec) -> np.ndarray:
     """The real synthesis of the ``rfftn`` half of a conjugate-symmetric table, ravelled.
 
-    The table is fresh and returned read-only, so a :class:`DensityFn` keeps it uncopied.
+    ``np.fft.irfftn(half, s=g.factors) * N``, bit for bit, with each length-2
+    axis one :func:`_pair_passes`; ``half`` is never written.  numpy's order:
+    the complex inverse on the axes but the last, in ascending order, then the
+    real inverse on the last.  A maximal run of other axes is one numpy call
+    on ``half`` itself (``irfftn``, or ``ifftn`` on its axes listed from last
+    to first, which it walks from first to last); on a table of the walk's
+    own, its complex axes go through ``ifftn`` in place and the last axis
+    through ``irfft``.  From the start of a run of length-2 axes that ends the
+    group, only real parts are read: the real part of a sum or difference is
+    that of the real parts, and the real inverse of length 2 reads real parts
+    only.  numpy's inverse also multiplies by 1/2 on each of the m length-2
+    axes; the passes do not, and the table is multiplied by N / 2^m at the end
+    in place of N (by nothing on F_2^n).  That is exact: scaling by a power of
+    two is exact in binary64 outside the subnormal range, so every rounding on
+    the way sees the same significands.  A group with no length-2 axis makes
+    one ``irfftn`` call.  The table is fresh and returned read-only, so a
+    :class:`DensityFn` keeps it uncopied.
     """
-    values = np.fft.irfftn(half, s=g.factors, axes=tuple(range(g.ndim))).ravel()
-    values *= g.order
+    table = half
+    for start, stop, pairs in _axis_runs(g.factors):
+        last = stop == g.ndim
+        if pairs:
+            scratch = not last and table is not half
+            table = _pair_passes(
+                table.real if last else table, start, stop, descending=False, scratch=scratch
+            )
+        elif table is half:
+            if last:
+                table = np.fft.irfftn(half, s=g.factors[start:], axes=tuple(range(start, stop)))
+            else:
+                table = np.fft.ifftn(half, axes=tuple(range(stop - 1, start - 1, -1)))
+        else:
+            complex_axes = tuple(range(start, stop - 1 if last else stop))
+            if complex_axes:
+                np.fft.ifftn(table, axes=complex_axes[::-1], out=table)
+            if last:
+                table = np.fft.irfft(table, g.factors[-1])
+    values = table.ravel()
+    scale = g.order >> g.factors.count(2)
+    if scale != 1:
+        values *= scale
     values.flags.writeable = False
     return values
 
@@ -719,7 +855,7 @@ def _counts_by_translates(tables: tuple[np.ndarray, ...], negated: tuple[bool, .
     factors = tables[0].shape
     out = tables[0].astype(np.int64)
     if negated[0]:
-        out = out.ravel()[_negated_ranks(factors)].reshape(factors)
+        out = _at_negated(out)
     for table, flip in zip(tables[1:], negated[1:]):
         shifts = np.argwhere(table)
         acc = np.zeros(factors, dtype=np.int64, order="F")
@@ -928,7 +1064,7 @@ def convolve_definitional(f: DensityFn, g: DensityFn) -> DensityFn:
 
 def reflect(f: DensityFn) -> DensityFn:
     """The reflected table z -> f(-z)."""
-    return DensityFn(f.group, f.values[_negated_ranks(f.group.factors)])
+    return DensityFn(f.group, _at_negated(f.as_nd()).ravel())
 
 
 def triple_spectrum(fhat: Spectrum, ghat: Spectrum) -> Spectrum:
@@ -957,9 +1093,10 @@ def triple_convolve(f: DensityFn, g: DensityFn) -> DensityFn:
     """The smoothed sumset profile f conv g conv g(-.), for real g.
 
     Three real-input transforms on the half of the dual group that ``rfftn``
-    computes: f-hat and g-hat, their product h-hat (``_triple_half``), then
-    its real synthesis.  No full table is unfolded.  The extractor's h goes
-    through these same private steps, so it is this table, bit for bit.
+    computes (``_half_spectrum`` and ``_synthesize_half``): f-hat and g-hat,
+    their product h-hat (``_triple_half``), then its real synthesis.  No full
+    table is unfolded.  The extractor's h goes through these same private
+    steps, so it is this table, bit for bit.
     """
     grp = _require_same_group(f, g)
     neg = _negated_ranks(grp.factors[:-1])

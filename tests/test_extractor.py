@@ -610,18 +610,27 @@ def test_extract_is_the_full_table_route_bit_for_bit(factors, kind, seed):
 CENSUS = json.loads((Path(__file__).parent / "data" / "extract_digests.json").read_text())
 
 
+def _census_densities(row) -> tuple[float, float]:
+    density = row["density"]
+    return tuple(density) if isinstance(density, list) else (density, density)
+
+
 def _census_id(row) -> str:
-    return f"{'x'.join(map(str, row['factors']))}-{row['density']}-{row['seeds'][0]}"
+    densities = "-".join(map(str, dict.fromkeys(_census_densities(row))))
+    return f"{'x'.join(map(str, row['factors']))}-{densities}-{row['seeds'][0]}"
 
 
 @pytest.mark.parametrize("row", CENSUS["instances"], ids=_census_id)
 def test_extract_census_keeps_every_certificate_bit(row):
     """Certificates of seeded instances hashed by the full-table route, before extract kept
     to the half tables: Z_2^16, 256^2 and 16^4 at density 0.1 (worst-case k), Z_2^18 and
-    512^2 at 0.3 (k = 1), F_2^10, (5, 1, 3) and 97 x 4."""
+    512^2 at 0.3 (k = 1), F_2^10, (5, 1, 3) and 97 x 4.  Then, hashed while every axis
+    still went through numpy's transforms: length-2 axes beside others, at unequal
+    densities (2 x 8 x 2 x 4, 3 x 2 x 5, 2 x 4 x 4, F_2^14, 8 x 2, 2 x 16 x 2 x 8)."""
     g = GroupSpec(tuple(row["factors"]))
-    A = random_nonempty_subset(g, row["density"], row["seeds"][0])
-    B = random_nonempty_subset(g, row["density"], row["seeds"][1])
+    density_a, density_b = _census_densities(row)
+    A = random_nonempty_subset(g, density_a, row["seeds"][0])
+    B = random_nonempty_subset(g, density_b, row["seeds"][1])
     cert = extract(A.indicator(), B.indicator())
     assert cert.k == row["k"]
     assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == row["sha256"]

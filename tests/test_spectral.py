@@ -171,6 +171,97 @@ def test_real_input_dft_is_exactly_conjugate_symmetric(factors, indicator, seed)
     assert set(neg[ranks].tolist()) == set(ranks.tolist())
 
 
+_PAIR_SHAPES = (
+    st.lists(st.sampled_from([1, 2, 3, 4, 5, 8]), min_size=1, max_size=6)
+    .map(tuple)
+    .filter(lambda f: math.prod(f) <= 4096)
+)
+
+
+def _real_table(factors: tuple[int, ...], kind: str, rng) -> np.ndarray:
+    values = rng.random(factors)
+    if kind == "indicator":
+        return (values < 0.3).astype(np.float64)
+    if kind == "scaled":  # an indicator rescaled to a smaller mean, as normalize_means does
+        return (values < 0.3) * (0.1 / 0.3)
+    return values - 0.5
+
+
+@settings(max_examples=150, deadline=None)
+@example(factors=(2,) * 10, kind="scaled", seed=0)
+@example(factors=(2, 3, 5), kind="scaled", seed=1)
+@example(factors=(3, 5, 2), kind="random", seed=2)
+@example(factors=(3, 2, 5), kind="indicator", seed=3)
+@example(factors=(2, 8, 2, 4), kind="scaled", seed=4)
+@example(factors=(2, 2, 3, 3, 2), kind="random", seed=5)
+@example(factors=(5, 1, 2), kind="scaled", seed=6)
+@example(factors=(2,), kind="random", seed=7)
+@given(
+    factors=_PAIR_SHAPES,
+    kind=st.sampled_from(["indicator", "scaled", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_half_transform_is_numpys_rfftn_bit_for_bit(factors, kind, seed):
+    """Length-2 axes as sum/difference passes, first, last or between other axes: the
+    bytes of ``np.fft.rfftn(x) / N``, every axis still in numpy's order."""
+    table = _real_table(factors, kind, np.random.default_rng(seed))
+    order = math.prod(factors)
+    got = spectral._real_forward(table)
+    want = np.fft.rfftn(table)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    got /= order
+    want /= order
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@example(factors=(2,) * 10, kind="half", seed=0)
+@example(factors=(2, 3, 5), kind="complex", seed=1)
+@example(factors=(3, 5, 2), kind="half", seed=2)
+@example(factors=(3, 2, 5), kind="complex", seed=3)
+@example(factors=(2, 8, 2, 4), kind="half", seed=4)
+@example(factors=(2, 2, 3, 3, 2), kind="complex", seed=5)
+@example(factors=(8, 2), kind="tiny-imaginary", seed=6)
+@example(factors=(2,), kind="complex", seed=7)
+@given(
+    factors=_PAIR_SHAPES,
+    kind=st.sampled_from(["half", "complex", "tiny-imaginary"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_half_synthesis_is_numpys_irfftn_bit_for_bit(factors, kind, seed):
+    """The bytes of ``np.fft.irfftn(half, s) * N``, with numpy's 1/2 per length-2 axis
+    folded into one power-of-two scale, on half tables that are a scaled table's
+    transform or random complex, conjugate-symmetric or not; ``half`` is not written."""
+    rng = np.random.default_rng(seed)
+    order = math.prod(factors)
+    shape = factors[:-1] + (factors[-1] // 2 + 1,)
+    if kind == "half":
+        half = np.fft.rfftn(_real_table(factors, "scaled", rng)) / order
+    else:
+        imaginary = 1e-17 if kind == "tiny-imaginary" else 1.0
+        half = rng.standard_normal(shape) + 1j * imaginary * rng.standard_normal(shape)
+    before = half.tobytes()
+    got = spectral._synthesize_half(half, GroupSpec(factors))
+    want = np.fft.irfftn(half, s=factors, axes=tuple(range(len(factors)))) * order
+    assert half.tobytes() == before
+    assert got.tobytes() == want.ravel().tobytes()
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(2,) * 9, (16, 16, 16), (256,), (8, 8, 8), (64,), (5, 1, 2), (2, 3), (4, 2, 7), (1,)],
+    ids=lambda factors: "x".join(map(str, factors)),
+)
+def test_negated_table_is_the_index_gather(factors):
+    """Reversed slices per axis read every table at -t, as the gather of (-i) mod n per axis does."""
+    ranks = np.arange(math.prod(factors)).reshape(factors)
+    gather = ranks[np.ix_(*((-np.arange(n)) % n for n in factors))]
+    assert np.array_equal(spectral._negated_ranks(factors), gather.ravel())
+    negated = spectral._at_negated(ranks)
+    assert np.array_equal(negated, gather) and not np.shares_memory(negated, ranks)
+
+
 def test_definitional_path_blocking(monkeypatch):
     # Force tiny blocks so the loop runs many times; results must not change.
     g = GroupSpec((4, 3))

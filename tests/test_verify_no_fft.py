@@ -3,7 +3,11 @@
 ``verify`` may import nothing from ``spectral`` that runs ``np.fft`` (the fast
 transforms and the fast convolutions), and may name no ``np.fft`` or
 ``numpy.fft`` attribute of its own.  ``test_verifier_calls_no_numpy_fft`` in
-``tests/test_verify.py`` checks the same at run time, on one instance.
+``tests/test_verify.py`` checks the same at run time, on one instance.  Nor
+may it import the extractor's private transform steps: the half transform,
+the half synthesis and the length-2 sum/difference passes they share.  On
+F_2^n those run no ``np.fft`` at all, so neither check above would see the
+verifier borrow them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,18 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 VERIFY = ROOT / "src" / "bohrlab" / "verify.py"
-FFT_BACKED = {"dft", "idft", "idft_real", "convolve", "triple_convolve", "triple_spectrum"}
+FFT_BACKED = {
+    "dft",
+    "idft",
+    "idft_real",
+    "convolve",
+    "triple_convolve",
+    "triple_spectrum",
+    "_half_spectrum",
+    "_real_forward",
+    "_synthesize_half",
+    "_pair_passes",
+}
 
 
 def fft_uses(source: str) -> list[str]:
@@ -54,3 +69,8 @@ def test_scan_finds_numpy_fft():
         "x = np.fft.rfftn(a)\ny = table.fft\n"
     )
     assert fft_uses(source) == ["line 2: imports idft_real", "line 3: np.fft"]
+
+
+def test_scan_finds_the_private_transform_steps():
+    source = "from .spectral import _pair_passes, dft_factored\nfrom .spectral import _synthesize_half\n"
+    assert fft_uses(source) == ["line 1: imports _pair_passes", "line 2: imports _synthesize_half"]
