@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -96,33 +97,36 @@ def _divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=32)
-def _step_tables(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list]:
-    """The lookup tables of :func:`_steps`: ``(offsets, codes, fields)``.
+def _step_tables(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list, np.ndarray, np.ndarray]:
+    """The lookup tables of :func:`_step_classes`: ``(offsets, codes, fields, divisors, class_of)``.
 
     A divisor of L = prod q^E_q is coded with one field of E_q bits per prime
     q, holding e low ones for the power q^e it has (at most 31 bits in all
     below 2^31), so the code of a gcd of divisors is the AND of their codes.
     For each distinct cycle length n, a block of ``codes`` holds at t the code
     of (L/n) gcd(t, n); ``offsets[i]`` is where axis i's block starts, so axes
-    of one length share a block.  ``fields`` lists (shift, width, q^0..q^E_q)
-    per prime.
+    of one length share a block.  ``fields`` lists (shift, width, radix) per
+    prime: the exponents e_q, read off the fields, index the divisor in mixed
+    radix.  ``divisors`` holds every divisor of L in ascending order, and
+    ``class_of`` maps the mixed-radix index to its position there.
     """
     lcm = _lcm_weights(factors)[0]
-    fields, rest, shift = [], lcm, 0
+    fields, primes, rest, shift = [], [], lcm, 0
+    values = np.ones(1, dtype=np.int64)  # the divisors, by mixed-radix index
     for q in _divisors(lcm)[1:]:
         width = 0
         while rest % q == 0:
             rest, width = rest // q, width + 1
         if width:
-            powers = q ** np.arange(width + 1, dtype=np.int64)
-            powers.flags.writeable = False
-            fields.append((shift, width, powers))
+            fields.append((shift, width, len(values)))
+            primes.append(q)
+            values = np.concatenate([values * q**e for e in range(width + 1)])
             shift += width
 
     def code(d: int) -> int:
         out = 0
-        for shift, width, powers in fields:
-            q, e = int(powers[1]), 0
+        for (shift, width, _), q in zip(fields, primes):
+            e = 0
             while d % q == 0:
                 d, e = d // q, e + 1
             out |= ((1 << e) - 1) << shift
@@ -135,26 +139,33 @@ def _step_tables(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list
         block = codes[starts[n] : starts[n] + n]
         for d in _divisors(n):  # increasing, so t keeps its largest divisor d of n: gcd(t, n)
             block[::d] = code(lcm // n * d)
-    codes.flags.writeable = False
-    return np.array([starts[n] for n in factors], dtype=np.int64), codes, fields
+    ascending = np.argsort(values)
+    class_of = np.empty(len(values), dtype=np.uint16)  # L < 2^31 has at most 1600 divisors
+    class_of[ascending] = np.arange(len(values))
+    divisors = values[ascending]
+    for table in (codes, divisors, class_of):
+        table.flags.writeable = False
+    return np.array([starts[n] for n in factors], dtype=np.int64), codes, fields, divisors, class_of
 
 
-def _steps(g: GroupSpec, rows: np.ndarray) -> np.ndarray:
-    """s = gcd(t_1 L/n_1, ..., t_d L/n_d, L) for every frequency row t, with no per-element Euclid.
+def _step_classes(g: GroupSpec, rows: np.ndarray) -> np.ndarray:
+    """The order class of every frequency row t: the position of its step among the divisors of L.
 
-    gcd(t_i L/n_i, L) = (L/n_i) gcd(t_i, n_i), a divisor of L read off a
-    table of n_i entries per axis, by its code in :func:`_step_tables`.  The
+    The step s = gcd(t_1 L/n_1, ..., t_d L/n_d, L) is ``divisors[class]``
+    (:func:`_step_tables`), and t has order L/s, so classes ascend as orders
+    descend.  No per-element Euclid: gcd(t_i L/n_i, L) = (L/n_i) gcd(t_i, n_i),
+    a divisor of L read off a table of n_i entries per axis, by its code.  The
     axes fold by one AND of the gathered codes.  A field of e ones is
-    2^e - 1, whose binary exponent ``frexp`` reads exactly, and s is the
-    product of the q^e.
+    2^e - 1, whose binary exponent ``frexp`` reads exactly, and the e index
+    the divisor in mixed radix.
     """
-    offsets, codes, fields = _step_tables(g.factors)
+    offsets, codes, fields, _, class_of = _step_tables(g.factors)
     folded = np.bitwise_and.reduce(codes[rows + offsets if offsets.any() else rows], axis=1)
-    steps = np.ones(len(rows), dtype=np.int64)
-    for shift, width, powers in fields:
+    index = np.zeros(len(rows), dtype=np.int64)
+    for shift, width, radix in fields:
         ones = (folded >> shift) & ((1 << width) - 1)
-        steps *= powers[np.frexp(ones + 1)[1] - 1]
-    return steps
+        index += (np.frexp(ones + 1)[1] - 1) * radix
+    return class_of[index]
 
 
 def _distances(g: GroupSpec, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -222,49 +233,58 @@ def bohr_member(b: BohrSpec, z: Elem) -> bool:
     return bool((j < below).all())
 
 
-def _walk_order(step: np.ndarray) -> np.ndarray:
-    """Frequencies by descending order L/s, each order class spread by i*phi mod 1.
+def _walk_order(classes: np.ndarray) -> np.ndarray:
+    """Frequencies by descending order L/s, each order class spread by a golden-ratio stride.
 
     In canonical order the first m frequencies of a class span few dimensions
     (on F_2^n, log2 m), so the survivors of a walk shrink only like N/m and
     every doubling block costs about N cells.  Frequencies taken across the
-    class, as the golden-ratio sequence spreads them, are independent early.
+    class are independent early.  The spread is the Weyl sequence i w mod 2^b,
+    2^b >= k and w odd near 2^b/phi, with the terms >= k dropped: a
+    permutation of the k indices by one multiply and one mask, no modulo and
+    no float sort.  One stable counting sort of the uint16 class positions
+    (numpy's radix sort) then groups the classes, highest order first, and
+    keeps the spread inside each.
     """
-    spread = (np.arange(len(step)) * 0.6180339887498949) % 1.0
-    return np.argsort(step + spread)  # step is a positive integer, spread in [0, 1)
+    size = 1 << max(0, len(classes) - 1).bit_length()
+    spread = np.arange(size, dtype=np.int64)
+    spread *= int(size * 0.6180339887498949) | 1  # wraps past 2^63 only in bits the mask drops
+    spread &= size - 1
+    spread = spread[spread < len(classes)]
+    return spread[np.argsort(classes[spread], kind="stable")]
 
 
-def members_mask(b: BohrSpec) -> np.ndarray:
-    """Boolean membership table over the whole group, canonical order.
+@dataclass(frozen=True, eq=False)
+class _Walk:
+    """What a walk over the whole group decided: the members at threshold ``below``.
 
-    First an exact O(k) screen: t takes exactly the phases that are multiples
-    of s = gcd(t_i L/n_i, L), read off tables (:func:`_steps`), so a tie is
-    possible only for a frequency with a multiple of s in the undecidable
-    window of :func:`_threshold`.  The first such frequency raises
-    :class:`AmbiguousBoundary`, naming its first tied element from a scan of
-    that one row.  Otherwise membership walks
-    :func:`~bohrlab.spectral.phase_blocks` blocks of integer phases over the
-    elements still in the running, in :func:`_walk_order`: frequencies of
-    highest order L/s first, so the first block removes most candidates, and
-    each order class spread out.  An element drops out at the first
-    block that excludes it, and memory is one block's table, never (k, N, d).
+    ``freqs`` is a weak reference to the walked tuple, so the memo keeps no
+    certificate's S1 alive; ``classes`` are its frequencies' order classes
+    (:func:`_step_classes`), the screen's gcd steps, and ``ranks`` the members.
     """
-    g = b.group
-    rows, coords = b.freqs.rows, coords_table(g)
-    lcm = _lcm_weights(g.factors)[0]
-    below, upto = _threshold(b)
-    step = _steps(g, rows)
-    first = -(-below // step) * step  # the least attainable j >= T
-    ties = np.flatnonzero(first <= min(upto, lcm // 2))
-    if ties.size:
-        t_idx = int(ties[0])
-        j = _distances(g, rows[t_idx : t_idx + 1], coords)[0]
-        z_idx = int(np.flatnonzero((j >= below) & (j <= upto))[0])
-        raise _boundary(b, t_idx, f"at element rank {z_idx}", int(j[z_idx]))
-    if below > lcm // 2:
-        return np.ones(g.order, dtype=bool)
-    ranks = np.arange(g.order)
-    walk = phase_blocks(g, rows[_walk_order(step)], coords, _distances)
+
+    freqs: weakref.ref
+    group: GroupSpec
+    classes: np.ndarray
+    below: int
+    ranks: np.ndarray
+
+
+_last_walk: _Walk | None = None
+
+
+def _walk(g: GroupSpec, rows: np.ndarray, classes: np.ndarray, below: int, ranks: np.ndarray | None) -> np.ndarray:
+    """The ranks among ``ranks`` (every element when None) whose distances all lie below T.
+
+    Walks :func:`~bohrlab.spectral.phase_blocks` blocks in :func:`_walk_order`
+    over the elements still in the running; an element drops out at the first
+    block that excludes it.  A walk from every element reads the cached
+    coordinate table as it is, not a gathered copy of it.
+    """
+    coords = coords_table(g)
+    walk = phase_blocks(g, rows[_walk_order(classes)], coords if ranks is None else coords[ranks], _distances)
+    if ranks is None:
+        ranks = np.arange(g.order)
     try:
         _, j = next(walk)
         while True:
@@ -272,6 +292,59 @@ def members_mask(b: BohrSpec) -> np.ndarray:
             _, j = walk.send(coords[ranks])
     except StopIteration:
         pass
+    return ranks
+
+
+def members_mask(b: BohrSpec) -> np.ndarray:
+    """Boolean membership table over the whole group, canonical order; a fresh array.
+
+    First an exact O(k) screen: t takes exactly the phases that are multiples
+    of its step s = gcd(t_i L/n_i, L), one of the divisors of L
+    (:func:`_step_classes`), so a tie is possible only for a frequency whose
+    step has a multiple in the undecidable window of :func:`_threshold`.  The
+    screen decides each divisor once.  The first frequency with such a step
+    raises :class:`AmbiguousBoundary`, naming its first tied element from a
+    scan of that one row.  Otherwise membership walks
+    :func:`~bohrlab.spectral.phase_blocks` blocks of integer phases over the
+    elements still in the running, in :func:`_walk_order`: frequencies of
+    highest order L/s first, so the first block removes most candidates, and
+    each order class spread out.  An element drops out at the first
+    block that excludes it, and memory is one block's table, never (k, N, d).
+
+    The last walk over the whole group is remembered (:class:`_Walk`).  A
+    later call on the same :class:`~bohrlab.groups.CharTuple` and group at a
+    threshold T' <= T screens at T' on the stored classes, so it raises
+    exactly as a fresh call would, and then walks only the stored members,
+    which hold every member at T'; at T' = T it walks nothing.  A wider
+    threshold or another tuple walks the whole group and replaces the memo.
+    So a certificate's char form, torus form and half-radius form cost one
+    walk over the group and at most two over its members.
+    """
+    global _last_walk
+    g = b.group
+    rows = b.freqs.rows
+    lcm = _lcm_weights(g.factors)[0]
+    below, upto = _threshold(b)
+    memo = _last_walk
+    if memo is not None and (memo.freqs() is not b.freqs or memo.group != g):
+        memo = None
+    classes = _step_classes(g, rows) if memo is None else memo.classes
+    divisors = _step_tables(g.factors)[3]
+    first = -(-below // divisors) * divisors  # the least attainable j >= T, per step
+    ties = np.flatnonzero((first <= min(upto, lcm // 2))[classes])
+    if ties.size:
+        t_idx = int(ties[0])
+        j = _distances(g, rows[t_idx : t_idx + 1], coords_table(g))[0]
+        z_idx = int(np.flatnonzero((j >= below) & (j <= upto))[0])
+        raise _boundary(b, t_idx, f"at element rank {z_idx}", int(j[z_idx]))
+    if below > lcm // 2:
+        return np.ones(g.order, dtype=bool)
+    if memo is not None and below <= memo.below:
+        ranks = memo.ranks if below == memo.below else _walk(g, rows, classes, below, memo.ranks)
+    else:
+        ranks = _walk(g, rows, classes, below, None)
+        ranks.flags.writeable = False
+        _last_walk = _Walk(weakref.ref(b.freqs), g, classes, below, ranks)
     members = np.zeros(g.order, dtype=bool)
     members[ranks] = True
     return members

@@ -263,7 +263,7 @@ class CharTuple(Sequence):
     from rows, without the memo.
     """
 
-    __slots__ = ("_rows", "_factors", "_ranks")
+    __slots__ = ("_rows", "_factors", "_ranks", "__weakref__")
 
     def __init__(self, rows) -> None:
         try:

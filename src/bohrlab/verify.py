@@ -5,10 +5,16 @@ exact integer count of representations a + b - c, whose support is the
 sumset A+B-B (``spectral.representation_counts``: a number-theoretic
 transform or an integer translate sum), transforms by the exact-phase
 factored transform, Bohr membership by exact integer phases.  Nothing here
-reaches ``np.fft``.  Every translate, the containment shift by a0 included,
-is a window from ``spectral._translate_windows``.  None of the extractor's
-fast-path results are trusted; a certificate is data to be audited.  Failed
-checks are recorded in the report, not raised -- reports are data too.
+reaches ``np.fft``.  Containment shifts the char-form members' coordinates by
+a0 and reads the sumset at their ranks; no translate of a table is drawn.
+None of the extractor's fast-path results are trusted; a certificate is data
+to be audited.  Failed checks are recorded in the report, not raised --
+reports are data too.
+
+Membership is decided once per certificate: ``bohr.members_mask`` remembers
+its last walk over the group, so the torus form and the half-radius form of
+``good_shift_set``, whose thresholds are at most the char form's, walk only
+the char form's members, or nothing where the thresholds are equal.
 
 The good-shift statistic reads A+B-B off the same counts: one table, keyed by
 the contents of A and B, is kept between calls, so a verify followed by
@@ -54,7 +60,6 @@ from .sets import GroupSubset
 from .spectral import (
     DensityFn,
     Spectrum,
-    _translate_windows,
     dft_factored,
     difference_counts,
     idft_factored,
@@ -217,15 +222,18 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     if undecidable is not None:
         checks.append(CheckResult("undecidable", False, undecidable))
     else:
-        shifted = next(
-            _translate_windows(char_members.reshape(grp.factors), [cert.a0.coords])
-        ).ravel()
-        escapees = np.flatnonzero(shifted & ~sumset)
+        # Each member z moves to z + a0: its coordinates shifted, ravelled mod the factors.
+        members = np.flatnonzero(char_members)
+        at = np.unravel_index(members, grp.factors)
+        shifted = np.ravel_multi_index(
+            [x + a for x, a in zip(at, cert.a0.coords)], grp.factors, mode="wrap"
+        )
+        escapees = shifted[~sumset[shifted]]
         if escapees.size:
-            first = elem_at(grp, int(escapees[0]))
+            first = elem_at(grp, int(escapees.min()))
             detail = f"element {first.coords} lies outside the sumset"
         else:
-            detail = f"{int(char_members.sum())} members, all contained after shifting by a0"
+            detail = f"{members.size} members, all contained after shifting by a0"
         checks.append(CheckResult("containment", escapees.size == 0, detail))
 
         stray = np.flatnonzero(torus_members & ~char_members)
@@ -337,7 +345,10 @@ def good_shift_set(A: GroupSubset, B: GroupSubset, b: BohrSpec) -> GroupSubset:
     own Bohr neighborhood inside A+B-B.  The sumset is the support of the
     exact representation counts that :func:`verify_certificate` reads, shared
     with it on equal sets.  The bad shifts, (complement of the sumset) - half,
-    are the support of one exact difference count.  Raises
+    are the support of one exact difference count.  After a verify of the
+    certificate whose char form is ``b``, the half-radius members are read off
+    the char form's remembered members (``bohr.members_mask``), with no walk
+    over the group.  Raises
     :class:`AmbiguousBoundary` when a distance of the half-radius set ties its
     radius, and :class:`CapacityError` above the enumeration cap or
     when the counts outgrow the primes an int64 CRT can join.

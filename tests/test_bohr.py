@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -253,9 +254,11 @@ def test_screen_steps_are_the_gcd(factors, data):
     elem = st.tuples(*(st.integers(0, n - 1) for n in factors))
     rows = np.array(data.draw(st.lists(elem, min_size=1, max_size=40)), dtype=np.int64)
     want = np.gcd(np.gcd.reduce(rows * weights, axis=1), lcm)
-    got = bohr._steps(g, rows)
+    divisors = bohr._step_tables(factors)[3]
+    got = divisors[bohr._step_classes(g, rows)]
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
+    assert np.array_equal(divisors, bohr._divisors(lcm))
 
 
 def test_members_mask_blocking_changes_nothing(monkeypatch):
@@ -268,6 +271,7 @@ def test_members_mask_blocking_changes_nothing(monkeypatch):
     with pytest.raises(AmbiguousBoundary) as unblocked:
         members_mask(edge)
     monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)  # one frequency row per block
+    monkeypatch.setattr(bohr, "_last_walk", None)  # so the last spec walks again, blocked
     assert all(np.array_equal(members_mask(b), m) for b, m in zip(specs, whole))
     with pytest.raises(AmbiguousBoundary) as blocked:
         members_mask(edge)
@@ -362,3 +366,79 @@ def test_pruned_members_mask_matches_full_walk(factors, k, form, attainable, nud
         assert got is None
     if tie is not None and nudge in (5e-13, -5e-13, 2e-12, -2e-12):
         assert got is not None and want[1].all()  # decided, on the side the nudge gives
+
+
+# --- the remembered walk against fresh ones ---------------------------------------
+
+def _outcome(b: BohrSpec) -> np.ndarray | str:
+    try:
+        return members_mask(b)
+    except AmbiguousBoundary as exc:
+        return str(exc)
+
+
+def _same(got, want) -> bool:
+    return got == want if isinstance(want, str) else not isinstance(got, str) and np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    factors=MEMBERSHIP_GROUPS,
+    k=st.integers(0, 6),
+    radius=st.floats(1e-3, 2.2),
+    wider=st.floats(1.01, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_remembered_walk_matches_fresh_walks(factors, k, radius, wider, seed, data):
+    # One tuple at r, r/2pi, r/2 and a wider radius, in both forms and any order: each call
+    # may walk only the members of an earlier, wider walk, yet gives what a fresh tuple gives.
+    g = GroupSpec(factors)
+    rows = np.random.default_rng(seed).integers(0, factors, size=(k, len(factors)))
+    freqs = CharTuple(rows)
+    radii = (radius, radius / (2 * math.pi), radius / 2, radius * wider)
+    specs = [BohrSpec(g, freqs, r, form) for r in radii for form in (FORM_CHAR, FORM_TORUS)]
+    want = [_outcome(replace(b, freqs=CharTuple(rows))) for b in specs]
+    for i in data.draw(st.permutations(range(len(specs)))):
+        got = _outcome(specs[i])
+        assert _same(got, want[i]), (specs[i].form, specs[i].radius)
+        if not isinstance(got, str):
+            got[:] = True  # a fresh array: writing it leaves later calls as they were
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    factors=MEMBERSHIP_GROUPS,
+    k=st.integers(1, 6),
+    form=st.sampled_from([FORM_CHAR, FORM_TORUS]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_tie_after_a_wider_walk_raises_as_a_fresh_walk(factors, k, form, seed, data):
+    # A clean torus walk just past j/order, then a radius at distance j/order of one of the
+    # frequencies: the remembered walk must not skip the screen that finds the tie.
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, factors, size=(k, len(factors)))
+    t = rows[rng.integers(k)]
+    order = math.lcm(*(n // math.gcd(int(x), n) for x, n in zip(t, factors)))
+    j = data.draw(st.integers(1, max(1, order // 2)))
+    tie = 2.0 * math.sin(math.pi * j / order) if form == FORM_CHAR else j / order
+    want = _outcome(BohrSpec(g, CharTuple(rows), tie, form))
+    if order > 1 and form == FORM_TORUS and Fraction(tie) == Fraction(j, order):
+        assert isinstance(want, str)
+    freqs = CharTuple(rows)
+    wide = BohrSpec(g, freqs, min((j + 0.5) / order, 0.499) + 1e-9, FORM_TORUS)  # r L is no integer: no tie
+    assert not isinstance(_outcome(wide), str)  # a clean walk over the group, remembered
+    assert _same(_outcome(BohrSpec(g, freqs, tie, form)), want)
+
+
+def test_remembered_walk_is_per_group():
+    # One tuple checked against two groups in turn: the second call, at a narrower
+    # threshold, must not read the first group's members.
+    rows = [[1, 1], [2, 3]]
+    cases = ((GroupSpec((16, 16)), 0.45), (GroupSpec((4, 4)), 0.2), (GroupSpec((16, 16)), 0.1))
+    want = [members_mask(BohrSpec(g, CharTuple(rows), radius, FORM_TORUS)) for g, radius in cases]
+    freqs = CharTuple(rows)
+    for (g, radius), mask in zip(cases, want):
+        assert np.array_equal(members_mask(BohrSpec(g, freqs, radius, FORM_TORUS)), mask)

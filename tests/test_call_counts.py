@@ -26,6 +26,7 @@ below every nonzero distance walks about (N + k) d phase cells, not k N d.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import math
@@ -298,12 +299,8 @@ def test_extract_peak_memory_at_small_k(factors, kind, k_max, tables):
     assert peak <= tables * 16 * g.order
 
 
-def test_good_shift_draws_no_translate_window(monkeypatch):
-    """The erosion is one exact difference count: no translate per Bohr member."""
-    g = groups.GroupSpec((2,) * 10)
-    A = _subgroup(g, 2)
-    b = extract(A.indicator(), A.indicator()).bohr_char_form
-    assert int(members_mask(halve_radius(b)).sum()) == 512
+def _count_windows(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes of the ``spectral._translate_windows`` windows drawn from now on, at every binding."""
     windows = []
     original = spectral._translate_windows
 
@@ -315,9 +312,36 @@ def test_good_shift_draws_no_translate_window(monkeypatch):
     for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "bohrlab"]:
         if vars(mod).get("_translate_windows") is original:
             monkeypatch.setattr(mod, "_translate_windows", counted)
+    return windows
+
+
+def test_good_shift_draws_no_translate_window(monkeypatch):
+    """The erosion is one exact difference count: no translate per Bohr member."""
+    g = groups.GroupSpec((2,) * 10)
+    A = _subgroup(g, 2)
+    b = extract(A.indicator(), A.indicator()).bohr_char_form
+    assert int(members_mask(halve_radius(b)).sum()) == 512
+    windows = _count_windows(monkeypatch)
     good = good_shift_set(A, A, b)
     assert np.array_equal(good.mask, A.mask)
     assert windows == []
+
+
+@pytest.mark.parametrize("g", [groups.GroupSpec((2,) * 10), Z4096], ids=str)
+def test_verify_draws_no_translate_window(monkeypatch, g):
+    """Containment shifts the members' ranks by a0: no translate window of the member mask."""
+    A = _subgroup(g, 2)
+    cert = extract(A.indicator(), A.indicator())
+    assert int(members_mask(cert.bohr_char_form).sum()) == g.order // 2
+    windows = _count_windows(monkeypatch)
+    report = verify_certificate(cert, A, A)
+    assert report.passed and f"{g.order // 2} members, all contained" in report.checks[1].detail
+    assert windows == []
+
+
+def _fresh(spec: BohrSpec) -> BohrSpec:
+    """``spec`` on a new copy of its frequency tuple, so ``members_mask`` walks the whole group."""
+    return dataclasses.replace(spec, freqs=groups.CharTuple(spec.freqs.rows))
 
 
 def test_tiny_radius_membership_is_not_k_by_n(monkeypatch):
@@ -348,7 +372,7 @@ def test_tiny_radius_membership_is_not_k_by_n(monkeypatch):
             monkeypatch.setattr(mod, "phase_blocks", counted)
     for spec in (cert.bohr_char_form, cert.bohr_torus_form):
         cells.clear()
-        assert np.array_equal(members_mask(spec), A.mask)
+        assert np.array_equal(members_mask(_fresh(spec)), A.mask)
         assert 0 < sum(cells) <= 4 * (g.order + cert.k) * g.ndim
 
 
@@ -377,10 +401,48 @@ def test_point_like_membership_walks_few_blocks(monkeypatch):
     monkeypatch.setattr(bohr, "phase_blocks", counted)
     for spec in (cert.bohr_char_form, cert.bohr_torus_form):
         blocks.clear()
-        members = members_mask(spec)
+        members = members_mask(_fresh(spec))
         assert np.flatnonzero(members).tolist() == [0]
         assert 0 < len(blocks) <= 4
         assert blocks[-1].stop >= cert.k
+
+
+def _point_like() -> tuple[GroupSubset, GroupSubset]:
+    g = groups.GroupSpec((2048,))
+    return random_nonempty_subset(g, 0.3, 91), random_nonempty_subset(g, 0.3, 92)
+
+
+def _tiny_radius() -> tuple[GroupSubset, GroupSubset]:
+    A = subgroup_subset(groups.GroupSpec((2,) * 12), (2,) * 10 + (1, 1))
+    return A, A
+
+
+@pytest.mark.parametrize("sets", [_point_like, _tiny_radius], ids=["Z2048-point-like", "F2^12-tiny-radius"])
+def test_certificate_forms_walk_the_group_once(monkeypatch, sets):
+    """``verify_certificate`` then ``good_shift_set``: the char form walks all N elements
+    once, from the cached coordinate table itself; the torus form and the half-radius form
+    walk only char-form members, or nothing where their threshold is the char form's."""
+    A, B = sets()
+    g = A.group
+    cert = extract(A.indicator(), B.indicator())
+    starts = []
+    original = spectral.phase_blocks
+
+    def counted(grp, rows, cols, *args):
+        starts.append(cols)
+        return original(grp, rows, cols, *args)
+
+    monkeypatch.setattr(bohr, "phase_blocks", counted)
+    assert verify_certificate(cert, A, B).passed
+    good = good_shift_set(A, B, cert.bohr_char_form)
+    monkeypatch.undo()
+    assert not (good.mask & ~A.mask).any()
+    coords = groups.coords_table(g)
+    members = coords[members_mask(cert.bohr_char_form)]
+    assert 0 < len(members) < g.order
+    assert [len(cols) for cols in starts].count(g.order) == 1 and starts[0] is coords
+    for cols in starts[1:]:
+        assert (cols[:, None, :] == members[None, :, :]).all(axis=2).any(axis=1).all()
 
 
 @pytest.mark.parametrize(

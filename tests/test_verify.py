@@ -13,10 +13,19 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab import verify
-from bohrlab.bohr import FORM_CHAR, BohrSpec
+from bohrlab.bohr import FORM_CHAR, FORM_TORUS, BohrSpec, members_mask
 from bohrlab.errors import AmbiguousBoundary, DomainError, EmptyInputError, ShapeError
 from bohrlab.extractor import BOUND_SLACK, extract
-from bohrlab.groups import Char, CharTuple, Elem, GroupSpec, rank_of_elem, ranks_of_rows
+from bohrlab.groups import (
+    Char,
+    CharTuple,
+    Elem,
+    GroupSpec,
+    elem_add,
+    elem_at,
+    rank_of_elem,
+    ranks_of_rows,
+)
 from bohrlab.serialize import certificate_from_json, report_to_json
 from bohrlab.sets import (
     GroupSubset,
@@ -135,6 +144,20 @@ def test_oversized_bohr_set_escapes_containment(evens_cert):
     check = _check(report, "containment")
     assert not check.passed
     assert "outside the sumset" in check.detail
+
+
+def test_torus_radius_wider_than_char_fails_torus_subset():
+    # S1 = {0, 243, 486} on Z_729: at torus radius 0.4 every element is a member.  Its
+    # threshold passes the char form's, so the torus form walks the whole group again
+    # rather than the char members the char walk left, and finds the elements outside them.
+    g = GroupSpec((729,))
+    A = GroupSubset(g, np.arange(729) % 3 == 0)
+    cert = extract(A.indicator(), A.indicator())
+    assert verify_certificate(cert, A, A).passed
+    wide = dataclasses.replace(cert.bohr_torus_form, radius=0.4)
+    report = verify_certificate(dataclasses.replace(cert, bohr_torus_form=wide), A, A)
+    check = _check(report, "torus-subset")
+    assert not check.passed and check.detail == "torus member (1,) is not a char-form member"
 
 
 def test_ambiguous_boundary_is_a_failed_check(evens_cert):
@@ -597,3 +620,25 @@ def test_verifier_computes_the_sumset_once(monkeypatch, instance, tamper):
     monkeypatch.setattr("bohrlab.sets._translate_union", _no_union)
     verify._memo_counts.cache_clear()
     assert report_to_json(verify_certificate(cert, A, B)) == want
+
+
+@pytest.mark.parametrize("factors, a0_rank", [((16, 12), 101), ((4, 3, 8), 57), ((5, 2, 7), 41)], ids=str)
+def test_containment_names_the_least_escapee(factors, a0_rank):
+    # One frequency at a wide radius, moved to another centre: containment names the escapee
+    # of least rank, z + a0 over every member z, against an oracle that adds them one by one.
+    g = GroupSpec(factors)
+    A = random_nonempty_subset(g, 0.05, 3)
+    B = random_nonempty_subset(g, 0.05, 4)
+    cert = extract(A.indicator(), B.indicator())
+    a0 = elem_at(g, a0_rank)
+    freqs = CharTuple([[1] * g.ndim])
+    char = BohrSpec(g, freqs, 1.2, FORM_CHAR, center=a0)
+    torus = dataclasses.replace(char, radius=1.2 / (2 * np.pi), form=FORM_TORUS)
+    report = verify_certificate(dataclasses.replace(cert, a0=a0, bohr_char_form=char, bohr_torus_form=torus), A, B)
+    sumset = sumset_ABmB(A, B).mask
+    members = [elem_at(g, int(r)) for r in np.flatnonzero(members_mask(char))]
+    escapees = sorted(r for r in (rank_of_elem(g, elem_add(g, z, a0)) for z in members) if not sumset[r])
+    assert 1 < len(members) < g.order and escapees
+    check = _check(report, "containment")
+    assert not check.passed
+    assert check.detail == f"element {elem_at(g, escapees[0]).coords} lies outside the sumset"
