@@ -36,6 +36,7 @@ from .groups import (
     CharTuple,
     Elem,
     GroupSpec,
+    char_rows,
     char_tuple,
     check_elem,
     coords_table,
@@ -322,7 +323,7 @@ def members_mask(b: BohrSpec) -> np.ndarray:
     """
     global _last_walk
     g = b.group
-    rows = b.freqs.rows
+    rows = char_rows(g, b.freqs)
     lcm = _lcm_weights(g.factors)[0]
     below, upto = _threshold(b)
     memo = _last_walk

@@ -40,19 +40,23 @@ The pipeline is array-native: S1 is a rank array, and ``TrigPoly`` is a thin
 wrapper over a support and a coefficient array.  S1 is one ``CharTuple``,
 shared by the certificate and both of its Bohr forms, built from the ranks
 it was read off with: no stage range-checks or ranks it again, and none forms
-its (k, d) frequency table; q reads per-axis frequency columns unravelled
-from the ranks.  c = Re q(a0) keeps the bits of the scalar route, which calls
-libm once per term; ``TrigPoly.evaluate`` calls it once per distinct angle.
-On a worst-case S1, nearly the whole dual group, that is far fewer calls than
-terms on a group of small exponent (16 on 16^4), and up to k on Z_n when a0
-is a unit.
+its (k, d) frequency table.  c = Re q(a0) keeps the bits of the scalar route,
+which calls libm once per term.  A term's phase at a0 depends only on its
+residues (t_j a0_j mod n_j)_j, so ``TrigPoly.evaluate`` maps each rank of S1
+to the rank of its residues, by one prefix table over the leading axes, a
+gather and a multiply-mod on the last axis, and reads cos and sin there from
+a per-group table of libm results, filled on demand with one libm call per
+distinct angle among the entries still unset.  A group seen before, as in a
+benchmark round or a sweep, pays no sort and no libm call for them.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,8 +78,8 @@ from .groups import (
     char_tuple,
     check_elem,
     elem_at,
-    freq_columns,
     ranks_of_rows,
+    strides,
 )
 from .spectral import (
     DensityFn,
@@ -143,8 +147,16 @@ def radius_rule(c: float, k: int) -> float:
 
 
 def _running_sum(start: float, values: np.ndarray) -> float:
-    """Left-to-right float sum, as a scalar loop would do (``np.sum`` would sum pairwise)."""
-    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+    """Left-to-right float sum from ``start``, as a scalar loop would do (``np.sum`` would sum pairwise).
+
+    ``values`` is overwritten: ``start`` is added to its first entry, then the
+    partial sums are accumulated in place.  The first partial sum is
+    fl(start + v0) either way, so the sum keeps its bits.
+    """
+    if not values.size:
+        return float(start)
+    values[0] += start
+    return float(np.add.accumulate(values, out=values)[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,24 +203,29 @@ class TrigPoly:
         """The value at z, summed term by term in rank order.
 
         Each term is computed as the scalar route would: the pairing phase
-        accumulated factor by factor from the support's per-axis frequency
-        columns (:func:`~bohrlab.groups.freq_columns`, unravelled from the
-        ranks of a support that holds no rows) and reduced mod 1,
-        ``math.cos``/``math.sin`` of 2 pi times it, the complex product written
-        out in separate real operations, then a left-to-right sum starting from
-        the shift.  libm is called once per *distinct* angle and its results
-        gathered back to the terms: an equal float gives an equal libm result,
-        so no bit changes, and a group of small exponent, such as 16^4, takes a
-        handful of calls for any k.  The result does not depend on how numpy
-        vectorizes or reduces.
+        accumulated factor by factor and reduced mod 1, ``math.cos``/``math.sin``
+        of 2 pi times it, the complex product written out in separate real
+        operations, then a left-to-right sum starting from the shift.  The
+        phase of t at z is a function of t's residues (t_j z_j mod n_j)_j
+        alone, so each term reads its cos and sin at the rank of its residues
+        (:func:`_residue_ranks`) from the group's table (:func:`_libm_table`),
+        which holds libm's results at that same phase.  Only entries still
+        unset are computed (:func:`_fill`), and libm is called once per
+        distinct angle among them: an equal float gives an equal libm result,
+        so no bit changes.  A group evaluated before takes no sort and no libm
+        call for the entries it has set.  The result does not depend on how
+        numpy vectorizes or reduces.
         """
         check_elem(self.group, z)
-        # Every angle is >= +0.0, so no -0.0 is merged with +0.0; equal angles share one libm call.
-        phase = _pairing_phases(self.group, self.support, z)
-        angle, where = np.unique(TWO_PI * phase, return_inverse=True)
-        distinct = angle.tolist()
-        cos = np.fromiter(map(math.cos, distinct), dtype=np.float64, count=len(distinct))[where]
-        sin = np.fromiter(map(math.sin, distinct), dtype=np.float64, count=len(distinct))[where]
+        table = _libm_table(self.group.factors)
+        residues = _residue_ranks(self.group, char_ranks(self.group, self.support), z)
+        cos = table[0][residues]
+        if not cos.all():
+            unset = cos == 0.0
+            del cos  # before the fill's temporaries, which set a cold evaluation's peak
+            _fill(table, self.group, residues, unset)
+            cos = table[0][residues]
+        sin = table[1][residues]
         a, b = self.coeffs.real, self.coeffs.imag
         value = complex(
             _running_sum(self.constant_shift, a * cos - b * sin),
@@ -224,18 +241,77 @@ class TrigPoly:
         return self.evaluate(z)
 
 
-def _pairing_phases(group: GroupSpec, support: CharTuple, z: Elem) -> np.ndarray:
-    """The pairing phase at z of each character of ``support``, in [0, 1), summed factor by factor.
+@lru_cache(maxsize=16)
+def _libm_table(factors: tuple[int, ...]) -> np.ndarray:
+    """The (2, N) table of cos and sin of 2 pi phase(R) for one group shape, indexed by residue rank R.
 
-    A function of its own, so that the frequency columns are freed before
-    :meth:`TrigPoly.evaluate` sorts the angles.  A finite phase >= +0.0 minus
-    its floor is its remainder mod 1 bit for bit, and faster.
+    phase(R) is the float that the scalar route forms for any term whose
+    residues have rank R: sum_j r_j / n_j, summed from 0.0 factor by factor,
+    minus its floor.  Entries are filled on demand (:func:`_fill`); one is
+    unset while its cos is +0.0, which no cosine of a double is, since no
+    double is a zero of cos.  The table is backed by an anonymous private
+    mapping, so pages never written are the kernel's zero page and do not
+    count toward the process's resident memory; ``np.zeros`` would touch
+    every page.  Every evaluation on a shape shares its table, whose entries
+    are a pure function of the shape and R, so what one fills changes no
+    other's result.  The cache bounds the shapes kept.
     """
-    phase = np.zeros(len(support))
-    for col, zj, n in zip(freq_columns(group, support), z.coords, group.factors):
-        phase += ((col * zj) % n) / n
-    phase -= np.floor(phase)
-    return phase
+    n = math.prod(factors)
+    buf = mmap.mmap(-1, 16 * n, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(2, n)
+
+
+def _residue_ranks(group: GroupSpec, ranks: np.ndarray, z: Elem) -> np.ndarray:
+    """The rank of the residues (t_j z_j mod n_j)_j of each character t, given by its canonical rank.
+
+    The leading axes' part of every such rank is one mixed-radix table over
+    the leading axes (N / n_last entries, built by outer adds), gathered at
+    each character's leading rank; the last axis adds t_last z_last mod n_last.
+    """
+    *lead, n_last = group.factors
+    if not lead:
+        return ranks * z.coords[0] % n_last
+    prefix = np.zeros(1, dtype=np.int64)
+    for n, zj, s in zip(lead, z.coords, strides(group)):
+        prefix = (prefix[:, None] + np.arange(n, dtype=np.int64) * zj % n * s).reshape(-1)
+    high, last = np.divmod(ranks, n_last)
+    residues = prefix[high]
+    last *= z.coords[-1]
+    last %= n_last
+    residues += last
+    return residues
+
+
+def _fill(table: np.ndarray, group: GroupSpec, residues: np.ndarray, unset: np.ndarray) -> None:
+    """Set ``table``'s entries at the residue ranks ``residues[unset]``, with libm called once per distinct angle.
+
+    Each distinct rank's phase is summed factor by factor from its residues,
+    as the scalar route sums a term's, and reduced by its floor, which for a
+    finite phase >= +0.0 is ``% 1.0`` bit for bit.  Every angle is >= +0.0, so
+    no -0.0 is merged with +0.0.  The ranks come out ascending, and on Z_n so
+    do their angles: they are sorted and deduplicated only when they are not
+    strictly increasing.  sin is written before cos, so a reader that sees an
+    entry's cos set sees its sin set too.
+    """
+    todo = np.zeros(table.shape[1], dtype=bool)
+    todo[residues] = unset  # equal ranks are all set or all unset
+    ranks = np.flatnonzero(todo)
+    del todo
+    angle = np.zeros(len(ranks))
+    for n, s in zip(group.factors, strides(group)):
+        r = ranks // s
+        r %= n
+        angle += r / n
+    del r
+    angle -= np.floor(angle)
+    angle *= TWO_PI
+    where = None
+    if not (angle[1:] > angle[:-1]).all():
+        angle, where = np.unique(angle, return_inverse=True)
+    distinct = angle.tolist()
+    for row, fn in ((1, math.sin), (0, math.cos)):
+        values = np.fromiter(map(fn, distinct), dtype=np.float64, count=len(distinct))
+        table[row][ranks] = values if where is None else values[where]
 
 
 def normalize_means(f: DensityFn, g: DensityFn) -> tuple[DensityFn, DensityFn, float]:

@@ -258,9 +258,9 @@ class CharTuple(Sequence):
     canonical ranks under those factors (:func:`char_ranks`).  The rows are
     read-only, so the memo stays true.  :meth:`from_ranks` builds a tuple from
     its ranks alone, with the memo set; its rows are unravelled only when
-    something reads ``rows``, while ``len``, an integer index and
-    :func:`freq_columns` read the ranks.  A slice or a pickled copy starts
-    from rows, without the memo.
+    something reads ``rows`` (or :func:`char_rows` gathers them), while
+    ``len`` and an integer index read the ranks.  A slice or a pickled copy
+    starts from rows, without the memo.
     """
 
     __slots__ = ("_rows", "_factors", "_ranks", "__weakref__")
@@ -369,16 +369,20 @@ def char_ranks(g: GroupSpec, chars) -> np.ndarray:
     return chars._ranks
 
 
-def freq_columns(g: GroupSpec, chars) -> tuple[np.ndarray, ...]:
-    """The d per-axis frequency columns of ``chars``, validated against ``g``, as int64 arrays.
+def char_rows(g: GroupSpec, chars) -> np.ndarray:
+    """The (k, d) rows of ``chars``, validated against ``g``; a tuple that holds only ranks gathers them.
 
-    Read off the rows where a tuple holds them, else unravelled from its
-    ranks, so a tuple built by :meth:`CharTuple.from_ranks` forms no (k, d) table.
+    The gather is one read of the cached coordinate table at the ranks,
+    ``coords_table(g)[ranks]``, the same rows that :func:`rows_at` unravels
+    axis by axis and stacks; the tuple keeps them.  For callers that read the
+    (N, d) table anyway, as membership walks do.
     """
     chars = char_tuple(g, chars)
     if chars._rows is None:
-        return np.unravel_index(chars._ranks, g.factors)
-    return tuple(chars._rows.reshape(len(chars), g.ndim).T)
+        rows = coords_table(g)[chars._ranks]
+        rows.flags.writeable = False
+        chars._rows = rows
+    return chars._rows
 
 
 def ranks_of_rows(g: GroupSpec, rows: np.ndarray) -> np.ndarray:

@@ -140,8 +140,10 @@ class _CountingMath:
 
 def test_level_takes_libm_once_per_distinct_angle(monkeypatch):
     """On 16^4 every pairing phase is a multiple of 1/16: a worst-case S1 of k > 60,000
-    characters has at most 16 distinct angles at a0, and c takes one cos and one sin each."""
+    characters has at most 16 distinct angles at a0, and c takes one cos and one sin each
+    on a cold table."""
     g = groups.GroupSpec((16,) * 4)
+    extractor._libm_table.cache_clear()
     calls: Counter = Counter()
     monkeypatch.setattr(extractor, "math", _CountingMath(calls))
     A = random_nonempty_subset(g, 0.1, 5)
@@ -152,6 +154,19 @@ def test_level_takes_libm_once_per_distinct_angle(monkeypatch):
     distinct = np.unique(cert.s1.rows @ np.array(cert.a0.coords) % 16).size
     assert 1 <= distinct <= 16
     assert calls == Counter(cos=distinct, sin=distinct)
+
+
+@pytest.mark.parametrize("g", [Z4096, G8884, F2_10], ids=str)
+def test_repeated_extract_takes_no_libm_call(monkeypatch, g):
+    """A second extract on the same inputs reads every cos and sin of c off the group's table."""
+    A = random_nonempty_subset(g, 0.1, 5)
+    B = random_nonempty_subset(g, 0.1, 6)
+    first = extract(A.indicator(), B.indicator())
+    calls: Counter = Counter()
+    monkeypatch.setattr(extractor, "math", _CountingMath(calls))
+    second = extract(A.indicator(), B.indicator())
+    assert first.k > g.order // 2
+    assert calls == Counter() and second.c.hex() == first.c.hex()
 
 
 def _count_transforms(monkeypatch, run) -> Counter:
@@ -552,6 +567,29 @@ def test_worst_k_round_trip_forms_no_row_table_and_renders_once(monkeypatch):
     assert cert.k > 0.9 * G8884.order and loaded.k == cert.k
     assert calls == Counter({"_render_ranks": 1})
     assert np.array_equal(loaded.s1.rows, cert.s1.rows)  # read on demand, outside the count
+
+
+def test_membership_gathers_loaded_rows_from_the_coordinate_table(monkeypatch):
+    """Verify and good shifts on a loaded worst-k certificate, whose S1 holds ranks only:
+    membership reads S1's rows as one gather from the coordinate table, and
+    ``groups.rows_at`` never runs."""
+    A = random_nonempty_subset(G8884, 0.1, 5)
+    B = random_nonempty_subset(G8884, 0.1, 6)
+    cert = extract(A.indicator(), B.indicator())
+    loaded = certificate_from_json(certificate_to_json(cert))
+    calls: Counter = Counter()
+    original = groups.rows_at
+
+    def counted(*args):
+        calls["rows_at"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(groups, "rows_at", counted)
+    assert verify_certificate(loaded, A, B).passed
+    assert good_shift_set(A, B, loaded.bohr_char_form)
+    monkeypatch.undo()
+    assert cert.k > 0.9 * G8884.order and calls == Counter()
+    assert np.array_equal(loaded.s1.rows, original(G8884, groups.char_ranks(G8884, loaded.s1)))
 
 
 def test_a_checked_tuple_is_still_refused_by_a_smaller_group(monkeypatch):

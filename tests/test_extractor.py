@@ -7,6 +7,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,9 @@ from bohrlab.extractor import (
     BoundCheck,
     Certificate,
     TrigPoly,
+    _libm_table,
     _require_closed,
+    _residue_ranks,
     bohr_from_trigpoly,
     extract,
     find_witness,
@@ -37,6 +40,7 @@ from bohrlab.extractor import (
     remainder_bound_check,
 )
 from bohrlab.groups import (
+    TWO_PI,
     Char,
     CharTuple,
     Elem,
@@ -440,6 +444,60 @@ def test_trigpoly_evaluate_is_the_per_term_route_bit_for_bit(factors, density, s
     for z in [elem_at(g, 0)] + [elem_at(g, int(r)) for r in rng.integers(g.order, size=4)]:
         got = np.array([p.evaluate(z)]).view(np.int64)
         assert np.array_equal(got, np.array([_per_term_value(p, z)]).view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@example(factors=(3, 5, 6), density=1.0, seed=1)
+@example(factors=(12, 10, 7), density=0.7, seed=2)
+@example(factors=(3,) * 8, density=0.5, seed=3)
+@example(factors=(1, 6, 1, 5), density=1.0, seed=4)
+@example(factors=(1,), density=1.0, seed=5)
+@example(factors=(2,) * 12, density=0.5, seed=6)
+@given(
+    factors=st.one_of(
+        st.lists(st.integers(1, 12), min_size=1, max_size=5).map(tuple),
+        st.sampled_from([(3, 5, 6), (12, 10, 7), (3,) * 8, (1, 7, 1), (5, 1, 9, 2), (4096,)]),
+    ).filter(lambda f: math.prod(f) <= 6561),
+    density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_table_cold_and_warm_is_the_per_term_route_bit_for_bit(factors, density, seed):
+    # Several points on a cold table, then the same points on the warm one: the residue ranks
+    # are those of the residues (t_j z_j mod n_j)_j, every value is the per-term route's bit for
+    # bit, and the warm pass writes nothing.  On a non-dyadic group one exact phase has several
+    # floats, each with its own libm result, so the table must key on the residues, not the phase.
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    ranks = np.flatnonzero(rng.random(g.order) < density)
+    coeffs = rng.normal(size=ranks.size) + 1j * rng.normal(size=ranks.size)
+    p = TrigPoly(g, CharTuple.from_ranks(g, ranks), coeffs, constant_shift=float(rng.normal()))
+    points = [elem_at(g, 0)] + [elem_at(g, int(r)) for r in rng.integers(g.order, size=4)]
+    _libm_table.cache_clear()
+    table = _libm_table(g.factors)
+    assert not table.any()
+    for warm in (False, True):
+        before = table.copy()
+        for z in points:
+            residues = p.support.rows * np.array(z.coords) % np.array(g.factors)
+            assert np.array_equal(_residue_ranks(g, ranks, z), ranks_of_rows(g, residues))
+            got, want = p.evaluate(z), _per_term_value(p, z)
+            assert (_bits(got.real), _bits(got.imag)) == (_bits(want.real), _bits(want.imag))
+        assert np.array_equal(table.view(np.int64), before.view(np.int64)) == (warm or not ranks.size)
+
+
+def test_no_double_is_a_zero_of_cos():
+    """The level table marks an unset entry by cos = +0.0, which needs cos(x) != 0 at every
+    double x: the zeros pi/2 and 3 pi/2 in [0, 2 pi) are irrational, and the doubles on either
+    side of each, the closest there are, have a nonzero cosine; so do 2 pi * 1/4 and 2 pi * 3/4."""
+    pi = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+    for zero in (pi / 2, 3 * pi / 2):
+        below = float(zero)
+        if Fraction(below) > zero:
+            below = math.nextafter(below, 0.0)
+        above = math.nextafter(below, math.inf)
+        assert Fraction(below) < zero < Fraction(above)
+        assert math.cos(below) > 0.0 > math.cos(above) or math.cos(below) < 0.0 < math.cos(above)
+    assert math.cos(TWO_PI * 0.25) != 0.0 and math.cos(TWO_PI * 0.75) != 0.0
 
 
 def test_trigpoly_rejects_malformed_arrays():

@@ -20,6 +20,7 @@ from bohrlab.groups import (
     char_at,
     char_eval,
     char_ranks,
+    char_rows,
     char_tuple,
     check_char,
     check_elem,
@@ -315,3 +316,16 @@ def test_tuple_from_ranks_is_the_checked_tuple_of_its_rows(factors, other, draws
     assert np.array_equal(char_ranks(g, chars), ranks)
     back = pickle.loads(pickle.dumps(chars))
     assert back == chars and np.array_equal(char_ranks(g, back), ranks)
+
+
+@pytest.mark.parametrize("g", GROUPS + [GroupSpec((3, 1, 4, 2))], ids=str)
+def test_gathered_rows_are_the_unravelled_rows(g):
+    """``char_rows`` on a tuple of ranks gathers the coordinate table, equal to ``rows_at``, and keeps it."""
+    ranks = np.arange(g.order)[::-1][::2].copy()
+    chars = CharTuple.from_ranks(g, ranks)
+    rows = char_rows(g, chars)
+    assert rows.dtype == np.int64 and rows.flags.c_contiguous and not rows.flags.writeable
+    assert np.array_equal(rows, rows_at(g, ranks)) and chars.rows is rows
+    held = CharTuple(rows_at(g, ranks))
+    assert char_rows(g, held) is held.rows
+    assert char_rows(g, CharTuple.from_ranks(g, np.zeros(0, dtype=np.int64))).shape == (0, g.ndim)
