@@ -40,14 +40,20 @@ The pipeline is array-native: S1 is a rank array, and ``TrigPoly`` is a thin
 wrapper over a support and a coefficient array.  S1 is one ``CharTuple``,
 shared by the certificate and both of its Bohr forms, built from the ranks
 it was read off with: no stage range-checks or ranks it again, and none forms
-its (k, d) frequency table.  c = Re q(a0) keeps the bits of the scalar route,
-which calls libm once per term.  A term's phase at a0 depends only on its
-residues (t_j a0_j mod n_j)_j, so ``TrigPoly.evaluate`` maps each rank of S1
-to the rank of its residues, by one prefix table over the leading axes, a
-gather and a multiply-mod on the last axis, and reads cos and sin there from
-a per-group table of libm results, filled on demand with one libm call per
-distinct angle among the entries still unset.  A group seen before, as in a
-benchmark round or a sweep, pays no sort and no libm call for them.
+its (k, d) frequency table.  q keeps its coefficients as extract gathered
+them, frozen, with no copy.  c = Re q(a0) keeps the bits of the scalar
+route, which calls libm once per term; only the real part is formed
+(``TrigPoly.evaluate_real``), and q remembers it for
+:func:`bohr_from_trigpoly`.  A term's phase at a0 depends only on its
+residues (t_j a0_j mod n_j)_j, so each rank of S1 is mapped to the rank of
+its residues: by one AND on F_2^n, and otherwise by one prefix table over the
+leading axes, a gather, and a small table on the last axis.  cos and sin are
+read there from a per-group table of libm results, filled on demand with one
+libm call per distinct angle among the entries still unset.  A group seen
+before, as in a benchmark round or a sweep, pays no sort and no libm call for
+them.  The terms' real parts a cos - b sin are formed in the gathered cos
+buffer and summed by one running sum, so at worst-case k the evaluation
+holds three k-sized arrays at most: the residue ranks, cos and sin.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ from .groups import (
     char_tuple,
     check_elem,
     elem_at,
+    rank_of_elem,
     ranks_of_rows,
     strides,
 )
@@ -166,24 +173,31 @@ class TrigPoly:
     A thin array wrapper over a CharTuple ``support`` and the matching complex
     array ``coeffs``.  The support must be distinct characters in increasing
     rank order, which makes evaluation sums reproducible; :meth:`from_terms` sorts.
-    The polynomial remembers its last evaluation, so a later check of the
-    same value (:func:`bohr_from_trigpoly` after ``c = Re p(a)``) is free.
+    The coefficients are frozen: a read-only 1-D complex128 array is frozen
+    already and is kept as it is, as :class:`Spectrum` keeps its table;
+    anything else is copied.  The polynomial remembers the real part of its
+    last evaluation, so a later check of the same value
+    (:func:`bohr_from_trigpoly` after ``c = Re p(a)``) is free.
     """
 
     group: GroupSpec
     support: CharTuple
     coeffs: np.ndarray
     constant_shift: float = 0.0
-    _last: tuple[Elem, complex] | None = field(default=None, init=False, repr=False)
+    _last: tuple[Elem, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         support = char_tuple(self.group, self.support)
-        coeffs = np.array(self.coeffs, dtype=np.complex128).reshape(-1)
+        coeffs = self.coeffs
+        frozen = isinstance(coeffs, np.ndarray) and not coeffs.flags.writeable
+        if not (frozen and coeffs.dtype == np.complex128 and coeffs.ndim == 1):
+            coeffs = np.array(coeffs, dtype=np.complex128).reshape(-1)
         if coeffs.shape != (len(support),):
             raise ShapeError(
                 f"{coeffs.size} coefficients for {len(support)} frequencies"
             )
-        if (np.diff(char_ranks(self.group, support)) <= 0).any():
+        ranks = char_ranks(self.group, support)
+        if (ranks[1:] <= ranks[:-1]).any():
             raise DomainError("frequencies must be distinct and in increasing rank order")
         coeffs.flags.writeable = False
         object.__setattr__(self, "support", support)
@@ -206,15 +220,52 @@ class TrigPoly:
         accumulated factor by factor and reduced mod 1, ``math.cos``/``math.sin``
         of 2 pi times it, the complex product written out in separate real
         operations, then a left-to-right sum starting from the shift.  The
-        phase of t at z is a function of t's residues (t_j z_j mod n_j)_j
+        cos and sin of each term are read from the group's table of libm
+        results (:meth:`_cos_sin`).  The result does not depend on how numpy
+        vectorizes or reduces.
+        """
+        cos, sin = self._cos_sin(z)
+        a, b = self.coeffs.real, self.coeffs.imag
+        value = complex(
+            _running_sum(self.constant_shift, a * cos - b * sin),
+            _running_sum(0.0, a * sin + b * cos),
+        )
+        object.__setattr__(self, "_last", (z, value.real))
+        return value
+
+    def evaluate_real(self, z: Elem) -> float:
+        """Re p(z), which is ``evaluate(z).real`` bit for bit.
+
+        The real parts a cos - b sin of the terms are formed in the gathered
+        cos buffer, in the same operations as :meth:`evaluate`'s, and summed
+        by one running sum from the shift; no imaginary part is formed.
+        """
+        cos, sin = self._cos_sin(z)
+        cos *= self.coeffs.real
+        sin *= self.coeffs.imag
+        cos -= sin
+        del sin
+        value = _running_sum(self.constant_shift, cos)
+        object.__setattr__(self, "_last", (z, value))
+        return value
+
+    def _real_value_at(self, z: Elem) -> float:
+        """Re p(z): the last evaluation's if it was at z, else :meth:`evaluate_real`'s."""
+        if self._last is not None and self._last[0] == z:
+            return self._last[1]
+        return self.evaluate_real(z)
+
+    def _cos_sin(self, z: Elem) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of 2 pi phase(t, z) for each term t, as fresh arrays in rank order.
+
+        The phase of t at z is a function of t's residues (t_j z_j mod n_j)_j
         alone, so each term reads its cos and sin at the rank of its residues
         (:func:`_residue_ranks`) from the group's table (:func:`_libm_table`),
-        which holds libm's results at that same phase.  Only entries still
-        unset are computed (:func:`_fill`), and libm is called once per
-        distinct angle among them: an equal float gives an equal libm result,
-        so no bit changes.  A group evaluated before takes no sort and no libm
-        call for the entries it has set.  The result does not depend on how
-        numpy vectorizes or reduces.
+        which holds libm's results at the phase the scalar route forms.  Only
+        entries still unset are computed (:func:`_fill`), with libm called
+        once per distinct angle among them: an equal float gives an equal
+        libm result, so no bit changes.  A group evaluated before takes no
+        sort and no libm call for the entries it has set.
         """
         check_elem(self.group, z)
         table = _libm_table(self.group.factors)
@@ -224,21 +275,9 @@ class TrigPoly:
             unset = cos == 0.0
             del cos  # before the fill's temporaries, which set a cold evaluation's peak
             _fill(table, self.group, residues, unset)
+            del unset
             cos = table[0][residues]
-        sin = table[1][residues]
-        a, b = self.coeffs.real, self.coeffs.imag
-        value = complex(
-            _running_sum(self.constant_shift, a * cos - b * sin),
-            _running_sum(0.0, a * sin + b * cos),
-        )
-        object.__setattr__(self, "_last", (z, value))
-        return value
-
-    def _value_at(self, z: Elem) -> complex:
-        """The value at z: the last :meth:`evaluate` if it was at z, else a new one."""
-        if self._last is not None and self._last[0] == z:
-            return self._last[1]
-        return self.evaluate(z)
+        return cos, table[1][residues]
 
 
 @lru_cache(maxsize=16)
@@ -264,21 +303,30 @@ def _libm_table(factors: tuple[int, ...]) -> np.ndarray:
 def _residue_ranks(group: GroupSpec, ranks: np.ndarray, z: Elem) -> np.ndarray:
     """The rank of the residues (t_j z_j mod n_j)_j of each character t, given by its canonical rank.
 
-    The leading axes' part of every such rank is one mixed-radix table over
-    the leading axes (N / n_last entries, built by outer adds), gathered at
-    each character's leading rank; the last axis adds t_last z_last mod n_last.
+    When every factor is at most 2, each length-2 axis owns one bit of a
+    rank and t_j z_j mod 2 is t_j AND z_j, so the residue rank is the rank of
+    t AND the rank of z.  Otherwise the leading axes' part of every such rank
+    is one mixed-radix table over the leading axes (N / n_last entries, built
+    by outer adds), gathered at each character's leading rank; the last axis
+    adds t_last z_last mod n_last, gathered from a table of n_last entries.
+    The k-sized reductions are floor divisions by a scalar, which numpy runs
+    far faster than ``%`` or ``divmod``.
     """
+    if max(group.factors) <= 2:
+        return ranks & rank_of_elem(group, z)
     *lead, n_last = group.factors
     if not lead:
-        return ranks * z.coords[0] % n_last
+        residues = ranks * z.coords[0]
+        residues -= residues // n_last * n_last
+        return residues
     prefix = np.zeros(1, dtype=np.int64)
     for n, zj, s in zip(lead, z.coords, strides(group)):
         prefix = (prefix[:, None] + np.arange(n, dtype=np.int64) * zj % n * s).reshape(-1)
-    high, last = np.divmod(ranks, n_last)
-    residues = prefix[high]
-    last *= z.coords[-1]
-    last %= n_last
-    residues += last
+    last = ranks // n_last
+    residues = prefix[last]
+    last *= n_last
+    np.subtract(ranks, last, out=last)  # t_last
+    residues += (np.arange(n_last, dtype=np.int64) * z.coords[-1] % n_last)[last]
     return residues
 
 
@@ -408,9 +456,9 @@ def remainder_bound_check(hhat: Spectrum, s1: tuple[Char, ...], delta: float) ->
     in_s1.reshape(-1)[ranks] = True
     _require_closed(in_s1)
     del in_s1
-    index, mirrored = _half_index(ranks, grp.factors, _negated_ranks(grp.factors[:-1]))
+    index, _ = _half_index(ranks, grp.factors, _negated_ranks(grp.factors[:-1]))
     rest = hhat.as_nd()[..., : grp.factors[-1] // 2 + 1].copy()
-    return _remainder(rest, grp, index[~mirrored], delta)
+    return _remainder(rest, grp, index, delta)
 
 
 def _check_mean(hhat0: complex, delta: float) -> None:
@@ -441,13 +489,18 @@ def _require_closed(in_s1: np.ndarray) -> None:
 def _remainder(hhat: np.ndarray, grp: GroupSpec, s1_index: np.ndarray, delta: float) -> float:
     """The remainder's max modulus from the ``rfftn`` half of h-hat, which is overwritten.
 
-    ``s1_index`` are the places in the ravelled half of the characters of S1
-    whose last coordinate is at most n/2; the caller has checked that S1 is
-    closed under negation (:func:`_require_closed`).  They are zeroed in
-    place, and the rest is synthesized.
+    ``s1_index`` are the places in the ravelled half where the characters of
+    S1 are read (``spectral._half_index``): a character past n/2 is read at
+    the place of -t.  The caller has checked that S1 is closed under negation
+    (:func:`_require_closed`), so those places are S1's own as well, and
+    zeroing them all in place zeroes S1 in the half.  The rest is
+    synthesized.  max |r| is taken as |max(max r, -min r)|, the same float
+    with no N-sized table of moduli; the outer ``abs`` makes an all-zero
+    remainder +0.0, as the largest modulus is.
     """
     np.put(hhat, s1_index, 0.0)
-    r_max = float(np.abs(_synthesize_half(hhat, grp)).max())
+    r = _synthesize_half(hhat, grp)
+    r_max = float(abs(max(r.max(), -r.min())))
     check = bound_check("remainder", r_max, delta)
     if not check.ok:
         raise InvariantBreach(f"remainder {r_max} exceeds delta^4 / 4 = {check.limit}")
@@ -470,7 +523,7 @@ def bohr_from_trigpoly(p: TrigPoly, a: Elem, c: float) -> BohrSpec:
         raise PreconditionError(
             f"coefficient at {p.support[big[0]].freq} has modulus {moduli[big[0]]} > 1"
         )
-    re_pa = p._value_at(a).real
+    re_pa = p._real_value_at(a)
     if re_pa < c - RADIUS_SLACK:
         raise PreconditionError(f"Re p(a) = {re_pa} is below the level c = {c}")
     return BohrSpec(p.group, p.support, radius_rule(c, len(p.support)), FORM_CHAR, center=a)
@@ -515,21 +568,22 @@ def extract(f: DensityFn, g: DensityFn) -> Certificate:
     hhat = _triple_half(hhat, _half_spectrum(g1, neg))
     a0, h_at_a0 = find_witness(DensityFn(grp, _synthesize_half(hhat, grp)), f1)
 
-    # q's coefficients are h-hat at the S1 ranks, past n/2 the conjugate at -t.  Then the
-    # half, read by h and q, becomes the remainder's.  The k-sized index arrays and the half
-    # are dropped as soon as they are spent: at worst-case k, q's evaluation sets the peak.
+    # q's coefficients are h-hat at the S1 ranks, past n/2 the conjugate at -t, gathered once
+    # and frozen, so q keeps them.  Then the half, read by h and q, becomes the remainder's, with
+    # S1 zeroed at the same places.  The k-sized index arrays and the half are dropped as soon
+    # as they are spent: at worst-case k, q's evaluation sets the peak.
     k = len(s1)
     index, mirrored = _half_index(char_ranks(grp, s1), grp.factors, neg)
     coeffs = hhat.reshape(-1)[index]
     np.negative(coeffs.imag, out=coeffs.imag, where=mirrored)
-    in_half = index[~mirrored]
-    del index, mirrored
+    coeffs.flags.writeable = False
+    del mirrored
     _check_mean(complex(hhat.flat[0]), delta)
-    r_max = _remainder(hhat, grp, in_half, delta)
-    del hhat, in_half
+    r_max = _remainder(hhat, grp, index, delta)
+    del hhat, index
 
     q = TrigPoly(grp, s1, coeffs, constant_shift=-BOUNDS["remainder"].limit(delta))
-    c = q.evaluate(a0).real
+    c = q.evaluate_real(a0)
     bohr_char = bohr_from_trigpoly(q, a0, c)
     bohr_torus = char_form_to_torus_form(bohr_char)
 

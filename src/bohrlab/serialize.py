@@ -10,8 +10,12 @@ written once, as ``s1_ranks``: the canonical rank of each character in S1's
 order, repeats kept (mixed radix, last factor fastest; see
 :func:`bohrlab.groups.strides`).  The Bohr forms carry only their form,
 radius and center, and share S1's characters.  The writer renders the rank
-list from the rank array as one byte array: numpy computes every decimal
-digit, the separators are laid in place and one mask drops the leading zeros.
+list from the rank array by digit-count runs: S1's ranks are non-decreasing,
+so the ranks of w digits are one run, written as one table of w digit
+columns, computed by numpy, and the separator, with no leading zero to drop.
+The text around the list and the runs are joined once, as bytes.  A rank
+list out of order, which no certificate of extract or of the loader holds,
+is written by ``str.join``.
 
 The loader has two routes to one result.  A file in the writer's layout has
 its rank block cut out of the text and parsed by one numpy call; only the
@@ -245,49 +249,60 @@ _RANK_SEPARATOR = b",\n    "
 _RANK_CLOSE = "\n  ]"
 
 
-def _render_ranks(ranks: np.ndarray) -> str:
-    """``"[\\n    " + ",\\n    ".join(map(str, ranks)) + "\\n  ]"``, or ``"[]"`` if empty, by arrays.
+def _render_ranks(ranks: np.ndarray) -> list[bytes | np.ndarray]:
+    """The block ``"[\\n    " + ",\\n    ".join(map(str, ranks)) + "\\n  ]"``, or ``"[]"`` if empty, as ASCII chunks.
 
-    ``ranks`` are non-negative integers.  Each gets one row of a uint8 buffer:
-    its decimal digits, right-aligned at the width of the largest rank, then
-    the separator.  The digits come from integer division, one column per
-    decimal place.  One mask keeps every byte but the leading zeros (a digit
-    place is kept where the rank reaches its power of ten, the last place
-    always), and the last row's separator is cut off.
+    ``ranks`` are non-negative integers.  Non-decreasing ranks, as extract
+    and the loader's numpy route yield them, are written by digit count: the
+    ranks of w digits are one run (:func:`_digit_counts`), and each run is one
+    (count, w + 6) uint8 table, a row per rank of its w digits, from integer
+    division, then the separator, so no digit is a leading zero.  The last
+    row's separator is left out of the last chunk.  Any other list is the
+    join itself.  The chunks are bytes-like, for ``b"".join``.
     """
     if not ranks.size:
-        return "[]"
-    top = int(ranks.max())
-    rest = ranks.astype(np.uint32 if top < 2**32 else np.uint64)
-    width = len(str(top))
-    buf = np.empty((rest.size, width + len(_RANK_SEPARATOR)), dtype=np.uint8)
-    for col, byte in enumerate(_RANK_SEPARATOR, start=width):
-        buf[:, col] = byte
-    keep = np.ones(buf.shape, dtype=bool)
-    for col in range(width - 1):
-        np.greater_equal(rest, 10 ** (width - 1 - col), out=keep[:, col])
-    quotient = np.empty_like(rest)
-    for col in range(width - 1, -1, -1):
-        np.floor_divide(rest, 10, out=quotient)
-        rest -= quotient * 10
-        rest += ord("0")
-        buf[:, col] = rest
-        rest, quotient = quotient, rest
-    body = buf[keep][: -len(_RANK_SEPARATOR)]
-    return _RANK_OPEN + str(memoryview(body), "ascii") + _RANK_CLOSE
+        return [b"[]"]
+    if (ranks[1:] < ranks[:-1]).any():
+        body = _RANK_SEPARATOR.decode("ascii").join(map(str, ranks.tolist()))
+        return [(_RANK_OPEN + body + _RANK_CLOSE).encode("ascii")]
+    step = len(_RANK_SEPARATOR)
+    chunks = [_RANK_OPEN.encode("ascii")]
+    end = 0
+    for width, count in enumerate(_digit_counts(ranks).tolist(), start=1):
+        if not count:
+            continue
+        rest = ranks[end : end + count].astype(np.uint32 if width < 10 else np.uint64)
+        end += count
+        table = np.empty((count, width + step), dtype=np.uint8)
+        table.fill(_RANK_SEPARATOR[-1])  # the separator's trailing spaces, by one fill
+        for col, byte in enumerate(_RANK_SEPARATOR.rstrip(b" "), start=width):
+            table[:, col] = byte
+        quotient = np.empty_like(rest)
+        for col in range(width - 1, -1, -1):
+            np.floor_divide(rest, 10, out=quotient)
+            rest -= quotient * 10
+            rest += ord("0")
+            table[:, col] = rest
+            rest, quotient = quotient, rest
+        chunks.append(table.reshape(-1))
+    chunks[-1] = chunks[-1][:-step]
+    chunks.append(_RANK_CLOSE.encode("ascii"))
+    return chunks
 
 
 def certificate_to_json(cert: Certificate) -> str:
     """The certificate as ``json.dumps(..., indent=2)`` writes it, plus a newline, byte for byte.
 
     The small fields go through the stdlib encoder with the rank list replaced
-    by a mark; the mark is then replaced by the list, one rank per line,
-    rendered from the rank array by :func:`_render_ranks`.
+    by a mark; the text around the mark and the rank block, one rank per
+    line, rendered from the rank array by :func:`_render_ranks`, are then
+    joined once as bytes.
     """
     d = _cert2_fields(cert)
     ranks, d["s1_ranks"] = d["s1_ranks"], _MARK
     head, _, tail = json.dumps(d, indent=2).partition(json.dumps(_MARK))
-    return "".join((head, _render_ranks(ranks), tail, "\n"))
+    chunks = [head.encode("ascii"), *_render_ranks(ranks), (tail + "\n").encode("ascii")]
+    return b"".join(chunks).decode("ascii")
 
 
 def _split_rank_block(text: str) -> tuple[dict, np.ndarray] | None:
@@ -346,6 +361,16 @@ def _split_rank_block(text: str) -> tuple[dict, np.ndarray] | None:
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
+def _digit_counts(ranks: np.ndarray) -> np.ndarray:
+    """How many of the non-empty, non-decreasing, non-negative ``ranks`` have 1, 2, ... digits, up to the last's.
+
+    The ranks of w digits are those from the count below 10^(w - 1) to the
+    count below 10^w, one run.
+    """
+    below = np.searchsorted(ranks, _POWERS_OF_TEN[_POWERS_OF_TEN <= ranks[-1]])
+    return np.diff(below, prepend=0, append=ranks.size)
+
+
 def _writer_spelled(body: bytes, ranks: np.ndarray) -> bool:
     """Whether ``body`` is ``",\\n    ".join(map(str, ranks))``, for the ranks parsed from it.
 
@@ -365,10 +390,8 @@ def _writer_spelled(body: bytes, ranks: np.ndarray) -> bool:
         return False
     if (ranks[1:] < ranks[:-1]).any():
         return False
-    # The ranks below each power of ten; the ranks of w digits are those in [cuts[w - 1], cuts[w]).
-    cuts = np.r_[0, np.searchsorted(ranks, _POWERS_OF_TEN[_POWERS_OF_TEN <= ranks[-1]]), ranks.size]
-    counts = np.diff(cuts)
-    if len(body) != int(counts @ np.arange(1 + step, len(cuts) + step)) - step:
+    counts = _digit_counts(ranks)
+    if len(body) != int(counts @ np.arange(1 + step, len(counts) + 1 + step)) - step:
         return False
     data = np.frombuffer(body, dtype=np.uint8)
     non_digits = np.count_nonzero(data < ord("0")) + np.count_nonzero(data > ord("9"))

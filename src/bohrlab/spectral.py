@@ -355,13 +355,20 @@ def _half_index(
 
     A character whose last coordinate is at most n/2 is read at its own place;
     one past n/2 (``mirrored``) is read as the conjugate of the entry of -t.
+    The index is formed in place from the leading rank and the last
+    coordinate, which are negated where mirrored; the last coordinate is the
+    rank less n times its floor quotient, as numpy's ``divmod`` is far slower.
     """
     n = factors[-1]
     width = n // 2 + 1
-    lead, col = np.divmod(ranks, n)
+    index = ranks // n
+    col = index * n
+    np.subtract(ranks, col, out=col)
     mirrored = col >= width
-    index = lead * width + col
-    index[mirrored] = neg[lead[mirrored]] * width + (n - col[mirrored])
+    index[mirrored] = neg[index[mirrored]]
+    np.subtract(n, col, out=col, where=mirrored)
+    index *= width
+    index += col
     return index, mirrored
 
 

@@ -106,18 +106,66 @@ def test_certificate_frequency_sets_hold_no_chars():
 
 
 def test_extract_evaluates_q_once(monkeypatch):
+    """Extract reads q once, at a0, by its real-part evaluation; the complex one never runs."""
     points = []
-    original = TrigPoly.evaluate
+    for name in ("evaluate", "evaluate_real"):
+        original = getattr(TrigPoly, name)
 
-    def counted(self, z):
-        points.append(z)
-        return original(self, z)
+        def counted(self, z, _name=name, _fn=original):
+            points.append((_name, z))
+            return _fn(self, z)
 
-    monkeypatch.setattr(TrigPoly, "evaluate", counted)
+        monkeypatch.setattr(TrigPoly, name, counted)
     A = random_nonempty_subset(Z4096, 0.1, 5)
     B = random_nonempty_subset(Z4096, 0.1, 6)
     cert = extract(A.indicator(), B.indicator())
-    assert points == [cert.a0]
+    assert points == [("evaluate_real", cert.a0)]
+
+
+def _caught_q(monkeypatch, fa, fb):
+    """Extract on (fa, fb), with q and the coefficient array its constructor was handed."""
+    caught = []
+    original = TrigPoly.__post_init__
+
+    def post_init(self):
+        handed = self.coeffs
+        original(self)
+        caught.append((self, handed))
+
+    monkeypatch.setattr(TrigPoly, "__post_init__", post_init)
+    cert = extract(fa, fb)
+    monkeypatch.undo()
+    [(q, handed)] = caught
+    return cert, q, handed
+
+
+def test_extract_keeps_q_coefficients_as_gathered(monkeypatch):
+    """q holds the very array extract gathered from the half of h-hat, frozen, with no copy."""
+    A = random_nonempty_subset(G8884, 0.1, 5)
+    B = random_nonempty_subset(G8884, 0.1, 6)
+    cert, q, handed = _caught_q(monkeypatch, A.indicator(), B.indicator())
+    assert q.coeffs is handed and not handed.flags.writeable and handed.base is None
+    assert q.coeffs.shape == (cert.k,) and cert.k > 0.9 * G8884.order
+
+
+@pytest.mark.parametrize("factors", [(65536,), (256, 256), (2,) * 16])
+def test_worst_k_level_peaks_under_three_tables(monkeypatch, factors):
+    """c = Re q(a0) at k near N, on a warm level table, peaks under three tables of 8 k bytes:
+    the residue ranks and the gathered cos and sin, with the real parts formed in place."""
+    g = groups.GroupSpec(factors)
+    A = random_nonempty_subset(g, 0.1, 5)
+    B = random_nonempty_subset(g, 0.1, 6)
+    cert, q, _ = _caught_q(monkeypatch, A.indicator(), B.indicator())
+    assert cert.k > 0.8 * g.order
+    gc.collect()
+    tracemalloc.start()
+    try:
+        c = q.evaluate_real(cert.a0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c == cert.c
+    assert peak <= 3.02 * 8 * cert.k
 
 
 class _CountingMath:

@@ -23,6 +23,7 @@ from bohrlab.errors import (
     PreconditionError,
     ShapeError,
 )
+from bohrlab import extractor
 from bohrlab.extractor import (
     BOUND_SLACK,
     RADIUS_SLACK,
@@ -53,6 +54,7 @@ from bohrlab.groups import (
     rank_of_elem,
     ranks_of_rows,
     rows_at,
+    strides,
 )
 from bohrlab.serialize import certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset
@@ -505,6 +507,116 @@ def test_trigpoly_rejects_malformed_arrays():
         TrigPoly(Z8, (Char((0,)), Char((4,))), [1.0])
     with pytest.raises(DomainError):
         TrigPoly(Z8, (Char((4,)), Char((4,))), [1.0, 2.0])
+
+
+def test_trigpoly_keeps_a_frozen_coefficient_array_as_given():
+    support = CharTuple.from_ranks(Z8, np.array([1, 3, 6]))
+    frozen = np.array([1.0, 2j, 0.5 - 0.5j])
+    frozen.flags.writeable = False
+    assert TrigPoly(Z8, support, frozen).coeffs is frozen
+    writable = frozen.copy()
+    kept = TrigPoly(Z8, support, writable).coeffs
+    assert kept is not writable and not kept.flags.writeable and np.array_equal(kept, writable)
+    writable[0] = 7.0  # the copy does not follow later writes
+    assert kept[0] == 1.0
+    column = frozen.reshape(3, 1)
+    assert TrigPoly(Z8, support, column).coeffs.shape == (3,)
+    real = np.array([1.0, 2.0, 3.0])
+    real.flags.writeable = False
+    assert TrigPoly(Z8, support, real).coeffs.dtype == np.complex128
+
+
+# Z_n, F_2^n, F_3^n and mixed groups, with axes of length 1 and 2 among them.
+EVAL_GROUPS = st.one_of(
+    st.integers(1, 4096).map(lambda n: (n,)),
+    st.integers(1, 12).map(lambda n: (2,) * n),
+    st.integers(1, 7).map(lambda n: (3,) * n),
+    st.lists(st.integers(1, 16), min_size=2, max_size=4).map(tuple).filter(lambda f: math.prod(f) <= 4096),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@example(factors=(4096,), density=1.0, seed=1)
+@example(factors=(2,) * 12, density=0.9, seed=2)
+@example(factors=(3,) * 7, density=0.5, seed=3)
+@example(factors=(2, 1, 2, 5), density=1.0, seed=4)
+@example(factors=(16, 16, 16), density=0.96, seed=5)
+@example(factors=(1,), density=1.0, seed=6)
+@given(factors=EVAL_GROUPS, density=st.sampled_from([0.0, 0.1, 0.5, 0.96, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_real_part_evaluation_is_evaluate_real_bit_for_bit(factors, density, seed):
+    # On a cold or a warm table, the real-part evaluation keeps the bits of evaluate(z).real.
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    ranks = np.flatnonzero(rng.random(g.order) < density)
+    coeffs = rng.normal(size=ranks.size) + 1j * rng.normal(size=ranks.size)
+    shift = float(rng.normal())
+    if rng.random() < 0.5:
+        _libm_table.cache_clear()
+    for z in [elem_at(g, 0)] + [elem_at(g, int(r)) for r in rng.integers(g.order, size=3)]:
+        fresh = TrigPoly(g, CharTuple.from_ranks(g, ranks), coeffs, constant_shift=shift)
+        got = fresh.evaluate_real(z)
+        assert type(got) is float
+        want = TrigPoly(g, CharTuple.from_ranks(g, ranks), coeffs, constant_shift=shift).evaluate(z)
+        assert _bits(got) == _bits(want.real)
+        assert _bits(fresh._real_value_at(z)) == _bits(got)
+
+
+def _prefix_residue_ranks(group: GroupSpec, ranks: np.ndarray, z: Elem) -> np.ndarray:
+    """The residue ranks by the prefix-table route on every group: a mixed-radix table of the
+    leading axes' residues, gathered at each leading rank, plus t_last z_last mod n_last."""
+    *lead, n_last = group.factors
+    prefix = np.zeros(1, dtype=np.int64)
+    for n, zj, s in zip(lead, z.coords, strides(group)):
+        prefix = (prefix[:, None] + np.arange(n, dtype=np.int64) * zj % n * s).reshape(-1)
+    high, last = np.divmod(ranks, n_last)
+    return prefix[high] + last * z.coords[-1] % n_last
+
+
+@pytest.mark.parametrize("factors", [(2,), (2,) * 10, (2, 1, 2, 2), (1, 2), (2, 3), (4, 2, 2), (3, 2, 5), (12, 10, 7)])
+def test_residue_ranks_by_and_are_the_prefix_table_route(factors, monkeypatch):
+    # Where every factor is at most 2 the residue rank is one AND, and no prefix table is
+    # built; elsewhere the table route stays.
+    g = GroupSpec(factors)
+    rng = np.random.default_rng(sum(factors))
+    ranks = np.flatnonzero(rng.random(g.order) < 0.6)
+    for z in (elem_at(g, 0), elem_at(g, g.order - 1), elem_at(g, int(rng.integers(g.order)))):
+        want = _prefix_residue_ranks(g, ranks, z)
+        tables = []
+        zeros = np.zeros
+
+        def counted(*args, **kwargs):
+            tables.append(args)
+            return zeros(*args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", counted)
+        got = _residue_ranks(g, ranks, z)
+        monkeypatch.undo()
+        assert np.array_equal(got, want)
+        assert bool(tables) == (max(factors) > 2 and len(factors) > 1)
+        if max(factors) <= 2:
+            assert np.array_equal(got, ranks & rank_of_elem(g, z))
+
+
+def _remainder_of(monkeypatch, table: list[float]) -> float:
+    """``_remainder``'s max |r| when the synthesis gives ``table``."""
+    r = np.array(table, dtype=np.float64)
+    monkeypatch.setattr(extractor, "_synthesize_half", lambda half, g: r)
+    return extractor._remainder(np.zeros(len(r), dtype=np.complex128), GroupSpec((len(r),)), np.zeros(0, dtype=np.int64), 1.0)
+
+
+@pytest.mark.parametrize("table", [[-0.0], [0.0], [-0.0, 0.0, -0.0], [0.0, -0.0], [-0.0] * 5])
+def test_remainder_of_signed_zeros_is_plus_zero(monkeypatch, table):
+    # max(r.max(), -r.min()) alone can be -0.0 here, which would change a certificate byte.
+    r_max = _remainder_of(monkeypatch, table)
+    assert type(r_max) is float and _bits(r_max) == _bits(0.0)
+
+
+@pytest.mark.parametrize(
+    "table", [[0.125, -0.1875, 0.0625], [-0.125, 0.1875], [0.1875, -0.1875], [-0.0, -0.0625, 0.03125], [0.2, -0.1]]
+)
+def test_remainder_of_mixed_signs_is_the_largest_modulus(monkeypatch, table):
+    r_max = _remainder_of(monkeypatch, table)
+    assert _bits(r_max) == _bits(float(np.abs(np.array(table)).max()))
 
 
 GROUPS = st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple).filter(

@@ -110,23 +110,44 @@ RANK_LISTS = st.lists(
 )
 
 
+def _rendered(ranks) -> str:
+    """The writer's rank block for ``ranks``, its chunks joined as the writer joins them."""
+    return b"".join(serialize._render_ranks(np.asarray(ranks, dtype=np.int64))).decode("ascii")
+
+
+def _dumps_block(ranks: list) -> str:
+    """The rank list's block as ``json.dumps(..., indent=2)`` lays it out in a certificate."""
+    head, tail = '{\n  "s1_ranks": ', "\n}"
+    text = json.dumps({"s1_ranks": ranks}, indent=2)
+    assert text.startswith(head) and text.endswith(tail)
+    return text[len(head) : -len(tail)]
+
+
 @settings(max_examples=200, deadline=None)
+@example(ranks=[])
 @example(ranks=[0])
 @example(ranks=[7])
 @example(ranks=[5, 5, 5])
 @example(ranks=[0, 0])
+@example(ranks=[0, 0, 9, 9, 10, 10, 99, 100, 100, 999, 1000])
+@example(ranks=[9, 10, 99, 100, 999, 1000, 9999, 10000])
 @example(ranks=[100, 9, 10, 0, 99, 1000])
+@example(ranks=DIGIT_EDGES)
 @example(ranks=DIGIT_EDGES[::-1])
 @example(ranks=[2**63 - 1, 0])
-@given(ranks=RANK_LISTS)
+@example(ranks=[0, 2**63 - 1, 2**63 - 1])
+@given(ranks=st.one_of(RANK_LISTS, RANK_LISTS.map(sorted)))
 def test_rank_renderer_is_the_join(ranks):
-    want = "[\n    " + ",\n    ".join(map(str, ranks)) + "\n  ]"
-    assert serialize._render_ranks(np.array(ranks, dtype=np.int64)) == want
+    # Sorted lists go by digit-count runs, any other by the join; both are json.dumps's block.
+    want = _dumps_block(ranks)
+    assert _rendered(ranks) == want
+    if ranks:
+        assert want == "[\n    " + ",\n    ".join(map(str, ranks)) + "\n  ]"
     assert json.loads(want) == ranks
 
 
 def test_rank_renderer_writes_an_empty_list_as_json_does():
-    assert serialize._render_ranks(np.zeros(0, dtype=np.int64)) == json.dumps([], indent=2)
+    assert _rendered([]) == json.dumps([], indent=2)
 
 
 def test_loader_takes_all_bool_and_empty_rank_lists():
@@ -431,19 +452,15 @@ def _reindent(indent):
     return lambda text, i: json.dumps(json.loads(text), indent=indent) + "\n"
 
 
-def _writer_block(ranks) -> str:
-    return serialize._render_ranks(np.asarray(ranks, dtype=np.int64))
-
-
 def _duplicate_after(text: str, i: int) -> str:
     """A second top-level ``s1_ranks`` at the end, in the writer's layout, which overrides the first."""
     ranks = json.loads(text)["s1_ranks"]
-    return text[: text.rindex("\n}")] + ',\n  "s1_ranks": ' + _writer_block(ranks[: 1 + i % len(ranks)]) + "\n}\n"
+    return text[: text.rindex("\n}")] + ',\n  "s1_ranks": ' + _rendered(ranks[: 1 + i % len(ranks)]) + "\n}\n"
 
 
 def _duplicate_before(text: str, i: int) -> str:
     """A first top-level ``s1_ranks`` in the writer's layout, which the later one overrides."""
-    return '{\n  "s1_ranks": ' + _writer_block([i % 7]) + "," + text[1:]
+    return '{\n  "s1_ranks": ' + _rendered([i % 7]) + "," + text[1:]
 
 
 def _cut_block(text: str) -> tuple[str, str, str]:
@@ -461,7 +478,7 @@ def _in_bound(text: str, block: str) -> str:
 
 def _nested_in_bounds(text: str, i: int) -> str:
     """An ``s1_ranks`` key inside a bound entry, its list laid out as the top-level block."""
-    return _in_bound(text, _writer_block([i % 7]))
+    return _in_bound(text, _rendered([i % 7]))
 
 
 def _nested_only(text: str, i: int) -> str:
