@@ -15,6 +15,7 @@ from .bohr import (
     halve_radius,
     members_mask,
 )
+from .claim import BoundCheck, Certificate
 from .errors import (
     AmbiguousBoundary,
     BohrlabError,
@@ -27,8 +28,6 @@ from .errors import (
     ShapeError,
 )
 from .extractor import (
-    BoundCheck,
-    Certificate,
     TrigPoly,
     bohr_from_trigpoly,
     extract,
@@ -52,6 +51,18 @@ from .groups import (
     torus_norm,
     zero_elem,
 )
+from .rfft import (
+    SUITE_TOLERANCE,
+    SuiteReport,
+    convolve,
+    dft,
+    fourier_identity_suite,
+    idft,
+    idft_real,
+    plancherel_pairing,
+    triple_convolve,
+    triple_spectrum,
+)
 from .serialize import (
     certificate_from_json,
     certificate_to_json,
@@ -68,27 +79,17 @@ from .sets import (
     write_set_file,
 )
 from .spectral import (
-    SUITE_TOLERANCE,
     DensityFn,
     Spectrum,
-    SuiteReport,
     constant_density,
-    convolve,
-    dft,
     dft_definitional,
     dft_factored,
     difference_counts,
-    fourier_identity_suite,
-    idft,
     idft_definitional,
     idft_factored,
-    idft_real,
-    plancherel_pairing,
     reflect,
     representation_counts,
-    triple_convolve,
     triple_convolve_definitional,
-    triple_spectrum,
 )
 from .verify import (
     VerificationReport,

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .claim import BOUNDS
 from .errors import (
     AmbiguousBoundary,
     CapacityError,
@@ -28,7 +29,7 @@ from .errors import (
     RetryExhausted,
     ShapeError,
 )
-from .extractor import BOUNDS, extract
+from .extractor import extract
 from .groups import GroupSpec, parse_group, require_within_cap
 from .serialize import (
     certificate_from_json,

@@ -12,10 +12,12 @@ Pipeline, for densities f and g with common mean delta after normalization:
 The certificate then asserts that a0 plus the Bohr set on frequencies S1 with
 radius c / |S1| (character-distance form) sits inside supp h.  Every numbered
 bound the construction promises is recorded and re-checked; a violation is an
-internal error, never a silently weaker certificate.
+internal error, never a silently weaker certificate.  The certificate, the
+bounds, the threshold delta^3 / 4 and the radius rule are ``claim``'s, which
+the verifier reads as well; every transform here is ``rfft``'s.
 
 Each input is transformed once, on the half of the dual group that a
-real-input FFT computes (``spectral._half_spectrum``); f, g, h and the
+real-input FFT computes (``rfft._half_spectrum``); f, g, h and the
 remainder are real tables, and no N-point complex table is formed.  S1 is read
 off f-hat's half as a mask, unfolded as booleans to every character
 (|conj z| = |z| bit for bit).  Then f-hat becomes h-hat = f-hat * |g-hat|^2
@@ -27,8 +29,8 @@ and two inverse real transforms per extraction, each ``rfftn`` or ``irfftn``
 bit for bit, with length-2 axes as sum/difference passes (none of numpy's
 transforms runs on F_2^n), and h is ``triple_convolve``'s, bit for bit, since
 both take the same private steps.  The certificate is that of
-the full-table route (``spectral.dft``, :func:`large_spectrum`,
-``spectral.triple_spectrum``, ``spectral.idft_real``,
+the full-table route (``rfft.dft``, :func:`large_spectrum`,
+``rfft.triple_spectrum``, ``rfft.idft_real``,
 :func:`remainder_bound_check`) bit for bit: a coefficient of q past n/2 can
 differ from the full product only in the sign of a zero part, which no
 certificate stores and which cannot reach c, a running sum that starts at
@@ -60,13 +62,22 @@ from __future__ import annotations
 
 import math
 import mmap
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .bohr import FORM_CHAR, BohrSpec, char_form_to_torus_form
+from .claim import (
+    BOUND_SLACK,
+    BOUNDS,
+    RADIUS_SLACK,
+    Certificate,
+    bound_check,
+    radius_rule,
+    s1_threshold,
+)
 from .errors import (
     DomainError,
     EmptyInputError,
@@ -88,69 +99,10 @@ from .groups import (
     ranks_of_rows,
     strides,
 )
-from .spectral import (
-    DensityFn,
-    Spectrum,
-    _at_negated,
-    _half_index,
-    _half_spectrum,
-    _negated_ranks,
-    _synthesize_half,
-    _triple_half,
-    _unfold,
-)
-
-BOUND_SLACK = 1e-9
-RADIUS_SLACK = 1e-12
+from .rfft import _half_index, _half_spectrum, _synthesize_half, _triple_half, _unfold
+from .spectral import DensityFn, Spectrum, _at_negated, _frozen, _negated_ranks
 
 MEAN_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """One recorded inequality: its achieved value against its stated limit."""
-
-    value: float
-    limit: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class Bound:
-    """One of the paper's numbered bounds: its limit as a formula of delta, its slack, floor or cap."""
-
-    limit: Callable[[float], float]
-    slack: float
-    floor: bool
-
-
-# The one definition of the paper's bounds, which extract records, verify audits and the sweep
-# reports.  A floor holds when value >= limit - slack, a cap when value <= limit + slack.
-BOUNDS = {
-    "dimension": Bound(lambda delta: 16.0 * delta**-5, 0.0, floor=False),
-    "witness_value": Bound(lambda delta: delta**4, BOUND_SLACK, floor=True),
-    "c_lower": Bound(lambda delta: 0.5 * delta**4, BOUND_SLACK, floor=True),
-    "torus_radius": Bound(lambda delta: delta**9 / (64.0 * math.pi), RADIUS_SLACK, floor=True),
-    "remainder": Bound(lambda delta: 0.25 * delta**4, BOUND_SLACK, floor=False),
-}
-
-
-def bound_check(name: str, value: float, delta: float) -> BoundCheck:
-    """``value`` against bound ``name`` of :data:`BOUNDS` at ``delta``."""
-    bound = BOUNDS[name]
-    limit = bound.limit(delta)
-    ok = value >= limit - bound.slack if bound.floor else value <= limit + bound.slack
-    return BoundCheck(value, limit, ok)
-
-
-def s1_threshold(delta: float) -> float:
-    """The large-spectrum threshold delta^3 / 4 that S1 is read off at."""
-    return 0.25 * delta**3
-
-
-def radius_rule(c: float, k: int) -> float:
-    """The character-form radius c / k of a level-c polynomial on k frequencies; c when k = 0."""
-    return c / k if k else c
 
 
 def _running_sum(start: float, values: np.ndarray) -> float:
@@ -173,8 +125,8 @@ class TrigPoly:
     A thin array wrapper over a CharTuple ``support`` and the matching complex
     array ``coeffs``.  The support must be distinct characters in increasing
     rank order, which makes evaluation sums reproducible; :meth:`from_terms` sorts.
-    The coefficients are frozen: a read-only 1-D complex128 array is frozen
-    already and is kept as it is, as :class:`Spectrum` keeps its table;
+    The coefficients are frozen by ``spectral._frozen``, as :class:`Spectrum`
+    keeps its table: a read-only 1-D complex128 array is kept as it is, and
     anything else is copied.  The polynomial remembers the real part of its
     last evaluation, so a later check of the same value
     (:func:`bohr_from_trigpoly` after ``c = Re p(a)``) is free.
@@ -188,10 +140,9 @@ class TrigPoly:
 
     def __post_init__(self) -> None:
         support = char_tuple(self.group, self.support)
-        coeffs = self.coeffs
-        frozen = isinstance(coeffs, np.ndarray) and not coeffs.flags.writeable
-        if not (frozen and coeffs.dtype == np.complex128 and coeffs.ndim == 1):
-            coeffs = np.array(coeffs, dtype=np.complex128).reshape(-1)
+        coeffs = _frozen(self.coeffs, np.complex128)
+        if coeffs.ndim != 1:
+            coeffs = coeffs.reshape(-1)
         if coeffs.shape != (len(support),):
             raise ShapeError(
                 f"{coeffs.size} coefficients for {len(support)} frequencies"
@@ -199,7 +150,6 @@ class TrigPoly:
         ranks = char_ranks(self.group, support)
         if (ranks[1:] <= ranks[:-1]).any():
             raise DomainError("frequencies must be distinct and in increasing rank order")
-        coeffs.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -490,7 +440,7 @@ def _remainder(hhat: np.ndarray, grp: GroupSpec, s1_index: np.ndarray, delta: fl
     """The remainder's max modulus from the ``rfftn`` half of h-hat, which is overwritten.
 
     ``s1_index`` are the places in the ravelled half where the characters of
-    S1 are read (``spectral._half_index``): a character past n/2 is read at
+    S1 are read (``rfft._half_index``): a character past n/2 is read at
     the place of -t.  The caller has checked that S1 is closed under negation
     (:func:`_require_closed`), so those places are S1's own as well, and
     zeroing them all in place zeroes S1 in the half.  The rest is
@@ -527,27 +477,6 @@ def bohr_from_trigpoly(p: TrigPoly, a: Elem, c: float) -> BohrSpec:
     if re_pa < c - RADIUS_SLACK:
         raise PreconditionError(f"Re p(a) = {re_pa} is below the level c = {c}")
     return BohrSpec(p.group, p.support, radius_rule(c, len(p.support)), FORM_CHAR, center=a)
-
-
-@dataclass(frozen=True, eq=False)
-class Certificate:
-    """Everything needed to re-verify one extraction from scratch."""
-
-    group: GroupSpec
-    delta: float
-    a0: Elem
-    s1: CharTuple
-    c: float
-    k: int
-    h_at_a0: float
-    bohr_char_form: BohrSpec
-    bohr_torus_form: BohrSpec
-    bounds: dict[str, BoundCheck]
-
-    def __post_init__(self) -> None:
-        # One array check, as BohrSpec does for its frequencies; a CharTuple is kept.
-        object.__setattr__(self, "s1", char_tuple(self.group, self.s1))
-        check_elem(self.group, self.a0)
 
 
 def extract(f: DensityFn, g: DensityFn) -> Certificate:

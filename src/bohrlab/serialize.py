@@ -45,8 +45,8 @@ from itertools import chain
 import numpy as np
 
 from .bohr import BohrSpec
+from .claim import BoundCheck, Certificate
 from .errors import DomainError, ShapeError
-from .extractor import BoundCheck, Certificate
 from .groups import CharTuple, Elem, GroupSpec, char_ranks, parse_group
 
 CERT_SCHEMA = "bohrlab-cert/2"

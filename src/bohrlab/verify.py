@@ -9,7 +9,10 @@ reaches ``np.fft``.  Containment shifts the char-form members' coordinates by
 a0 and reads the sumset at their ranks; no translate of a table is drawn.
 None of the extractor's fast-path results are trusted; a certificate is data
 to be audited.  Failed checks are recorded in the report, not raised --
-reports are data too.
+reports are data too.  The certificate and the rules it is audited against
+are ``claim``'s.  This module's static import closure holds neither
+``extractor`` nor ``rfft``, and none of its modules names ``np.fft``
+(``tests/test_verify_no_fft.py`` walks the import graph).
 
 Membership is decided once per certificate: ``bohr.members_mask`` remembers
 its last walk over the group, so the torus form and the half-radius form of
@@ -38,16 +41,17 @@ from .bohr import (
     halve_radius,
     members_mask,
 )
-from .errors import AmbiguousBoundary, EmptyInputError, ShapeError
-from .extractor import (
+from .claim import (
     BOUND_SLACK,
     BOUNDS,
     RADIUS_SLACK,
     Certificate,
     bound_check,
+    bound_limit,
     radius_rule,
     s1_threshold,
 )
+from .errors import AmbiguousBoundary, EmptyInputError, ShapeError
 from .groups import (
     TWO_PI,
     GroupSpec,
@@ -105,12 +109,13 @@ def _audit_bound(cert: Certificate, name: str, value: float, slack: float = 0.0)
     """What is wrong with the certificate's recorded bound ``name``; empty if nothing is.
 
     The entry must be present, record ``value`` (to within ``slack``), carry
-    the limit ``BOUNDS`` gives at the recorded delta, and be ok.
+    the limit ``BOUNDS`` gives at the recorded delta (``claim.bound_limit``, infinite
+    where no float holds it), and be ok.
     """
     entry = cert.bounds.get(name)
     if entry is None:
         return f"; recorded bound {name} is missing"
-    limit = BOUNDS[name].limit(cert.delta)
+    limit = bound_limit(name, cert.delta)
     if not abs(entry.value - value) <= slack:
         return f"; recorded bound {name} has value {entry.value!r}, want {value!r}"
     if entry.limit != limit:
@@ -162,7 +167,7 @@ def verify_certificate(cert: Certificate, A: GroupSubset, B: GroupSubset) -> Ver
     certificate's recorded bounds block is audited by the check of the same
     quantity: each entry records the certified value (k, h(a0), c, the
     torus radius; the remainder within ``BOUND_SLACK`` of the recomputed
-    one), its limit is that of ``extractor.BOUNDS`` at the recorded delta,
+    one), its limit is that of ``claim.BOUNDS`` at the recorded delta,
     and it is ok; forms-and-centers requires exactly the entries of ``BOUNDS``.
     A group above the enumeration cap, or counts beyond the primes an int64
     CRT can join, raise :class:`CapacityError` before any transform.

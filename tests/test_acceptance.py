@@ -18,18 +18,14 @@ import numpy as np
 import pytest
 
 from bohrlab.bohr import bohr_enumerate
+from bohrlab.claim import Certificate
 from bohrlab.cli import main as cli_main
-from bohrlab.extractor import Certificate, extract
+from bohrlab.extractor import extract
 from bohrlab.groups import GroupSpec
 from bohrlab.serialize import certificate_from_json, certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset, sumset_ABmB, write_set_file
-from bohrlab.spectral import (
-    DensityFn,
-    dft,
-    dft_definitional,
-    fourier_identity_suite,
-    triple_convolve,
-)
+from bohrlab.rfft import dft, fourier_identity_suite, triple_convolve
+from bohrlab.spectral import DensityFn, dft_definitional
 from bohrlab.verify import (
     VerificationReport,
     good_shift_set,

@@ -13,7 +13,7 @@ one ``np.fft`` call per maximal run of axes whose length is not 2, and none
 for a run of length-2 axes, which are sum/difference passes: on a group with
 no length-2 axis the four are ``rfftn`` and ``irfftn``, and on F_2^n there is
 no ``np.fft`` call at all.  ``extract`` keeps to their half tables: it never
-calls the full-table ``spectral.dft``, ``triple_spectrum`` or ``idft_real``,
+calls the full-table ``rfft.dft``, ``triple_spectrum`` or ``idft_real``,
 and at small k its traced memory peaks under 2.5 tables of 16 N bytes on
 Z_2^16, and on F_2^16 under the peak of the route that ran numpy's
 transforms on every axis.  ``good_shift_set``
@@ -37,7 +37,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bohrlab import bohr, extractor, groups, serialize, spectral
+from bohrlab import bohr, extractor, groups, rfft, serialize, spectral
 from bohrlab.bohr import FORM_CHAR, BohrSpec, halve_radius, members_mask
 from bohrlab.errors import ShapeError
 from bohrlab.extractor import TrigPoly, extract
@@ -317,7 +317,7 @@ def test_extract_never_calls_the_full_table_routes(monkeypatch, g):
         raise AssertionError("extract formed a full N-point spectrum")
 
     for name in ("dft", "triple_spectrum", "idft_real"):
-        original = getattr(spectral, name)
+        original = getattr(rfft, name)
         for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "bohrlab"]:
             for site, value in list(vars(mod).items()):
                 if value is original:

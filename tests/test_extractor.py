@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab.bohr import FORM_CHAR, FORM_TORUS, bohr_enumerate, char_form_to_torus_form
+from bohrlab.claim import BOUND_SLACK, RADIUS_SLACK, BoundCheck, Certificate
 from bohrlab.errors import (
     DomainError,
     EmptyInputError,
@@ -25,10 +26,6 @@ from bohrlab.errors import (
 )
 from bohrlab import extractor
 from bohrlab.extractor import (
-    BOUND_SLACK,
-    RADIUS_SLACK,
-    BoundCheck,
-    Certificate,
     TrigPoly,
     _libm_table,
     _require_closed,
@@ -56,18 +53,10 @@ from bohrlab.groups import (
     rows_at,
     strides,
 )
+from bohrlab.rfft import dft, idft_real, triple_convolve, triple_spectrum
 from bohrlab.serialize import certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset
-from bohrlab.spectral import (
-    DensityFn,
-    _negated_ranks,
-    constant_density,
-    dft,
-    idft_real,
-    triple_convolve,
-    triple_convolve_definitional,
-    triple_spectrum,
-)
+from bohrlab.spectral import DensityFn, _negated_ranks, constant_density, triple_convolve_definitional
 
 Z8 = GroupSpec((8,))
 EVENS = DensityFn(Z8, [1, 0, 1, 0, 1, 0, 1, 0])

@@ -25,6 +25,7 @@ from bohrlab.cli import main
 from bohrlab.errors import DomainError, ShapeError
 from bohrlab.extractor import extract, normalize_means
 from bohrlab.groups import Char, GroupSpec, char_eval, char_ranks, rank_of_char, rows_at
+from bohrlab.rfft import dft
 from bohrlab.serialize import (
     certificate_from_dict,
     certificate_from_json,
@@ -33,7 +34,6 @@ from bohrlab.serialize import (
     report_to_json,
 )
 from bohrlab.sets import GroupSubset, write_set_file
-from bohrlab.spectral import dft
 from bohrlab.verify import verify_certificate
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "z8_evens_cert.json"  # cert/1
@@ -620,7 +620,12 @@ def _drop_s1_row(index):
 
 
 def _tampers(A: GroupSubset, index: int) -> dict:
-    """Single-field edits of a certificate's JSON object, each of which a verifier must refute."""
+    """Single-field edits of a certificate's JSON object, each of which a verifier must refute.
+
+    A delta at which a bound's formula divides by zero or overflows (16 delta^-5 at 0 and below
+    about 1e-61, delta^4 above about 1e77) is refuted too, not raised from the audit of the
+    recorded bounds.
+    """
     edits = {
         "delta": _shift("delta"),
         "c": _shift("c"),
@@ -629,6 +634,8 @@ def _tampers(A: GroupSubset, index: int) -> dict:
         "char radius": _double_char_radius,
         "s1 row": _drop_s1_row(index),
     }
+    for delta in ("0", "-0", "1e-62", "1e-310", "1e80"):
+        edits[f"delta {delta}"] = _set_field(delta, "delta")
     outside = np.flatnonzero(~A.mask)
     if outside.size:
         edits["a0"] = _set_a0(rows_at(A.group, outside[[index % outside.size]])[0].tolist())

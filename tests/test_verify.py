@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from bohrlab import verify
 from bohrlab.bohr import FORM_CHAR, FORM_TORUS, BohrSpec, members_mask
 from bohrlab.errors import AmbiguousBoundary, DomainError, EmptyInputError, ShapeError
-from bohrlab.extractor import BOUND_SLACK, extract
+from bohrlab.claim import BOUND_SLACK
+from bohrlab.extractor import extract
 from bohrlab.groups import (
     Char,
     CharTuple,
@@ -34,12 +35,10 @@ from bohrlab.sets import (
     sumset_ABmB,
     union_shift_subset,
 )
+from bohrlab.rfft import convolve, dft, fourier_identity_suite
 from bohrlab.spectral import (
     constant_density,
-    convolve,
-    dft,
     dft_definitional,
-    fourier_identity_suite,
     reflect,
     representation_counts,
     synthesize,

@@ -1,13 +1,15 @@
-"""The verifier stays independent of numpy's FFT: an AST scan of ``verify.py``.
+"""The verifier stays independent of numpy's FFT: an AST walk of the package's import graph.
 
-``verify`` may import nothing from ``spectral`` that runs ``np.fft`` (the fast
-transforms and the fast convolutions), and may name no ``np.fft`` or
-``numpy.fft`` attribute of its own.  ``test_verifier_calls_no_numpy_fft`` in
-``tests/test_verify.py`` checks the same at run time, on one instance.  Nor
-may it import the extractor's private transform steps: the half transform,
-the half synthesis and the length-2 sum/difference passes they share.  On
-F_2^n those run no ``np.fft`` at all, so neither check above would see the
-verifier borrow them.
+``verify``, ``serialize`` and ``claim`` may reach, through the package's
+relative imports, neither ``extractor`` nor ``rfft``, which holds every
+``np.fft`` call and every private step of the extractor's half transforms.
+No module they reach may name an ``np.fft`` or ``numpy.fft`` attribute or
+import numpy's ``fft``.  The graph is read from the sources, not from
+``sys.modules``: importing ``bohrlab.verify`` runs the package's
+``__init__``, which loads every module.  A new fast helper in ``rfft`` is
+out of the verifier's reach with no list of names to keep.
+``test_verifier_calls_no_numpy_fft`` in ``tests/test_verify.py`` checks the
+same at run time, on one instance.
 """
 
 from __future__ import annotations
@@ -15,24 +17,24 @@ from __future__ import annotations
 import ast
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-VERIFY = ROOT / "src" / "bohrlab" / "verify.py"
-FFT_BACKED = {
-    "dft",
-    "idft",
-    "idft_real",
-    "convolve",
-    "triple_convolve",
-    "triple_spectrum",
-    "_half_spectrum",
-    "_real_forward",
-    "_synthesize_half",
-    "_pair_passes",
-}
+PACKAGE = ROOT / "src" / "bohrlab"
+FAST_PATH = ("extractor", "rfft")
+
+
+def sibling_imports(source: str) -> set[str]:
+    """The package modules a module imports: ``from .x import ...`` and ``from . import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+    return found
 
 
 def fft_uses(source: str) -> list[str]:
-    """Imports of the ``np.fft``-backed names and every ``<numpy>.fft`` attribute, by line."""
+    """Every ``<numpy>.fft`` attribute and every import of numpy's ``fft``, by line."""
     tree = ast.parse(source)
     numpy_names = {
         alias.asname or alias.name
@@ -43,10 +45,8 @@ def fft_uses(source: str) -> list[str]:
     }
     hits = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            hits += [(node.lineno, f"imports {a.name}") for a in node.names if a.name in FFT_BACKED]
-            if node.module == "numpy":
-                hits += [(node.lineno, "from numpy import fft") for a in node.names if a.name == "fft"]
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            hits += [(node.lineno, "from numpy import fft") for a in node.names if a.name == "fft"]
         elif isinstance(node, ast.Import):
             hits += [(node.lineno, f"import {a.name}") for a in node.names if a.name == "numpy.fft"]
         elif (
@@ -59,18 +59,43 @@ def fft_uses(source: str) -> list[str]:
     return [f"line {line}: {text}" for line, text in sorted(hits)]
 
 
-def test_verify_reaches_no_numpy_fft():
-    assert fft_uses(VERIFY.read_text(encoding="utf-8")) == []
+def closure(sources: dict[str, str], start: str) -> set[str]:
+    """``start`` and every module it reaches by relative imports; a module missing from ``sources`` raises."""
+    reached, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += sibling_imports(sources[name])
+    return reached
 
 
-def test_scan_finds_numpy_fft():
-    source = (
-        "import numpy as np\nfrom .spectral import dft_factored, idft_real\n"
-        "x = np.fft.rfftn(a)\ny = table.fft\n"
-    )
-    assert fft_uses(source) == ["line 2: imports idft_real", "line 3: np.fft"]
+def boundary_breaches(sources: dict[str, str], start: str) -> list[str]:
+    """The fast-path modules ``start`` reaches, then the ``np.fft`` uses of every module it reaches."""
+    reached = closure(sources, start)
+    hits = [f"{start} reaches {name}" for name in FAST_PATH if name in reached]
+    return hits + [f"{name}.py {hit}" for name in sorted(reached) for hit in fft_uses(sources[name])]
 
 
-def test_scan_finds_the_private_transform_steps():
-    source = "from .spectral import _pair_passes, dft_factored\nfrom .spectral import _synthesize_half\n"
-    assert fft_uses(source) == ["line 1: imports _pair_passes", "line 2: imports _synthesize_half"]
+@pytest.mark.parametrize("module", ["verify", "serialize", "claim"])
+def test_reaches_no_fast_path(module):
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert boundary_breaches(sources, module) == []
+
+
+def test_scan_finds_an_fft_attribute_and_an_rfft_edge():
+    sources = {
+        "verify": '"""Calls no np.fft."""\nfrom .claim import BOUNDS\nfrom .spectral import dft_factored\n',
+        "claim": "from .groups import GroupSpec\n",
+        "groups": "import numpy as np\nx = np.zeros(3)\ny = table.fft\n",
+        "spectral": "import numpy\nfrom .rfft import _pair_passes\nz = numpy.fft.rfftn(a)\n",
+        "rfft": "import numpy as np\nw = np.fft.fftn(a)\n",
+        "extractor": "from .rfft import _half_spectrum\nfrom . import claim\n",
+    }
+    assert boundary_breaches(sources, "verify") == [
+        "verify reaches rfft",
+        "rfft.py line 2: np.fft",
+        "spectral.py line 3: numpy.fft",
+    ]
+    assert boundary_breaches(sources, "claim") == []
+    assert closure(sources, "extractor") == {"extractor", "rfft", "claim", "groups"}
