@@ -83,19 +83,38 @@ def test_reaches_no_fast_path(module):
     assert boundary_breaches(sources, module) == []
 
 
-def test_scan_finds_an_fft_attribute_and_an_rfft_edge():
+def test_scan_finds_numpy_fft():
+    source = (
+        '"""Calls no np.fft."""\nimport numpy as np\nimport numpy.fft\nfrom numpy import fft\n'
+        "x = np.fft.rfftn(a)\ny = table.fft\n"
+    )
+    assert fft_uses(source) == [
+        "line 3: import numpy.fft",
+        "line 4: from numpy import fft",
+        "line 5: np.fft",
+    ]
     sources = {
-        "verify": '"""Calls no np.fft."""\nfrom .claim import BOUNDS\nfrom .spectral import dft_factored\n',
+        "verify": "from .claim import BOUNDS\nfrom .spectral import dft_factored\n",
+        "claim": "import numpy as np\nx = np.zeros(3)\n",
+        "spectral": "import numpy\nz = numpy.fft.rfftn(a)\n",
+    }
+    assert boundary_breaches(sources, "verify") == ["spectral.py line 2: numpy.fft"]
+    assert boundary_breaches(sources, "claim") == []
+
+
+def test_scan_finds_the_private_transform_steps():
+    sources = {
+        "verify": "from .claim import BOUNDS\nfrom .spectral import dft_factored\n",
         "claim": "from .groups import GroupSpec\n",
-        "groups": "import numpy as np\nx = np.zeros(3)\ny = table.fft\n",
-        "spectral": "import numpy\nfrom .rfft import _pair_passes\nz = numpy.fft.rfftn(a)\n",
+        "groups": "import numpy as np\n",
+        "spectral": "from .rfft import _pair_passes\nfrom .rfft import _synthesize_half\n",
         "rfft": "import numpy as np\nw = np.fft.fftn(a)\n",
         "extractor": "from .rfft import _half_spectrum\nfrom . import claim\n",
     }
-    assert boundary_breaches(sources, "verify") == [
-        "verify reaches rfft",
-        "rfft.py line 2: np.fft",
-        "spectral.py line 3: numpy.fft",
-    ]
+    assert boundary_breaches(sources, "verify") == ["verify reaches rfft", "rfft.py line 2: np.fft"]
     assert boundary_breaches(sources, "claim") == []
     assert closure(sources, "extractor") == {"extractor", "rfft", "claim", "groups"}
+    assert boundary_breaches({**sources, "verify": "from .extractor import Certificate\n"}, "verify")[:2] == [
+        "verify reaches extractor",
+        "verify reaches rfft",
+    ]
