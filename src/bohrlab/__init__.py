@@ -32,9 +32,7 @@ from .extractor import (
     bohr_from_trigpoly,
     extract,
     find_witness,
-    large_spectrum,
     normalize_means,
-    remainder_bound_check,
 )
 from .groups import (
     Char,
@@ -43,13 +41,11 @@ from .groups import (
     char_eval,
     elem_add,
     elem_neg,
-    elem_sub,
     enumerate_chars,
     enumerate_elems,
     pairing,
     parse_group,
     torus_norm,
-    zero_elem,
 )
 from .rfft import (
     SUITE_TOLERANCE,
@@ -58,10 +54,8 @@ from .rfft import (
     dft,
     fourier_identity_suite,
     idft,
-    idft_real,
     plancherel_pairing,
     triple_convolve,
-    triple_spectrum,
 )
 from .serialize import (
     certificate_from_json,
@@ -81,15 +75,11 @@ from .sets import (
 from .spectral import (
     DensityFn,
     Spectrum,
-    constant_density,
-    dft_definitional,
     dft_factored,
     difference_counts,
-    idft_definitional,
     idft_factored,
     reflect,
     representation_counts,
-    triple_convolve_definitional,
 )
 from .verify import (
     VerificationReport,

@@ -10,13 +10,15 @@ since ``|chi(z) - 1| = 2*sin(pi*phase) <= 2*pi*||phase||``.
 Membership is strict and decided in integers.  With L = lcm(n_i), the phase
 of t at z is the exact rational M/L, M = sum_i (t_i L/n_i) z_i mod L, a linear
 form in z: one integer matrix product and one reduction by the scalar L per
-block.  Both distances grow with j = min(M, L - M).  So each form is one integer
-threshold on j: the torus form is exact (a float radius is a dyadic
-rational), and the character form needs one arcsine, enclosed to a few ulps.
-Only a distance that really ties the radius, or whose phase lands inside that
-enclosure, raises :class:`AmbiguousBoundary`.  Green, "Finite field models in
-additive combinatorics" (2005): at the tiny radii a certificate carries, the
-Bohr set is the annihilator of span(S1), and the threshold is j < 1.
+block of frequencies, which one plain loop walks over the elements still in
+the running.  Both distances grow with j = min(M, L - M).  So each form is
+one integer threshold on j: the torus form is exact (a float radius is a
+dyadic rational), and the character form needs one arcsine, enclosed to a
+few ulps.  Only a distance that really ties the radius, or whose phase lands
+inside that enclosure, raises :class:`AmbiguousBoundary`.  Green, "Finite
+field models in additive combinatorics" (2005): at the tiny radii a
+certificate carries, the Bohr set is the annihilator of span(S1), and the
+threshold is j < 1.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import spectral
 from .errors import AmbiguousBoundary, DomainError
 from .groups import (
     TWO_PI,
@@ -42,7 +45,6 @@ from .groups import (
     coords_table,
     require_within_cap,
 )
-from .spectral import phase_blocks
 
 FORM_CHAR = "character-distance"
 FORM_TORUS = "torus-norm"
@@ -277,22 +279,30 @@ _last_walk: _Walk | None = None
 def _walk(g: GroupSpec, rows: np.ndarray, classes: np.ndarray, below: int, ranks: np.ndarray | None) -> np.ndarray:
     """The ranks among ``ranks`` (every element when None) whose distances all lie below T.
 
-    Walks :func:`~bohrlab.spectral.phase_blocks` blocks in :func:`_walk_order`
-    over the elements still in the running; an element drops out at the first
-    block that excludes it.  A walk from every element reads the cached
-    coordinate table as it is, not a gathered copy of it.
+    One loop over blocks of the frequencies in :func:`_walk_order`, each
+    block's :func:`_distances` taken at the elements still in the running;
+    an element drops out at the first block that excludes it.  Blocks grow
+    1, 2, 4, ... rows, and a block has at least (initial elements // current
+    elements) rows, so it costs about as many cells as the first block: once
+    the survivors collapse (a point-like Bohr set) the walk ends in a few
+    blocks, not log2 of its rows.  Each block is capped at
+    ``spectral._BLOCK_CELLS`` cells against the current elements, and at
+    least one row, so memory stays bounded.  A walk from every element reads
+    the cached coordinate table as it is, not a gathered copy of it.
     """
     coords = coords_table(g)
-    walk = phase_blocks(g, rows[_walk_order(classes)], coords if ranks is None else coords[ranks], _distances)
+    rows = rows[_walk_order(classes)]
+    cols = coords if ranks is None else coords[ranks]
     if ranks is None:
         ranks = np.arange(g.order)
-    try:
-        _, j = next(walk)
-        while True:
-            ranks = ranks[(j < below).all(axis=0)]
-            _, j = walk.send(coords[ranks])
-    except StopIteration:
-        pass
+    start, size, initial = 0, 1, len(cols)
+    while start < len(rows):
+        cap = max(1, spectral._BLOCK_CELLS // max(1, len(cols) * g.ndim))
+        stop = start + min(max(size, initial // max(1, len(cols))), cap)
+        j = _distances(g, rows[start:stop], cols)
+        ranks = ranks[(j < below).all(axis=0)]
+        cols = coords[ranks]
+        start, size = stop, 2 * size
     return ranks
 
 
@@ -305,9 +315,9 @@ def members_mask(b: BohrSpec) -> np.ndarray:
     step has a multiple in the undecidable window of :func:`_threshold`.  The
     screen decides each divisor once.  The first frequency with such a step
     raises :class:`AmbiguousBoundary`, naming its first tied element from a
-    scan of that one row.  Otherwise membership walks
-    :func:`~bohrlab.spectral.phase_blocks` blocks of integer phases over the
-    elements still in the running, in :func:`_walk_order`: frequencies of
+    scan of that one row.  Otherwise membership walks blocks of exact
+    integer distances (:func:`_walk`) over the elements still in the
+    running, in :func:`_walk_order`: frequencies of
     highest order L/s first, so the first block removes most candidates, and
     each order class spread out.  An element drops out at the first
     block that excludes it, and memory is one block's table, never (k, N, d).

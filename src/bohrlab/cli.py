@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .claim import BOUNDS
+from .claim import bound_limit
 from .errors import (
     AmbiguousBoundary,
     CapacityError,
@@ -116,7 +117,7 @@ def _sweep_trial(n: int, delta: float, trial: int, master_seed: int) -> dict:
         "delta": delta,
         "trial": trial,
         "k": None,
-        "k_limit": BOUNDS["dimension"].limit(delta),
+        "k_limit": bound_limit("dimension", delta),
         "c": None,
         "eta": None,
         "h_at_a0": None,
@@ -194,6 +195,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for d in deltas:
         if not 0.0 < d <= 1.0:
             raise DomainError(f"density must lie in (0, 1], got {d}")
+        if not math.isfinite(bound_limit("dimension", d)):
+            raise DomainError(f"density {d} is too small: its dimension bound k_limit has no float value")
     if args.trials < 1:
         raise DomainError(f"need at least one trial, got {args.trials}")
     if args.seed < 0:

@@ -28,12 +28,11 @@ half with S1 zeroed in place, once h and q have read it.  That is two forward
 and two inverse real transforms per extraction, each ``rfftn`` or ``irfftn``
 bit for bit, with length-2 axes as sum/difference passes (none of numpy's
 transforms runs on F_2^n), and h is ``triple_convolve``'s, bit for bit, since
-both take the same private steps.  The certificate is that of
-the full-table route (``rfft.dft``, :func:`large_spectrum`,
-``rfft.triple_spectrum``, ``rfft.idft_real``,
-:func:`remainder_bound_check`) bit for bit: a coefficient of q past n/2 can
-differ from the full product only in the sign of a zero part, which no
-certificate stores and which cannot reach c, a running sum that starts at
+both take the same private steps.  This is the one extraction path.  The
+certificate is bit for bit that of the full-table route, which unfolds every
+spectrum and which the tests keep as their reference: a coefficient of q past
+n/2 can differ from the full product only in the sign of a zero part, which
+no certificate stores and which cannot reach c, a running sum that starts at
 -delta^4 / 4 and so is never -0.  S1, the large spectrum of a real table, is
 closed under negation, which the real synthesis of the remainder needs; that
 is checked on the unfolded mask itself, which is freed before the syntheses.
@@ -100,7 +99,7 @@ from .groups import (
     strides,
 )
 from .rfft import _half_index, _half_spectrum, _synthesize_half, _triple_half, _unfold
-from .spectral import DensityFn, Spectrum, _at_negated, _frozen, _negated_ranks
+from .spectral import DensityFn, _at_negated, _frozen, _negated_ranks
 
 MEAN_TOLERANCE = 1e-12
 
@@ -339,16 +338,6 @@ def normalize_means(f: DensityFn, g: DensityFn) -> tuple[DensityFn, DensityFn, f
     return f, g.scaled(delta / mg), delta
 
 
-def large_spectrum(spectrum: Spectrum, threshold: float) -> CharTuple:
-    """Characters whose Fourier coefficient has modulus >= threshold.
-
-    Returned in canonical character order, as a CharTuple.  The trivial
-    character is always included whenever threshold <= the mean, which is
-    the coefficient at t = 0.
-    """
-    return CharTuple.from_ranks(spectrum.group, np.flatnonzero(_at_least(spectrum.coeffs, threshold)))
-
-
 def _at_least(coeffs: np.ndarray, threshold: float) -> np.ndarray:
     """The mask |coeffs| >= threshold, for a positive threshold."""
     if not threshold > 0.0:
@@ -383,32 +372,6 @@ def find_witness(h: DensityFn, f: DensityFn) -> tuple[Elem, float]:
     if not check.ok:
         raise InvariantBreach(f"witness value {h_at_a0} below delta^4 = {check.limit} at {a0.coords}")
     return a0, h_at_a0
-
-
-def remainder_bound_check(hhat: Spectrum, s1: tuple[Char, ...], delta: float) -> float:
-    """Max modulus of h minus its S1 truncation; must stay under delta^4 / 4.
-
-    ``hhat`` is the transform of h, f-hat * |g-hat|^2 (:func:`triple_spectrum`),
-    so the remainder is its inverse transform with the S1 coefficients zeroed
-    out.  Its coefficient at t = 0 is the product of the means, which must be
-    delta^3.  The remainder is real, and is synthesized from the half of the
-    table a real-input FFT reads, so S1 must be closed under negation, as the
-    large spectrum of a real table is: an unpaired character would be zeroed
-    on one side only.  That is checked on S1's boolean table, built from its
-    ranks, as :func:`extract` checks the table it reads S1 off.  A copy of
-    that half goes through the routine that :func:`extract` runs on its own
-    half of h-hat.
-    """
-    grp = hhat.group
-    _check_mean(complex(hhat.coeffs[0]), delta)
-    ranks = char_ranks(grp, s1)
-    in_s1 = np.zeros(grp.factors, dtype=bool)
-    in_s1.reshape(-1)[ranks] = True
-    _require_closed(in_s1)
-    del in_s1
-    index, _ = _half_index(ranks, grp.factors, _negated_ranks(grp.factors[:-1]))
-    rest = hhat.as_nd()[..., : grp.factors[-1] // 2 + 1].copy()
-    return _remainder(rest, grp, index, delta)
 
 
 def _check_mean(hhat0: complex, delta: float) -> None:

@@ -12,7 +12,6 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -135,10 +134,6 @@ def check_char(g: GroupSpec, t: Char) -> None:
             raise ShapeError(f"frequency {c} out of range for factor Z_{n}")
 
 
-def zero_elem(g: GroupSpec) -> Elem:
-    return Elem((0,) * g.ndim)
-
-
 def elem_add(g: GroupSpec, a: Elem, b: Elem) -> Elem:
     check_elem(g, a)
     check_elem(g, b)
@@ -150,10 +145,6 @@ def elem_neg(g: GroupSpec, a: Elem) -> Elem:
     return Elem(tuple((-x) % n for x, n in zip(a.coords, g.factors)))
 
 
-def elem_sub(g: GroupSpec, a: Elem, b: Elem) -> Elem:
-    return elem_add(g, a, elem_neg(g, b))
-
-
 def pairing(g: GroupSpec, t: Char, z: Elem) -> float:
     """The torus pairing ``sum_j t_j z_j / n_j mod 1`` as a float in [0, 1)."""
     check_char(g, t)
@@ -162,16 +153,6 @@ def pairing(g: GroupSpec, t: Char, z: Elem) -> float:
     for tj, zj, n in zip(t.freq, z.coords, g.factors):
         acc += ((tj * zj) % n) / n
     return acc % 1.0
-
-
-def pairing_exact(g: GroupSpec, t: Char, z: Elem) -> Fraction:
-    """Exact rational value of the torus pairing, reduced mod 1."""
-    check_char(g, t)
-    check_elem(g, z)
-    acc = Fraction(0)
-    for tj, zj, n in zip(t.freq, z.coords, g.factors):
-        acc += Fraction(tj * zj, n)
-    return acc % 1
 
 
 def char_eval(g: GroupSpec, t: Char, z: Elem) -> complex:
@@ -231,15 +212,6 @@ def elem_at(g: GroupSpec, rank: int) -> Elem:
     for s, n in zip(strides(g), g.factors):
         coords.append((rank // s) % n)
     return Elem(tuple(coords))
-
-
-def rank_of_char(g: GroupSpec, t: Char) -> int:
-    check_char(g, t)
-    return int(sum(c * s for c, s in zip(t.freq, strides(g))))
-
-
-def char_at(g: GroupSpec, rank: int) -> Char:
-    return Char(elem_at(g, rank).coords)
 
 
 # --- characters in bulk --------------------------------------------------------
@@ -405,15 +377,3 @@ def enumerate_chars(g: GroupSpec) -> list[Char]:
     """All N characters in the same lexicographic order as the elements."""
     require_within_cap(g)
     return [Char(tuple(row)) for row in _coords_table(g.factors)]
-
-
-def phase_table(g: GroupSpec, freqs: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Pairing phases in [0, 1) for every (frequency row, coordinate row) pair.
-
-    ``freqs`` is (k, d) and ``coords`` is (m, d); the result is (k, m).  All
-    trigonometry downstream goes through these phases, never through
-    incremental rotation, so there is no accumulated drift on large groups.
-    """
-    factors = np.asarray(g.factors, dtype=np.int64)
-    prod = (freqs[:, None, :] * coords[None, :, :]) % factors
-    return (prod / factors).sum(axis=2) % 1.0

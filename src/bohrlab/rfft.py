@@ -13,13 +13,11 @@ transform runs at all; a group with no length-2 axis makes one ``rfftn`` and
 one ``irfftn`` call.  The extractor and :func:`triple_convolve` stay on that
 half, from the transform to the synthesis: no N-point complex table is
 formed.  :func:`dft` unfolds the half to the full table, exactly symmetric by
-construction, and :func:`idft_real` synthesizes a real table from the half of
-a full one.  :func:`idft` is the complex synthesis of any spectrum.
+construction.  :func:`idft` is the complex synthesis of any spectrum.
 
 The fast triple convolution f conv g conv g(-.) is one product of transforms,
 f-hat * |g-hat|^2, since the reflection of a real table has the conjugate
-transform: :func:`triple_spectrum` forms it on full tables, ``_triple_half``
-in place on half tables, with the same bits where both hold it.
+transform: ``_triple_half`` forms it in place on half tables.
 :func:`triple_convolve` is two forward and one inverse real FFT on the half.
 The identity suite, :func:`fourier_identity_suite`, checks the transform
 identities on :func:`dft` and :func:`convolve`.
@@ -214,18 +212,6 @@ def idft(spectrum: Spectrum) -> np.ndarray:
     return values
 
 
-def idft_real(spectrum: Spectrum) -> np.ndarray:
-    """The synthesis of a real table's spectrum by the real-input inverse FFT; a read-only real table.
-
-    Only valid for the spectrum of a real table, ``F(-t) == conj(F(t))``: the
-    characters whose last coordinate exceeds n/2 are never read, and the
-    imaginary part the synthesis would have is dropped.  The half it reads
-    goes through ``_synthesize_half``, as the extractor's h and remainder do.
-    """
-    g = spectrum.group
-    return _synthesize_half(spectrum.as_nd()[..., : g.factors[-1] // 2 + 1], g)
-
-
 def _synthesize_half(half: np.ndarray, g: GroupSpec) -> np.ndarray:
     """The real synthesis of the ``rfftn`` half of a conjugate-symmetric table, ravelled.
 
@@ -282,20 +268,6 @@ def convolve(f: DensityFn, g: DensityFn) -> DensityFn:
     prod = np.fft.fftn(f.as_nd()) * np.fft.fftn(g.as_nd())
     vals = np.fft.ifftn(prod).real.ravel() / grp.order
     return DensityFn(grp, vals)
-
-
-def triple_spectrum(fhat: Spectrum, ghat: Spectrum) -> Spectrum:
-    """h-hat = f-hat * |g-hat|^2, the transform of f conv g conv g(-.) for real g.
-
-    The transform of g(-.) is conj(g-hat) when g is real, so the two
-    convolutions are one elementwise product, over every character here; the
-    extractor and :func:`triple_convolve` form it on the half tables instead
-    (``_triple_half``), with the same bits there.
-    """
-    grp = _require_same_group(fhat, ghat)
-    hhat = fhat.coeffs * np.abs(ghat.coeffs) ** 2
-    hhat.flags.writeable = False
-    return Spectrum(grp, hhat)
 
 
 def _triple_half(fhat: np.ndarray, ghat: np.ndarray) -> np.ndarray:

@@ -2,39 +2,38 @@
 
 The table types live here, :class:`DensityFn` and :class:`Spectrum`.  numpy's
 real-input FFT, the extractor's fast path, is ``bohrlab.rfft``, which builds
-on this module; nothing here imports it.  Two routes are provided for the
-transform here.  The factored path is one engine of matrix stages over a
-ring: the
-complex numbers, or the integers mod primes p = 1 (mod L, the lcm of the cycle
-lengths) below 2^31.  Adjacent axes whose lengths multiply to at most 64 are one
-stage, a product by their Kronecker kernel; a longer cycle splits by Bailey's
-four-step (J. Supercomputing 4, 1990) into such stages and a twiddle; a prime
-above 64 is a row loop.  Every kernel and twiddle entry is read off one cached
-table of the powers of a root of unity of order L at an exact integer
-exponent: exp(2 pi i * e/L) from the exact phase e/L, exact at the quarter
-turns, or root^e mod p.  A stage is one BLAS matrix product on a C-contiguous
-table, in complex128 over C; mod p in float64, on the two 16-bit halves of
-every residue, where every sum is an integer below 2^53 and so exact.  Mod p,
-every reduction is x - (x // p) p by a scalar p, one ring row at a time
+on this module; nothing here imports it.  The transform here is one factored
+engine of matrix stages over a ring: the complex numbers, or the integers mod
+primes p = 1 (mod L, the lcm of the cycle lengths) below 2^31.  Adjacent axes
+whose lengths multiply to at most 64 are one stage, a product by their
+Kronecker kernel; a longer cycle splits by Bailey's four-step (J.
+Supercomputing 4, 1990) into such stages and a twiddle; a prime above 64 is a
+row loop.  Every kernel and twiddle entry is read off one cached table of the
+powers of a root of unity of order L at an exact integer exponent:
+exp(2 pi i * e/L) from the exact phase e/L, exact at the quarter turns, or
+root^e mod p.  A stage is one BLAS matrix product on a C-contiguous table, in
+complex128 over C; mod p in float64, on the two 16-bit halves of every
+residue, where every sum is an integer below 2^53 and so exact.  Mod p, every
+reduction is x - (x // p) p by a scalar p, one ring row at a time
 (``_reduce``): numpy divides by a scalar through a multiply by its inverse,
-several times faster than int64 ``%``, which divides per element.  Over C
-it is :func:`dft_factored` and :func:`idft_factored`, which call no
-``np.fft``; the verifier uses them.  Mod primes it is a number-theoretic
-transform: :func:`representation_counts` runs it, or an integer translate sum
-where that is cheaper, to count exactly the representations x = a + b - c;
-the verifier reads its h and the sumset off those counts.  A second exact
-count, :func:`difference_counts` of a = u - z over X x Y, is the same private
-core on two tables, one negated; the good-shift statistic reads its erosion
-off it.  The definitional path evaluates the plain O(N^2) pairing sums; it is
-the oracle the others are tested against.  :func:`reflect` serves the
-identity suite (``rfft.fourier_identity_suite``) and the definitional route.
+several times faster than int64 ``%``, which divides per element.  Over C it
+is :func:`dft_factored` and :func:`idft_factored`, which call no ``np.fft``;
+the verifier uses them.  Mod primes it is a number-theoretic transform:
+:func:`representation_counts` runs it, or an integer translate sum where that
+is cheaper, to count exactly the representations x = a + b - c; the verifier
+reads its h and the sumset off those counts.  A second exact count,
+:func:`difference_counts` of a = u - z over X x Y, is the same private core
+on two tables, one negated; the good-shift statistic reads its erosion off
+it.  :func:`reflect` serves the identity suite
+(``rfft.fourier_identity_suite``).  The definitional O(N^2) sums that these
+routes are tested against are test oracles, kept with the tests.
 
-The definitional convolution sums translates of f.  Every translate in the
-package (here, in the sumset unions of ``sets`` and in the verifier's
-containment shift) is a read-only window from one private walk,
-``_translate_windows``: the table is doubled along its trailing axes, where a
-shift is a slice, and rolled along the leading ones once per distinct leading
-prefix, by single-axis rolls.  Conventions:
+Every translate in the package (the integer translate counts here, the
+sumset unions of ``sets`` and the verifier's containment shift) is a
+read-only window from one private walk, ``_translate_windows``: the table is
+doubled along its trailing axes, where a shift is a slice, and rolled along
+the leading ones once per distinct leading prefix, by single-axis rolls.
+Conventions:
 
     fhat(t) = (1/N) * sum_z f(z) * conj(chi_t(z))        (analysis)
     f(z)    = sum_t fhat(t) * chi_t(z)                   (synthesis)
@@ -54,39 +53,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError
-from .groups import TWO_PI, GroupSpec, coords_table, phase_table
+from .groups import TWO_PI, GroupSpec
 
-# Cells per intermediate block in the definitional paths; keeps the (rows, N, d)
-# products well under a couple hundred MB.
+# Cells per intermediate block: a block of Bohr membership's distance walk
+# (``bohr._walk``), and the doubled table and roll buffers of the translate
+# walk, stay well under a couple hundred MB.  Both read it at call time.
 _BLOCK_CELLS = 1 << 21
-
-
-def phase_blocks(g: GroupSpec, rows: np.ndarray, cols: np.ndarray, table=phase_table):
-    """Yield ``(block, table(g, rows[block], cols))`` over consecutive row slices.
-
-    Blocks grow 1, 2, 4, ... rows, each capped at ``_BLOCK_CELLS`` cells
-    against the current columns (and at least one row), so memory stays
-    bounded for any ``cols`` of at most N rows.  A walk that prunes columns
-    sends the remaining ones back (``walk.send(cols)``); later blocks are sized
-    for and computed against them, at least (initial columns // current
-    columns) rows, so a block costs about as many cells as the first
-    column set had.  A walk whose survivors collapse after one block (a
-    point-like Bohr set) then ends in a few blocks, not log2 of its rows;
-    a walk that never prunes, as the definitional transforms, keeps the
-    doubling.  Every blocked walk over pairing phases
-    goes through here: the definitional transforms and synthesis over the
-    float phases of :func:`~bohrlab.groups.phase_table`, Bohr membership over
-    its own ``table`` of exact integer distances.  The factored transform
-    reads its phases off a power table instead.
-    """
-    start, size, initial = 0, 1, len(cols)
-    while start < len(rows):
-        cap = max(1, _BLOCK_CELLS // max(1, len(cols) * g.ndim))
-        block = slice(start, start + min(max(size, initial // max(1, len(cols))), cap))
-        sent = yield block, table(g, rows[block], cols)
-        if sent is not None:
-            cols = sent
-        start, size = block.stop, 2 * size
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -159,10 +131,6 @@ class Spectrum:
         return self.coeffs.reshape(self.group.factors)
 
 
-def constant_density(g: GroupSpec, value: float = 1.0) -> DensityFn:
-    return DensityFn(g, np.full(g.order, value, dtype=np.float64))
-
-
 def _require_same_group(a, b) -> GroupSpec:
     if a.group != b.group:
         raise ShapeError(f"operands live on different groups: {a.group} vs {b.group}")
@@ -192,6 +160,11 @@ def _at_negated(table: np.ndarray) -> np.ndarray:
         out[lead + (0,)] = src[lead + (0,)]
         out[lead + (slice(1, None),)] = src[lead + (slice(None, 0, -1),)]
     return table.copy() if out is table else out
+
+
+def reflect(f: DensityFn) -> DensityFn:
+    """The reflected table z -> f(-z)."""
+    return DensityFn(f.group, _at_negated(f.as_nd()).ravel())
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -680,37 +653,6 @@ def difference_counts(g: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _signed_counts(g, (x.reshape(g.factors), y.reshape(g.factors)), (False, True))
 
 
-def dft_definitional(f: DensityFn) -> Spectrum:
-    """The analysis sum evaluated directly, blocked to bound memory."""
-    g = f.group
-    coords = coords_table(g)
-    out = np.empty(g.order, dtype=np.complex128)
-    for block, phases in phase_blocks(g, coords, coords):
-        out[block] = np.exp(-1j * TWO_PI * phases) @ f.values / g.order
-    return Spectrum(g, out)
-
-
-def idft_definitional(spectrum: Spectrum) -> np.ndarray:
-    """The synthesis sum over every character, evaluated directly."""
-    g = spectrum.group
-    return synthesize(g, coords_table(g), spectrum.coeffs)
-
-
-def synthesize(g: GroupSpec, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j coeffs[j] * chi_{freqs[j]}(z) at every z, definitionally.
-
-    ``freqs`` is a (k, d) integer array of frequency tuples.
-    """
-    freqs = np.asarray(freqs, dtype=np.int64).reshape(-1, g.ndim)
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if freqs.shape[0] != coeffs.shape[0]:
-        raise ShapeError("one coefficient per frequency row is required")
-    out = np.empty(g.order, dtype=np.complex128)
-    for block, phases in phase_blocks(g, coords_table(g), freqs):
-        out[block] = np.exp(1j * TWO_PI * phases) @ coeffs
-    return out
-
-
 # --- translates --------------------------------------------------------------
 
 def _split_axes(factors: tuple[int, ...], rows: np.ndarray, redo: np.ndarray) -> int:
@@ -793,35 +735,3 @@ def _translate_windows(table: np.ndarray, shifts):
         window.flags.writeable = False
         yield window
 
-
-# --- definitional convolution and reflection ------------------------------------
-
-
-def convolve_definitional(f: DensityFn, g: DensityFn) -> DensityFn:
-    """The convolution sum evaluated by shifting, one translate per summand.
-
-    ``out += g(t) * f(. - t)`` over the nonzero weights in rank order of t, as
-    a plain translate sum: each translate is a window from
-    :func:`_translate_windows`, with no copy of f per summand, and the
-    products go through one reused table.  The order of the sum, and so every
-    bit of the result, is that of rolling f once per weight.
-    """
-    grp = _require_same_group(f, g)
-    ranks = np.flatnonzero(g.values)
-    shifts = np.stack(np.unravel_index(ranks, grp.factors), axis=1)
-    out = np.zeros(grp.factors, dtype=np.float64, order="F")
-    term = np.empty_like(out)
-    for weight, window in zip(g.values[ranks], _translate_windows(f.as_nd(), shifts)):
-        np.multiply(window, weight, out=term)
-        out += term
-    return DensityFn(grp, out.ravel() / grp.order)
-
-
-def reflect(f: DensityFn) -> DensityFn:
-    """The reflected table z -> f(-z)."""
-    return DensityFn(f.group, _at_negated(f.as_nd()).ravel())
-
-
-def triple_convolve_definitional(f: DensityFn, g: DensityFn) -> DensityFn:
-    _require_same_group(f, g)
-    return convolve_definitional(convolve_definitional(f, g), reflect(g))

@@ -25,12 +25,14 @@ from bohrlab.groups import GroupSpec
 from bohrlab.serialize import certificate_from_json, certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset, sumset_ABmB, write_set_file
 from bohrlab.rfft import dft, fourier_identity_suite, triple_convolve
-from bohrlab.spectral import DensityFn, dft_definitional
+from bohrlab.spectral import DensityFn
 from bohrlab.verify import (
     VerificationReport,
     good_shift_set,
     verify_certificate,
 )
+
+from oracles import dft_definitional
 
 MASTER_SEED = 20260823
 

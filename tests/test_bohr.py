@@ -31,9 +31,9 @@ from bohrlab.groups import (
     coords_table,
     elem_add,
     enumerate_elems,
-    pairing_exact,
-    phase_table,
 )
+
+from oracles import pairing_exact, phase_table
 
 
 def test_spec_validation():
@@ -272,7 +272,15 @@ def test_members_mask_blocking_changes_nothing(monkeypatch):
         members_mask(edge)
     monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)  # one frequency row per block
     monkeypatch.setattr(bohr, "_last_walk", None)  # so the last spec walks again, blocked
+    rows, distances = [], bohr._distances  # the frequency rows of each block
+
+    def counted(grp, block, coords):
+        rows.append(len(block))
+        return distances(grp, block, coords)
+
+    monkeypatch.setattr(bohr, "_distances", counted)
     assert all(np.array_equal(members_mask(b), m) for b, m in zip(specs, whole))
+    assert rows and set(rows) == {1}
     with pytest.raises(AmbiguousBoundary) as blocked:
         members_mask(edge)
     assert str(blocked.value) == str(unblocked.value)

@@ -13,8 +13,8 @@ one ``np.fft`` call per maximal run of axes whose length is not 2, and none
 for a run of length-2 axes, which are sum/difference passes: on a group with
 no length-2 axis the four are ``rfftn`` and ``irfftn``, and on F_2^n there is
 no ``np.fft`` call at all.  ``extract`` keeps to their half tables: it never
-calls the full-table ``rfft.dft``, ``triple_spectrum`` or ``idft_real``,
-and at small k its traced memory peaks under 2.5 tables of 16 N bytes on
+calls the full-table ``rfft.dft`` or ``rfft.idft``, and at small k its traced
+memory peaks under 2.5 tables of 16 N bytes on
 Z_2^16, and on F_2^16 under the peak of the route that ran numpy's
 transforms on every axis.  ``good_shift_set``
 draws no translate window, however many members its Bohr set has.  S1 crosses
@@ -45,7 +45,7 @@ from bohrlab.serialize import certificate_from_json, certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset, subgroup_subset
 from bohrlab.verify import good_shift_set, verify_certificate
 
-COUNTED = ("check_char", "rank_of_char", "char_eval", "pairing", "elem_at", "char_at")
+COUNTED = ("check_char", "char_eval", "pairing", "elem_at")
 Z4096 = groups.GroupSpec((4096,))
 G8884 = groups.GroupSpec((8, 8, 8, 4))
 F2_10 = groups.GroupSpec((2,) * 10)
@@ -316,7 +316,7 @@ def test_extract_never_calls_the_full_table_routes(monkeypatch, g):
     def refuse(*args, **kwargs):
         raise AssertionError("extract formed a full N-point spectrum")
 
-    for name in ("dft", "triple_spectrum", "idft_real"):
+    for name in ("dft", "idft"):
         original = getattr(rfft, name)
         for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "bohrlab"]:
             for site, value in list(vars(mod).items()):
@@ -418,21 +418,14 @@ def test_tiny_radius_membership_is_not_k_by_n(monkeypatch):
     cert = extract(A.indicator(), A.indicator())
     assert cert.k == 1024 and cert.bohr_char_form.radius < 1e-9
     cells = []
-    original = spectral.phase_blocks
+    original = bohr._distances
 
-    def counted(grp, *args):
-        walk, sent = original(grp, *args), None
-        while True:
-            try:
-                block, table = walk.send(sent)
-            except StopIteration:
-                return
-            cells.append(table.size * grp.ndim)
-            sent = yield block, table
+    def counted(grp, rows, coords):
+        j = original(grp, rows, coords)
+        cells.append(j.size * grp.ndim)
+        return j
 
-    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "bohrlab"]:
-        if vars(mod).get("phase_blocks") is original:
-            monkeypatch.setattr(mod, "phase_blocks", counted)
+    monkeypatch.setattr(bohr, "_distances", counted)
     for spec in (cert.bohr_char_form, cert.bohr_torus_form):
         cells.clear()
         assert np.array_equal(members_mask(_fresh(spec)), A.mask)
@@ -448,26 +441,20 @@ def test_point_like_membership_walks_few_blocks(monkeypatch):
     B = random_nonempty_subset(g, 0.3, 92)
     cert = extract(A.indicator(), B.indicator())
     assert cert.k > 1000
-    blocks = []
-    original = spectral.phase_blocks
+    blocks = []  # the frequency rows of each block
+    original = bohr._distances
 
-    def counted(*args):
-        walk, sent = original(*args), None
-        while True:
-            try:
-                block, table = walk.send(sent)
-            except StopIteration:
-                return
-            blocks.append(block)
-            sent = yield block, table
+    def counted(grp, rows, coords):
+        blocks.append(len(rows))
+        return original(grp, rows, coords)
 
-    monkeypatch.setattr(bohr, "phase_blocks", counted)
+    monkeypatch.setattr(bohr, "_distances", counted)
     for spec in (cert.bohr_char_form, cert.bohr_torus_form):
         blocks.clear()
         members = members_mask(_fresh(spec))
         assert np.flatnonzero(members).tolist() == [0]
         assert 0 < len(blocks) <= 4
-        assert blocks[-1].stop >= cert.k
+        assert sum(blocks) == cert.k
 
 
 def _point_like() -> tuple[GroupSubset, GroupSubset]:
@@ -488,14 +475,20 @@ def test_certificate_forms_walk_the_group_once(monkeypatch, sets):
     A, B = sets()
     g = A.group
     cert = extract(A.indicator(), B.indicator())
-    starts = []
-    original = spectral.phase_blocks
+    starts = []  # the elements each walk's first block is taken at
+    walk, distances = bohr._walk, bohr._distances
 
-    def counted(grp, rows, cols, *args):
-        starts.append(cols)
-        return original(grp, rows, cols, *args)
+    def counted_walk(*args):
+        starts.append(None)
+        return walk(*args)
 
-    monkeypatch.setattr(bohr, "phase_blocks", counted)
+    def counted_distances(grp, rows, cols):
+        if starts[-1] is None:
+            starts[-1] = cols
+        return distances(grp, rows, cols)
+
+    monkeypatch.setattr(bohr, "_walk", counted_walk)
+    monkeypatch.setattr(bohr, "_distances", counted_distances)
     assert verify_certificate(cert, A, B).passed
     good = good_shift_set(A, B, cert.bohr_char_form)
     monkeypatch.undo()
@@ -512,13 +505,13 @@ def test_certificate_forms_walk_the_group_once(monkeypatch, sets):
     "g", [groups.GroupSpec((97,)), groups.GroupSpec((3 * 97,)), G8884, groups.GroupSpec((2,) * 9)], ids=str,
 )
 def test_factored_transforms_build_no_phase_table(monkeypatch, g):
-    """Every twiddle and prime-length kernel is read off one cached power table."""
+    """Every twiddle and prime-length kernel is read off one cached power table, not off
+    the library's one blocked phase table, Bohr membership's exact distances."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a factored transform built a phase table")
 
-    for mod, name in ((spectral, "phase_blocks"), (spectral, "phase_table"), (groups, "phase_table")):
-        monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(bohr, "_distances", refuse)
     f = spectral.DensityFn(g, np.random.default_rng(9).random(g.order))
     back = spectral.idft_factored(spectral.dft_factored(f))
     assert np.abs(back - f.values).max() < 1e-12

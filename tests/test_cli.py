@@ -369,6 +369,16 @@ def test_sweep_bad_lists_exit_2(tmp_path):
     assert run_cli("sweep", "--n", "16", "--delta", "0.5", "--trials", "1", "--seed", "-4", "--out", out)[0] == 2
 
 
+@pytest.mark.parametrize("delta", ["1e-62", "5e-324"])
+def test_sweep_delta_without_a_finite_k_limit_exits_2(tmp_path, delta):
+    # 16 delta^-5 overflows a float: the density is refused as bad input, before any row runs.
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli("sweep", "--n", "8", "--delta", delta, "--trials", "1", "--seed", "1", "--out", str(out))
+    assert code == 2, err
+    assert "DomainError" in err and "k_limit" in err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     code, _, _ = run_cli("frobnicate")
     assert code == 2

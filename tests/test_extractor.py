@@ -27,15 +27,15 @@ from bohrlab.errors import (
 from bohrlab import extractor
 from bohrlab.extractor import (
     TrigPoly,
+    _at_least,
+    _check_mean,
     _libm_table,
     _require_closed,
     _residue_ranks,
     bohr_from_trigpoly,
     extract,
     find_witness,
-    large_spectrum,
     normalize_means,
-    remainder_bound_check,
 )
 from bohrlab.groups import (
     TWO_PI,
@@ -43,20 +43,29 @@ from bohrlab.groups import (
     CharTuple,
     Elem,
     GroupSpec,
-    char_at,
     char_eval,
     char_ranks,
     elem_at,
-    rank_of_char,
     rank_of_elem,
     ranks_of_rows,
     rows_at,
     strides,
 )
-from bohrlab.rfft import dft, idft_real, triple_convolve, triple_spectrum
+from bohrlab.rfft import dft, triple_convolve
 from bohrlab.serialize import certificate_to_json
 from bohrlab.sets import GroupSubset, random_nonempty_subset
-from bohrlab.spectral import DensityFn, _negated_ranks, constant_density, triple_convolve_definitional
+from bohrlab.spectral import DensityFn, _negated_ranks
+
+from oracles import (
+    char_at,
+    constant_density,
+    idft_real,
+    large_spectrum,
+    rank_of_char,
+    remainder_bound_check,
+    triple_convolve_definitional,
+    triple_spectrum,
+)
 
 Z8 = GroupSpec((8,))
 EVENS = DensityFn(Z8, [1, 0, 1, 0, 1, 0, 1, 0])
@@ -95,10 +104,16 @@ def test_normalize_means_errors():
 
 
 def test_large_spectrum_evens():
-    # coefficients are exactly 1/2 at t in {0, 4}, zero elsewhere
-    assert [t.freq for t in large_spectrum(dft(EVENS), 0.25)] == [(0,), (4,)]
-    assert [t.freq for t in large_spectrum(dft(EVENS), 0.5)] == [(0,), (4,)]  # >= is inclusive
-    assert [t.freq for t in large_spectrum(dft(EVENS), 0.500001)] == []
+    # coefficients are exactly 1/2 at t in {0, 4}, zero elsewhere; extract reads S1 off this mask
+    coeffs = dft(EVENS).coeffs
+    assert np.flatnonzero(_at_least(coeffs, 0.25)).tolist() == [0, 4]
+    assert np.flatnonzero(_at_least(coeffs, 0.5)).tolist() == [0, 4]  # >= is inclusive
+    assert not _at_least(coeffs, 0.500001).any()
+    for threshold in (0.0, -0.5, math.nan):
+        with pytest.raises(DomainError):
+            _at_least(coeffs, threshold)
+    # The full-table oracle reads the same mask.
+    assert [t.freq for t in large_spectrum(dft(EVENS), 0.5)] == [(0,), (4,)]
     with pytest.raises(DomainError):
         large_spectrum(dft(EVENS), 0.0)
 
@@ -157,8 +172,11 @@ def test_remainder_requires_matching_means():
     # means 1/2 and 1/4: h-hat(0) = 1/32, which is delta^3 for neither
     hhat = triple_spectrum(dft(EVENS), dft(constant_density(Z8, 0.25)))
     for delta in (0.5, 0.25):
+        with pytest.raises(DomainError, match="not mean-normalized"):
+            _check_mean(complex(hhat.coeffs[0]), delta)
         with pytest.raises(DomainError):
             remainder_bound_check(hhat, [Char((0,))], delta)
+    _check_mean(complex(triple_spectrum(dft(EVENS), dft(EVENS)).coeffs[0]), 0.5)
 
 
 def test_remainder_requires_s1_closed_under_negation():
@@ -166,6 +184,12 @@ def test_remainder_requires_s1_closed_under_negation():
     hhat = triple_spectrum(dft(EVENS), dft(EVENS))
     with pytest.raises(DomainError, match="negation"):
         remainder_bound_check(hhat, [Char((0,)), Char((1,))], 0.5)
+    in_s1 = np.zeros(8, dtype=bool)
+    in_s1[[0, 1]] = True
+    with pytest.raises(DomainError, match=re.escape("holds (1,) but not its negative")):
+        _require_closed(in_s1)
+    in_s1[7] = True
+    _require_closed(in_s1)
 
 
 @settings(max_examples=80, deadline=None)

@@ -17,7 +17,6 @@ from bohrlab.groups import (
     Elem,
     CharTuple,
     GroupSpec,
-    char_at,
     char_eval,
     char_ranks,
     char_rows,
@@ -28,21 +27,18 @@ from bohrlab.groups import (
     elem_add,
     elem_at,
     elem_neg,
-    elem_sub,
     enumerate_chars,
     enumerate_elems,
     enumeration_cap,
     pairing,
-    pairing_exact,
     parse_group,
-    phase_table,
-    rank_of_char,
     rank_of_elem,
     ranks_of_rows,
     rows_at,
     torus_norm,
-    zero_elem,
 )
+
+from oracles import char_at, pairing_exact, phase_table, rank_of_char
 
 GROUPS = [GroupSpec((8,)), GroupSpec((4, 3)), GroupSpec((2, 2, 5)), GroupSpec((1,))]
 
@@ -90,12 +86,12 @@ def test_elem_arithmetic_mod_factors():
     a, b = Elem((3, 2)), Elem((2, 2))
     assert elem_add(g, a, b).coords == (1, 1)
     assert elem_neg(g, a).coords == (1, 1)
-    assert elem_sub(g, a, a) == zero_elem(g)
+    assert elem_add(g, a, elem_neg(g, a)) == Elem((0, 0))
     rng = np.random.default_rng(5)
     for _ in range(50):
         x = elem_at(g, int(rng.integers(g.order)))
         y = elem_at(g, int(rng.integers(g.order)))
-        assert elem_add(g, x, elem_neg(g, y)) == elem_sub(g, x, y)
+        assert elem_add(g, elem_add(g, x, elem_neg(g, y)), y) == x
 
 
 def test_check_elem_shape_errors():

@@ -24,7 +24,7 @@ from bohrlab import serialize, verify
 from bohrlab.cli import main
 from bohrlab.errors import DomainError, ShapeError
 from bohrlab.extractor import extract, normalize_means
-from bohrlab.groups import Char, GroupSpec, char_eval, char_ranks, rank_of_char, rows_at
+from bohrlab.groups import Char, GroupSpec, char_eval, char_ranks, rows_at
 from bohrlab.rfft import dft
 from bohrlab.serialize import (
     certificate_from_dict,
@@ -35,6 +35,8 @@ from bohrlab.serialize import (
 )
 from bohrlab.sets import GroupSubset, write_set_file
 from bohrlab.verify import verify_certificate
+
+from oracles import rank_of_char
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "z8_evens_cert.json"  # cert/1
 GOLDEN2 = pathlib.Path(__file__).parent / "data" / "z8_evens_cert2.json"

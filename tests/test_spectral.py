@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 import bohrlab.rfft as rfft
 import bohrlab.spectral as spectral
 from bohrlab.errors import DomainError, ShapeError
-from bohrlab.extractor import large_spectrum
 from bohrlab.groups import (
     Char,
     GroupSpec,
     char_eval,
+    elem_add,
     elem_at,
-    elem_sub,
+    elem_neg,
     rank_of_elem,
     rows_at,
 )
@@ -27,20 +27,18 @@ from bohrlab.rfft import (
     convolve,
     dft,
     idft,
-    idft_real,
     plancherel_pairing,
     triple_convolve,
 )
-from bohrlab.spectral import (
-    DensityFn,
-    Spectrum,
+from bohrlab.spectral import DensityFn, Spectrum, dft_factored, idft_factored, reflect
+
+from oracles import (
     constant_density,
     convolve_definitional,
     dft_definitional,
-    dft_factored,
     idft_definitional,
-    idft_factored,
-    reflect,
+    idft_real,
+    large_spectrum,
     synthesize,
     triple_convolve_definitional,
 )
@@ -285,7 +283,7 @@ def _convolve_brute(f: DensityFn, g: DensityFn) -> np.ndarray:
         acc = 0.0
         for t in range(n):
             tel = elem_at(grp, t)
-            acc += f.values[rank_of_elem(grp, elem_sub(grp, zel, tel))] * g.values[t]
+            acc += f.values[rank_of_elem(grp, elem_add(grp, zel, elem_neg(grp, tel)))] * g.values[t]
         out[z] = acc / n
     return out
 

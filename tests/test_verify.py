@@ -36,19 +36,14 @@ from bohrlab.sets import (
     union_shift_subset,
 )
 from bohrlab.rfft import convolve, dft, fourier_identity_suite
-from bohrlab.spectral import (
-    constant_density,
-    dft_definitional,
-    reflect,
-    representation_counts,
-    synthesize,
-    triple_convolve_definitional,
-)
+from bohrlab.spectral import reflect, representation_counts
 from bohrlab.verify import (
     _h_from_counts,
     good_shift_set,
     verify_certificate,
 )
+
+from oracles import constant_density, dft_definitional, synthesize, triple_convolve_definitional
 
 Z8 = GroupSpec((8,))
 EVENS = GroupSubset.from_ranks(Z8, [0, 2, 4, 6])
