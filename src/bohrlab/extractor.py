@@ -25,17 +25,19 @@ in place, and g-hat is dropped.  h-hat feeds everything after: h is its
 synthesis, q's coefficients are its entries at the S1 ranks (past n/2, the
 conjugate of the entry at -t), and the remainder is the synthesis of the same
 half with S1 zeroed in place, once h and q have read it.  That is two forward
-and two inverse real transforms per extraction, each ``rfftn`` or ``irfftn``
-bit for bit, with length-2 axes as sum/difference passes (none of numpy's
-transforms runs on F_2^n), and h is ``triple_convolve``'s, bit for bit, since
-both take the same private steps.  This is the one extraction path.  The
-certificate is bit for bit that of the full-table route, which unfolds every
-spectrum and which the tests keep as their reference: a coefficient of q past
-n/2 can differ from the full product only in the sign of a zero part, which
-no certificate stores and which cannot reach c, a running sum that starts at
--delta^4 / 4 and so is never -0.  S1, the large spectrum of a real table, is
-closed under negation, which the real synthesis of the remainder needs; that
-is checked on the unfolded mask itself, which is freed before the syntheses.
+and two inverse real transforms per extraction, each ``rfftn / N`` or
+``irfftn * N`` bit for bit and each writing one fresh table (the syntheses
+one complex table and their real output), with length-2 axes as
+sum/difference passes (none of numpy's transforms runs on F_2^n), and h is
+``triple_convolve``'s, bit for bit, since both take the same private steps.
+This is the one extraction path.  The certificate is bit for bit that of the
+full-table route, which unfolds every spectrum and which the tests keep as
+their reference: a coefficient of q past n/2 can differ from the full
+product only in the sign of a zero part, which no certificate stores and
+which cannot reach c, a running sum that starts at -delta^4 / 4 and so is
+never -0.  S1, the large spectrum of a real table, is closed under negation,
+which the real synthesis of the remainder needs; that is checked on the
+unfolded mask itself, which is freed before the syntheses.
 
 The pipeline is array-native: S1 is a rank array, and ``TrigPoly`` is a thin
 wrapper over a support and a coefficient array.  S1 is one ``CharTuple``,

@@ -3,17 +3,43 @@
 The fast path is numpy's real-input FFT, bit for bit; the extraction pipeline
 uses it.  A table here is real, so its transform is conjugate-symmetric,
 fhat(-t) = conj(fhat(t)).  One private half transform, ``_half_spectrum``,
-computes ``rfftn`` on the characters whose last coordinate is at most n/2 and
-makes the planes that hold both t and -t exactly symmetric; one private
-synthesis, ``_synthesize_half``, is ``irfftn``.  Both walk the axes in
-numpy's order: a length-2 axis is one sum/difference pass over the whole
-table (``_pair_passes``), which is pocketfft's length-2 transform exactly,
-and each maximal run of other axes is one numpy call.  On F_2^n no numpy
-transform runs at all; a group with no length-2 axis makes one ``rfftn`` and
-one ``irfftn`` call.  The extractor and :func:`triple_convolve` stay on that
-half, from the transform to the synthesis: no N-point complex table is
-formed.  :func:`dft` unfolds the half to the full table, exactly symmetric by
-construction.  :func:`idft` is the complex synthesis of any spectrum.
+computes ``rfftn / N`` on the characters whose last coordinate is at most
+n/2 and makes the planes that hold both t and -t exactly symmetric; one
+private synthesis, ``_synthesize_half``, is ``irfftn * N``.  Both walk the
+axes in numpy's order.  A length-2 axis is one sum/difference pass over the
+whole table (``_pair_passes``), which is pocketfft's length-2 transform
+exactly.  The other axes go through one-axis numpy calls and in-place ones:
+the real transform of the last axis is ``rfft`` or ``irfft``, and each
+maximal run of other complex axes is one ``fftn`` or ``ifftn`` with
+``out=``, but for the synthesis's first complex axis, one ``ifft`` out of
+place, as ``half`` is never written.  So numpy's calls write one fresh table
+in a forward transform, and one complex table and the real output in a
+synthesis, where numpy's n-D routines write one table per axis; a run of
+length-2 axes writes its passes into two tables that take turns.  On F_2^n
+no numpy transform runs at all.  The extractor and :func:`triple_convolve`
+stay on that half, from the transform to the synthesis: no N-point complex
+table is formed.  :func:`dft` unfolds the half to the full table, exactly
+symmetric by construction.  :func:`idft` is the complex synthesis of any
+spectrum.
+
+The scales keep every bit in two ways.  numpy's inverse multiplies by 1/2 on
+each of the m length-2 axes, which the passes drop and make up with one
+scale at the end.  And when N is a power of two, the forward 1/N and the
+inverse's 1/n per axis go into numpy's own normalization (``norm="forward"``):
+numpy multiplies by 1/n in each forward call and not at all in an inverse
+one.  A synthesis then makes no scaling pass, and a forward transform, in
+place of a complex division by N, one cheaper multiply (below).  Both are
+exact because every factor is a power of two: multiplying by one is exact
+in binary64 and commutes with every rounding on the way, so each rounding
+sees the same significands.  The caveat is the subnormal range: where a
+nonzero value or partial sum, once scaled, falls below 2^-1022 in magnitude,
+it loses bits, and the table can differ from numpy's in its last bits.  For
+any other N the division by N and the multiply by N / 2^m stay outside the
+transform, as numpy's 1/n would round.  One more detail keeps the signs of
+zero: ``rfftn(x) / N`` divides by the complex N + 0i, which gives
+((a + b*0) / N, (b - a*0) / N) and so turns some zero parts' signs, and a
+folded forward transform ends with one multiply by the complex 2^-m - 0i,
+which turns exactly the same ones.
 
 The fast triple convolution f conv g conv g(-.) is one product of transforms,
 f-hat * |g-hat|^2, since the reflection of a real table has the conjugate
@@ -108,37 +134,54 @@ def _pair_passes(
     return src
 
 
+def _power_of_two(order: int) -> bool:
+    return order & (order - 1) == 0
+
+
 def _real_forward(table: np.ndarray) -> np.ndarray:
-    """``np.fft.rfftn(table)`` over every axis, bit for bit, with each length-2 axis one pass.
+    """``np.fft.rfftn(table) / N`` over every axis, bit for bit.
 
     numpy's order: the real transform on the last axis, then the complex one
-    on the others from last to first.  A maximal run of other axes is one
-    numpy call: ``rfftn`` if it holds the last axis, else ``fftn`` in place,
-    which walks its axes from last to first too.  A run of length-2 axes is
+    on the others from last to first.  The run of axes that holds the last
+    one starts with ``rfft`` on the last axis, which writes the transform's
+    one fresh table; the run's other axes, and every other maximal run of
+    axes whose length is not 2, are one ``fftn`` each, in place, which walks
+    its axes from last to first too.  A run of length-2 axes is
     :func:`_pair_passes`.  When the last axis has length 2, its run goes on
     the real table: pairs of real numbers with zero imaginary parts sum and
-    subtract to exactly zero imaginary parts, as pocketfft leaves them.  A
-    group with no length-2 axis makes one ``rfftn`` call.
+    subtract to exactly zero imaginary parts, as pocketfft leaves them.
+    When N is a power of two, numpy scales each call by 1/n, and one
+    multiply by the complex 2^-m - 0i, with m length-2 axes, ends the
+    transform; it gives the bits and the signs of zero of the division by
+    N (module docstring).  Any other N divides the table at the end.
     """
-    runs = _axis_runs(table.shape)
-    start, stop, pairs = runs[-1]
+    factors = table.shape
+    folded = _power_of_two(table.size)
+    norm = "forward" if folded else None
+    *runs, (start, stop, pairs) = _axis_runs(factors)
     if pairs:
         half = _pair_passes(table, start, stop, descending=True).astype(np.complex128)
     else:
-        half = np.fft.rfftn(table, axes=tuple(range(start, stop)))
-    for start, stop, pairs in reversed(runs[:-1]):
+        half = np.fft.rfft(table, norm=norm)
+        runs.append((start, stop - 1, False))
+    for start, stop, pairs in reversed(runs):
         if pairs:
             half = _pair_passes(half, start, stop, descending=True, scratch=True)
-        else:
-            np.fft.fftn(half, axes=tuple(range(start, stop)), out=half)
+        elif stop > start:
+            np.fft.fftn(half, axes=tuple(range(start, stop)), norm=norm, out=half)
+    if folded:
+        half *= complex(1.0 / (1 << factors.count(2)), -0.0)
+    else:
+        half /= table.size
     return half
 
 
 def _half_spectrum(f: DensityFn, neg: np.ndarray) -> np.ndarray:
     """The transform of f at the characters whose last coordinate is at most n/2.
 
-    ``rfftn`` divided by N, bit for bit (:func:`_real_forward`), a writable
-    table of shape (*factors[:-1], n//2 + 1).
+    ``rfftn`` divided by N, bit for bit (:func:`_real_forward`, which on a
+    group of power-of-two order scales inside numpy's calls), a fresh
+    writable table of shape (*factors[:-1], n//2 + 1).
     ``neg`` is ``_negated_ranks(factors[:-1])``, built once by the caller.  The
     planes where the last coordinate is 0 or n/2 hold t and -t both, and
     ``rfftn`` computes each pair twice: the value of the pair's first
@@ -148,7 +191,6 @@ def _half_spectrum(f: DensityFn, neg: np.ndarray) -> np.ndarray:
     """
     g = f.group
     half = _real_forward(f.as_nd())
-    half /= g.order
     n = g.factors[-1]
     planes = half.reshape(len(neg), n // 2 + 1)
     rank = np.arange(len(neg))
@@ -218,21 +260,23 @@ def _synthesize_half(half: np.ndarray, g: GroupSpec) -> np.ndarray:
     ``np.fft.irfftn(half, s=g.factors) * N``, bit for bit, with each length-2
     axis one :func:`_pair_passes`; ``half`` is never written.  numpy's order:
     the complex inverse on the axes but the last, in ascending order, then the
-    real inverse on the last.  A maximal run of other axes is one numpy call
-    on ``half`` itself (``irfftn``, or ``ifftn`` on its axes listed from last
-    to first, which it walks from first to last); on a table of the walk's
-    own, its complex axes go through ``ifftn`` in place and the last axis
-    through ``irfft``.  From the start of a run of length-2 axes that ends the
-    group, only real parts are read: the real part of a sum or difference is
-    that of the real parts, and the real inverse of length 2 reads real parts
-    only.  numpy's inverse also multiplies by 1/2 on each of the m length-2
-    axes; the passes do not, and the table is multiplied by N / 2^m at the end
-    in place of N (by nothing on F_2^n).  That is exact: scaling by a power of
-    two is exact in binary64 outside the subnormal range, so every rounding on
-    the way sees the same significands.  A group with no length-2 axis makes
-    one ``irfftn`` call.  The table is fresh and returned read-only, so a
-    :class:`DensityFn` keeps it uncopied.
+    real inverse on the last.  The walk's first complex axis on ``half`` is
+    its one out-of-place ``ifft``; every later complex axis runs in place on
+    that table, each maximal run of them as one ``ifftn`` with its axes listed
+    from last to first, which it walks from first to last, and ``irfft`` on
+    the last axis writes the real output into a table of its own.  From the
+    start of a run of length-2 axes that ends the group, only real parts are
+    read: the real part of a sum or difference is that of the real parts, and
+    the real inverse of length 2 reads real parts only.  The passes drop
+    numpy's 1/2 per length-2 axis, so the table is multiplied by N / 2^m at
+    the end in place of N, with m length-2 axes; when N is a power of two,
+    that multiply and numpy's 1/n on every other axis cancel, and neither is
+    made (``norm="forward"``).  Both keep every bit (module docstring).  The
+    table is fresh and returned read-only, so a :class:`DensityFn` keeps it
+    uncopied.
     """
+    folded = _power_of_two(g.order)
+    norm = "forward" if folded else None
     table = half
     for start, stop, pairs in _axis_runs(g.factors):
         last = stop == g.ndim
@@ -241,21 +285,18 @@ def _synthesize_half(half: np.ndarray, g: GroupSpec) -> np.ndarray:
             table = _pair_passes(
                 table.real if last else table, start, stop, descending=False, scratch=scratch
             )
-        elif table is half:
-            if last:
-                table = np.fft.irfftn(half, s=g.factors[start:], axes=tuple(range(start, stop)))
-            else:
-                table = np.fft.ifftn(half, axes=tuple(range(stop - 1, start - 1, -1)))
-        else:
-            complex_axes = tuple(range(start, stop - 1 if last else stop))
-            if complex_axes:
-                np.fft.ifftn(table, axes=complex_axes[::-1], out=table)
-            if last:
-                table = np.fft.irfft(table, g.factors[-1])
+            continue
+        axes = range(start, stop - 1 if last else stop)
+        if axes and table is half:
+            table = np.fft.ifft(half, axis=start, norm=norm)
+            axes = axes[1:]
+        if axes:
+            np.fft.ifftn(table, axes=tuple(reversed(axes)), norm=norm, out=table)
+        if last:
+            table = np.fft.irfft(table, g.factors[-1], norm=norm, out=np.empty(g.factors))
     values = table.ravel()
-    scale = g.order >> g.factors.count(2)
-    if scale != 1:
-        values *= scale
+    if not folded:
+        values *= g.order >> g.factors.count(2)
     values.flags.writeable = False
     return values
 

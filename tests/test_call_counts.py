@@ -9,19 +9,23 @@ The level polynomial q is evaluated once per extraction, for c, with one
 libm cosine and sine per distinct angle, not per character; and f and g
 are transformed once each: ``extract`` makes two forward and two inverse
 transforms (f-hat, g-hat; h and the remainder), whatever k is.  Each makes
-one ``np.fft`` call per maximal run of axes whose length is not 2, and none
-for a run of length-2 axes, which are sum/difference passes: on a group with
-no length-2 axis the four are ``rfftn`` and ``irfftn``, and on F_2^n there is
-no ``np.fft`` call at all.  ``extract`` keeps to their half tables: it never
-calls the full-table ``rfft.dft`` or ``rfft.idft``, and at small k its traced
-memory peaks under 2.5 tables of 16 N bytes on
-Z_2^16, and on F_2^16 under the peak of the route that ran numpy's
-transforms on every axis.  ``good_shift_set``
-draws no translate window, however many members its Bohr set has.  S1 crosses
-the JSON boundary as one rank array: ``json.loads`` never reads the rank block
-of a file in the writer's layout, and from extract to verify each S1 tuple is
-range-checked and ranked at most once.  Bohr membership at a radius far
-below every nonzero distance walks about (N + k) d phase cells, not k N d.
+one ``np.fft`` call per maximal run of axes whose length is not 2, one more
+where a real transform starts or ends a run of several axes, and none for a
+run of length-2 axes, which are sum/difference passes: on a group with no
+length-2 axis a forward transform is ``rfft`` on the last axis then ``fftn``
+in place on the others, a synthesis ``ifft`` on the first axis, ``ifftn`` in
+place and ``irfft``, and on F_2^n there is no ``np.fft`` call at all.  Each
+transform makes at most one ``np.fft`` call that allocates its own table, and
+no call over several axes allocates one.  ``extract`` keeps to their half
+tables: it never calls the full-table ``rfft.dft`` or ``rfft.idft``, and at
+small k its traced memory peaks under 2.5 tables of 16 N bytes on Z_2^16,
+and on F_2^16 under the peak of the route that ran numpy's transforms on
+every axis.  ``good_shift_set`` draws no translate window, however many
+members its Bohr set has.  S1 crosses the JSON boundary as one rank array:
+``json.loads`` never reads the rank block of a file in the writer's layout,
+and from extract to verify each S1 tuple is range-checked and ranked at most
+once.  Bohr membership at a radius far below every nonzero distance walks
+about (N + k) d phase cells, not k N d.
 """
 
 from __future__ import annotations
@@ -217,21 +221,73 @@ def test_repeated_extract_takes_no_libm_call(monkeypatch, g):
     assert calls == Counter() and second.c.hex() == first.c.hex()
 
 
-def _count_transforms(monkeypatch, run) -> Counter:
-    calls: Counter = Counter()
-    for kind, names in (("forward", FFT_FORWARD), ("inverse", FFT_INVERSE)):
-        for name in names:
+@dataclasses.dataclass(frozen=True)
+class _FftCall:
+    name: str
+    inverse: bool
+    axes: int
+    fresh: bool  # no ``out=``: numpy allocates the output table
 
-            def counted(*args, _kind=kind, _fn=getattr(np.fft, name), **kwargs):
-                calls[_kind] += 1
-                return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(np.fft, name, counted)
+@dataclasses.dataclass
+class _Transform:
+    inverse: bool
+    calls: list[_FftCall] = dataclasses.field(default_factory=list)
+
+
+def _record_fft_calls(monkeypatch, run) -> list[_Transform]:
+    """The transforms that ``run`` makes, in order, each with its ``np.fft`` calls.  A
+    transform is one run of ``rfft._real_forward`` (forward) or ``rfft._synthesize_half``
+    (inverse); an ``np.fft`` call made outside every transform fails the test."""
+    transforms: list[_Transform] = []
+    active = [0]
+
+    def step(original, inverse):
+        def entered(*args, **kwargs):
+            transforms.append(_Transform(inverse))
+            active[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                active[0] -= 1
+
+        return entered
+
+    for original, inverse in ((rfft._real_forward, False), (rfft._synthesize_half, True)):
+        for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "bohrlab"]:
+            for site, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, site, step(original, inverse))
+    for name in FFT_FORWARD + FFT_INVERSE:
+
+        def recorded(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            assert active[0], f"np.fft.{_name} called outside the transforms"
+            if _name.endswith(("n", "2")):
+                axes = kwargs.get("axes")
+                count = len(axes) if axes is not None else 2 if _name.endswith("2") else np.ndim(a)
+            else:
+                count = 1
+            fresh = kwargs.get("out") is None
+            transforms[-1].calls.append(_FftCall(_name, _name in FFT_INVERSE, count, fresh))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
     try:
         run()
     finally:
         monkeypatch.undo()
-    return calls
+    return transforms
+
+
+def _extract_fft_calls(monkeypatch, g: groups.GroupSpec) -> list[_Transform]:
+    """The transforms of one extract on random sets at density 0.1, with their ``np.fft`` calls."""
+    A = random_nonempty_subset(g, 0.1, 5)
+    B = random_nonempty_subset(g, 0.1, 6)
+    return _record_fft_calls(monkeypatch, lambda: extract(A.indicator(), B.indicator()))
+
+
+def _call_names(transforms: list[_Transform]) -> Counter:
+    return Counter(call.name for t in transforms for call in t.calls)
 
 
 def _subgroup(g: groups.GroupSpec, index: int) -> GroupSubset:
@@ -253,50 +309,46 @@ def _subgroup(g: groups.GroupSpec, index: int) -> GroupSubset:
     ids=["Z4096-subgroup", "Z4096-random", "8x8x8x4-subgroup", "8x8x8x4-random", "F2^10-subgroup", "F2^10-random"],
 )
 def test_extract_transforms_each_input_once(monkeypatch, g, index, few, transforms):
+    """Two forward transforms (f-hat, g-hat) and two inverse ones (h and the remainder),
+    whatever k is, each making ``np.fft`` calls of its own direction only; none makes any on
+    F_2^10, where every axis is a sum/difference pass."""
     if few:
         A = B = _subgroup(g, index)
     else:
         A = random_nonempty_subset(g, 0.1, 5)
         B = random_nonempty_subset(g, 0.1, 6)
     certs = []
-    calls = _count_transforms(monkeypatch, lambda: certs.append(extract(A.indicator(), B.indicator())))
+    found = _record_fft_calls(monkeypatch, lambda: certs.append(extract(A.indicator(), B.indicator())))
     assert (certs[0].k <= index) if few else (certs[0].k > g.order // 2)
-    assert calls == Counter(forward=transforms, inverse=transforms)
-
-
-def _count_fft_calls(monkeypatch, g: groups.GroupSpec) -> Counter:
-    """The ``np.fft`` calls of one extract on random sets at density 0.1, by name."""
-    calls: Counter = Counter()
-    for name in FFT_FORWARD + FFT_INVERSE:
-
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    A = random_nonempty_subset(g, 0.1, 5)
-    B = random_nonempty_subset(g, 0.1, 6)
-    extract(A.indicator(), B.indicator())
-    monkeypatch.undo()
-    return calls
+    assert [t.inverse for t in found] == [False, False, True, True]
+    assert all(call.inverse == t.inverse for t in found for call in t.calls)
+    calling = Counter("inverse" if t.inverse else "forward" for t in found if t.calls)
+    assert calling == Counter(forward=transforms, inverse=transforms)
 
 
 @pytest.mark.parametrize(
     "g, want",
-    [(Z4096, Counter(rfftn=2, irfftn=2)), (G8884, Counter(rfftn=2, irfftn=2)), (F2_10, Counter())],
+    [
+        (Z4096, Counter(rfft=2, irfft=2)),
+        (G8884, Counter(rfft=2, fftn=2, ifft=2, ifftn=2, irfft=2)),
+        (F2_10, Counter()),
+    ],
     ids=[str(Z4096), str(G8884), str(F2_10)],
 )
 def test_extract_makes_only_real_input_transforms(monkeypatch, g, want):
-    """No length-2 axis: one ``rfftn`` per input and one ``irfftn`` per synthesis.  F_2^10:
-    every axis is a sum/difference pass, and no ``np.fft`` call is made."""
-    assert _count_fft_calls(monkeypatch, g) == want
+    """No length-2 axis: each input's transform starts with one ``rfft`` on the last axis,
+    and each synthesis ends with one ``irfft`` there; on more than one axis, the others go
+    through one ``fftn`` in place forward, and one out-of-place ``ifft`` on the first axis
+    then one ``ifftn`` in place on the rest inverse.  F_2^10: every axis is a
+    sum/difference pass, and no ``np.fft`` call is made."""
+    assert _call_names(_extract_fft_calls(monkeypatch, g)) == want
 
 
 RUN_CALLS = [
-    ((2, 8, 2, 4), Counter(rfftn=2, fftn=2, ifftn=2, irfft=2)),
-    ((3, 2, 5), Counter(rfftn=2, fftn=2, ifftn=2, irfft=2)),
-    ((2, 4, 4), Counter(rfftn=2, ifftn=2, irfft=2)),
-    ((8, 2), Counter(fftn=2, ifftn=2)),
+    ((2, 8, 2, 4), Counter(rfft=2, fftn=2, ifftn=2, irfft=2)),
+    ((3, 2, 5), Counter(rfft=2, fftn=2, ifft=2, irfft=2)),
+    ((2, 4, 4), Counter(rfft=2, fftn=2, ifftn=2, irfft=2)),
+    ((8, 2), Counter(fftn=2, ifft=2)),
     ((2, 3, 3, 2, 2), Counter(fftn=2, ifftn=2)),
 ]
 
@@ -304,11 +356,29 @@ RUN_CALLS = [
 @pytest.mark.parametrize("factors, want", RUN_CALLS, ids=["x".join(map(str, f)) for f, _ in RUN_CALLS])
 def test_extract_makes_one_numpy_call_per_run(monkeypatch, factors, want):
     """Length-2 axes beside others: one ``np.fft`` call per maximal run of other axes in each
-    transform, none for the length-2 runs.  Forward, the run that holds the last axis is an
-    ``rfftn`` and any other an ``fftn``.  Inverse, a run on the input half is an ``ifftn``;
-    on the walk's own table, the last axis is an ``irfft``, after an ``ifftn`` in place
-    when the last run holds other axes too."""
-    assert _count_fft_calls(monkeypatch, groups.GroupSpec(factors)) == want
+    transform, none for the length-2 runs, and one more for the run that a real transform
+    starts or ends on more than one axis.  Forward, the run that holds the last axis starts
+    with an ``rfft`` there, then an ``fftn`` in place on the run's other axes; any other run
+    is an ``fftn`` in place.  Inverse, a run on the input half starts with one out-of-place
+    ``ifft`` on its first axis, and its later axes go through an ``ifftn`` in place; on the
+    walk's own table, the last axis is an ``irfft``, after an ``ifftn`` in place when the
+    last run holds other axes too."""
+    assert _call_names(_extract_fft_calls(monkeypatch, groups.GroupSpec(factors))) == want
+
+
+FRESH_SHAPES = [(64, 32), (8, 8, 8, 4), (2, 8, 2, 4)]
+
+
+@pytest.mark.parametrize("factors", FRESH_SHAPES, ids=["x".join(map(str, f)) for f in FRESH_SHAPES])
+def test_each_transform_writes_one_fresh_table(monkeypatch, factors):
+    """Every ``np.fft`` call over more than one axis writes in place (``out=``), and each of
+    extract's four transforms makes at most one call that allocates its own output: the
+    forward ``rfft``, or the inverse's out-of-place ``ifft``; a synthesis hands ``irfft`` its
+    real output table.  numpy's n-D routines allocate one table per axis."""
+    found = _extract_fft_calls(monkeypatch, groups.GroupSpec(factors))
+    assert len(found) == 4
+    assert [c.name for t in found for c in t.calls if c.axes > 1 and c.fresh] == []
+    assert [sum(c.fresh for c in t.calls) <= 1 for t in found] == [True] * 4
 
 
 @pytest.mark.parametrize("g", [Z4096, G8884, groups.GroupSpec((5, 1, 3))], ids=str)
