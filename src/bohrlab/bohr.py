@@ -15,7 +15,9 @@ the running.  Both distances grow with j = min(M, L - M).  So each form is
 one integer threshold on j: the torus form is exact (a float radius is a
 dyadic rational), and the character form needs one arcsine, enclosed to a
 few ulps.  Only a distance that really ties the radius, or whose phase lands
-inside that enclosure, raises :class:`AmbiguousBoundary`.  Green, "Finite
+inside that enclosure, raises :class:`AmbiguousBoundary`; an O(k) screen
+finds them before any walk, from each frequency's order class, which one
+table per group holds by canonical rank.  Green, "Finite
 field models in additive combinatorics" (2005): at the tiny radii a
 certificate carries, the Bohr set is the annihilator of span(S1), and the
 threshold is j < 1.
@@ -39,6 +41,7 @@ from .groups import (
     CharTuple,
     Elem,
     GroupSpec,
+    char_ranks,
     char_rows,
     char_tuple,
     check_elem,
@@ -100,75 +103,31 @@ def _divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=32)
-def _step_tables(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list, np.ndarray, np.ndarray]:
-    """The lookup tables of :func:`_step_classes`: ``(offsets, codes, fields, divisors, class_of)``.
+def _step_tables(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``(divisors, classes)``: the divisors of L, ascending, and the order class of every character.
 
-    A divisor of L = prod q^E_q is coded with one field of E_q bits per prime
-    q, holding e low ones for the power q^e it has (at most 31 bits in all
-    below 2^31), so the code of a gcd of divisors is the AND of their codes.
-    For each distinct cycle length n, a block of ``codes`` holds at t the code
-    of (L/n) gcd(t, n); ``offsets[i]`` is where axis i's block starts, so axes
-    of one length share a block.  ``fields`` lists (shift, width, radix) per
-    prime: the exponents e_q, read off the fields, index the divisor in mixed
-    radix.  ``divisors`` holds every divisor of L in ascending order, and
-    ``class_of`` maps the mixed-radix index to its position there.
+    ``classes[r]`` is the position among ``divisors`` of the step
+    s = gcd(t_1 L/n_1, ..., t_d L/n_d, L) of the character t of canonical
+    rank r.  t has order L/s, so classes ascend as orders descend.  No
+    per-element Euclid: gcd(t_i L/n_i, L) = (L/n_i) gcd(t_i, n_i), filled
+    into a table of n_i classes by divisor strides, and the table grows axis
+    by axis in canonical order (last factor fastest), each fold reading the
+    class of the gcd of two divisors off one D x D table, D the number of
+    divisors of L.  One uint16 per character: L < 2^31 has at most 1600
+    divisors.
     """
     lcm = _lcm_weights(factors)[0]
-    fields, primes, rest, shift = [], [], lcm, 0
-    values = np.ones(1, dtype=np.int64)  # the divisors, by mixed-radix index
-    for q in _divisors(lcm)[1:]:
-        width = 0
-        while rest % q == 0:
-            rest, width = rest // q, width + 1
-        if width:
-            fields.append((shift, width, len(values)))
-            primes.append(q)
-            values = np.concatenate([values * q**e for e in range(width + 1)])
-            shift += width
-
-    def code(d: int) -> int:
-        out = 0
-        for (shift, width, _), q in zip(fields, primes):
-            e = 0
-            while d % q == 0:
-                d, e = d // q, e + 1
-            out |= ((1 << e) - 1) << shift
-        return out
-
-    lengths = sorted(set(factors))
-    starts = dict(zip(lengths, np.cumsum([0] + lengths[:-1]).tolist()))
-    codes = np.empty(sum(lengths), dtype=np.uint32)
-    for n in lengths:
-        block = codes[starts[n] : starts[n] + n]
+    divisors = np.array(_divisors(lcm), dtype=np.int64)
+    gcd_class = np.searchsorted(divisors, np.gcd.outer(divisors, divisors)).astype(np.uint16)
+    classes = np.full(1, len(divisors) - 1, dtype=np.uint16)  # gcd of no axis: L
+    for n in factors:
+        axis = np.empty(n, dtype=np.uint16)
         for d in _divisors(n):  # increasing, so t keeps its largest divisor d of n: gcd(t, n)
-            block[::d] = code(lcm // n * d)
-    ascending = np.argsort(values)
-    class_of = np.empty(len(values), dtype=np.uint16)  # L < 2^31 has at most 1600 divisors
-    class_of[ascending] = np.arange(len(values))
-    divisors = values[ascending]
-    for table in (codes, divisors, class_of):
+            axis[::d] = np.searchsorted(divisors, lcm // n * d)
+        classes = gcd_class[classes[:, None], axis].ravel()
+    for table in (divisors, classes):
         table.flags.writeable = False
-    return np.array([starts[n] for n in factors], dtype=np.int64), codes, fields, divisors, class_of
-
-
-def _step_classes(g: GroupSpec, rows: np.ndarray) -> np.ndarray:
-    """The order class of every frequency row t: the position of its step among the divisors of L.
-
-    The step s = gcd(t_1 L/n_1, ..., t_d L/n_d, L) is ``divisors[class]``
-    (:func:`_step_tables`), and t has order L/s, so classes ascend as orders
-    descend.  No per-element Euclid: gcd(t_i L/n_i, L) = (L/n_i) gcd(t_i, n_i),
-    a divisor of L read off a table of n_i entries per axis, by its code.  The
-    axes fold by one AND of the gathered codes.  A field of e ones is
-    2^e - 1, whose binary exponent ``frexp`` reads exactly, and the e index
-    the divisor in mixed radix.
-    """
-    offsets, codes, fields, _, class_of = _step_tables(g.factors)
-    folded = np.bitwise_and.reduce(codes[rows + offsets if offsets.any() else rows], axis=1)
-    index = np.zeros(len(rows), dtype=np.int64)
-    for shift, width, radix in fields:
-        ones = (folded >> shift) & ((1 << width) - 1)
-        index += (np.frexp(ones + 1)[1] - 1) * radix
-    return class_of[index]
+    return divisors, classes
 
 
 def _distances(g: GroupSpec, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -262,13 +221,11 @@ class _Walk:
     """What a walk over the whole group decided: the members at threshold ``below``.
 
     ``freqs`` is a weak reference to the walked tuple, so the memo keeps no
-    certificate's S1 alive; ``classes`` are its frequencies' order classes
-    (:func:`_step_classes`), the screen's gcd steps, and ``ranks`` the members.
+    certificate's S1 alive, and ``ranks`` are the members.
     """
 
     freqs: weakref.ref
     group: GroupSpec
-    classes: np.ndarray
     below: int
     ranks: np.ndarray
 
@@ -310,21 +267,22 @@ def members_mask(b: BohrSpec) -> np.ndarray:
     """Boolean membership table over the whole group, canonical order; a fresh array.
 
     First an exact O(k) screen: t takes exactly the phases that are multiples
-    of its step s = gcd(t_i L/n_i, L), one of the divisors of L
-    (:func:`_step_classes`), so a tie is possible only for a frequency whose
+    of its step s = gcd(t_i L/n_i, L), one of the divisors of L, whose order
+    class is read off the group's table by t's canonical rank
+    (:func:`_step_tables`), so a tie is possible only for a frequency whose
     step has a multiple in the undecidable window of :func:`_threshold`.  The
     screen decides each divisor once.  The first frequency with such a step
     raises :class:`AmbiguousBoundary`, naming its first tied element from a
-    scan of that one row.  Otherwise membership walks blocks of exact
-    integer distances (:func:`_walk`) over the elements still in the
-    running, in :func:`_walk_order`: frequencies of
+    scan of that one row; no other row is gathered.  Otherwise membership
+    walks blocks of exact integer distances (:func:`_walk`) over the
+    elements still in the running, in :func:`_walk_order`: frequencies of
     highest order L/s first, so the first block removes most candidates, and
     each order class spread out.  An element drops out at the first
     block that excludes it, and memory is one block's table, never (k, N, d).
 
     The last walk over the whole group is remembered (:class:`_Walk`).  A
     later call on the same :class:`~bohrlab.groups.CharTuple` and group at a
-    threshold T' <= T screens at T' on the stored classes, so it raises
+    threshold T' <= T screens at T' as a fresh call does, so it raises
     exactly as a fresh call would, and then walks only the stored members,
     which hold every member at T'; at T' = T it walks nothing.  A wider
     threshold or another tuple walks the whole group and replaces the memo.
@@ -333,29 +291,31 @@ def members_mask(b: BohrSpec) -> np.ndarray:
     """
     global _last_walk
     g = b.group
-    rows = char_rows(g, b.freqs)
+    freq_ranks = char_ranks(g, b.freqs)
     lcm = _lcm_weights(g.factors)[0]
     below, upto = _threshold(b)
-    memo = _last_walk
-    if memo is not None and (memo.freqs() is not b.freqs or memo.group != g):
-        memo = None
-    classes = _step_classes(g, rows) if memo is None else memo.classes
-    divisors = _step_tables(g.factors)[3]
+    divisors, table = _step_tables(g.factors)
+    classes = table[freq_ranks]
     first = -(-below // divisors) * divisors  # the least attainable j >= T, per step
     ties = np.flatnonzero((first <= min(upto, lcm // 2))[classes])
     if ties.size:
         t_idx = int(ties[0])
-        j = _distances(g, rows[t_idx : t_idx + 1], coords_table(g))[0]
+        coords = coords_table(g)
+        j = _distances(g, coords[freq_ranks[t_idx : t_idx + 1]], coords)[0]
         z_idx = int(np.flatnonzero((j >= below) & (j <= upto))[0])
         raise _boundary(b, t_idx, f"at element rank {z_idx}", int(j[z_idx]))
     if below > lcm // 2:
         return np.ones(g.order, dtype=bool)
+    rows = char_rows(g, b.freqs)
+    memo = _last_walk
+    if memo is not None and (memo.freqs() is not b.freqs or memo.group != g):
+        memo = None
     if memo is not None and below <= memo.below:
         ranks = memo.ranks if below == memo.below else _walk(g, rows, classes, below, memo.ranks)
     else:
         ranks = _walk(g, rows, classes, below, None)
         ranks.flags.writeable = False
-        _last_walk = _Walk(weakref.ref(b.freqs), g, classes, below, ranks)
+        _last_walk = _Walk(weakref.ref(b.freqs), g, below, ranks)
     members = np.zeros(g.order, dtype=bool)
     members[ranks] = True
     return members

@@ -10,12 +10,14 @@ written once, as ``s1_ranks``: the canonical rank of each character in S1's
 order, repeats kept (mixed radix, last factor fastest; see
 :func:`bohrlab.groups.strides`).  The Bohr forms carry only their form,
 radius and center, and share S1's characters.  The writer renders the rank
-list from the rank array by digit-count runs: S1's ranks are non-decreasing,
-so the ranks of w digits are one run, written as one table of w digit
-columns, computed by numpy, and the separator, with no leading zero to drop.
+list from the rank array by digit-count runs: the ranks extract gives S1 are
+non-decreasing, so the ranks of w digits are one run, written as one table
+of w digit columns, computed by numpy, and the separator, with no leading
+zero to drop.
 The text around the list and the runs are joined once, as bytes.  A rank
-list out of order, which no certificate of extract or of the loader holds,
-is written by ``str.join``.
+list out of order is written by ``str.join``: extract never makes one, but
+the loader's ``json.loads`` route keeps one as the file gives it (a reversed
+list, say), so it is written back byte for byte.
 
 The loader has two routes to one result.  A file in the writer's layout has
 its rank block cut out of the text and parsed by one numpy call; only the

@@ -268,6 +268,8 @@ def read_set_file(path, g: GroupSpec) -> GroupSubset:
                 entry = [entry]
             if not isinstance(entry, list) or len(entry) != g.ndim:
                 raise DomainError(f"{path}: coordinate tuple {entry!r} does not fit {g}")
+            if not all(isinstance(x, int) for x in entry):  # as the certificate loader: a bool counts
+                raise DomainError(f"{path}: coordinate tuple {entry!r} must be a list of integers")
             elem = Elem(tuple(int(x) for x in entry))
             try:
                 check_elem(g, elem)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab import bohr, spectral
@@ -244,21 +244,32 @@ def test_distances_are_the_exact_pairing(factors, data):
 @given(
     factors=st.lists(
         st.sampled_from([1, 2, 3, 5, 7, 97, 4, 8, 9, 25, 27, 64, 6, 12, 30]), min_size=1, max_size=5
-    ).map(tuple),
+    ).map(tuple).filter(lambda f: math.prod(f) <= 1 << 20),
     data=st.data(),
 )
+@example(factors=(2, 3, 4, 6, 6, 3), data=None)
+@example(factors=(720720,), data=None)
+@example(factors=(97, 4), data=None)
+@example(factors=(1,), data=None)
+@example(factors=(1, 1, 2), data=None)
+@example(factors=(2,) * 18, data=None)
 def test_screen_steps_are_the_gcd(factors, data):
-    # The table-and-code fold of the membership screen against np.gcd, the Euclid it replaces.
+    # The class table of the membership screen, read by rank, against np.gcd, the Euclid it replaces.
     g = GroupSpec(factors)
     lcm, weights = bohr._lcm_weights(factors)
-    elem = st.tuples(*(st.integers(0, n - 1) for n in factors))
-    rows = np.array(data.draw(st.lists(elem, min_size=1, max_size=40)), dtype=np.int64)
+    if data is None:  # an explicit example: every character
+        rows = coords_table(g)
+    else:
+        elem = st.tuples(*(st.integers(0, n - 1) for n in factors))
+        rows = np.array(data.draw(st.lists(elem, min_size=1, max_size=40)), dtype=np.int64)
     want = np.gcd(np.gcd.reduce(rows * weights, axis=1), lcm)
-    divisors = bohr._step_tables(factors)[3]
-    got = divisors[bohr._step_classes(g, rows)]
+    divisors, classes = bohr._step_tables(factors)
+    got = divisors[classes[np.ravel_multi_index(tuple(rows.T), factors)]]
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
     assert np.array_equal(divisors, bohr._divisors(lcm))
+    assert classes.dtype == np.uint16 and classes.shape == (g.order,)
+    assert not divisors.flags.writeable and not classes.flags.writeable
 
 
 def test_members_mask_blocking_changes_nothing(monkeypatch):

@@ -6,12 +6,13 @@ import contextlib
 import csv
 import io
 import json
+import pathlib
 
 import pytest
 
 from bohrlab.cli import main
 from bohrlab.groups import GroupSpec
-from bohrlab.serialize import certificate_from_json, fmt_real
+from bohrlab.serialize import certificate_from_json, certificate_to_json, fmt_real
 from bohrlab.sets import GroupSubset, subgroup_subset, write_set_file
 
 
@@ -410,3 +411,68 @@ def test_verify_ambiguous_boundary_exits_1(tmp_path, evens_cert_file, evens_file
     checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
     assert checks["undecidable"] is False
     assert "containment" not in checks
+
+
+@pytest.mark.parametrize("command", ["extract", "verify"])
+@pytest.mark.parametrize(
+    "text",
+    ["[[1.5]]", '[["a"]]', "[[NaN]]", "[[Infinity]]", "[[1e400]]"],
+    ids=["float", "string", "NaN", "Infinity", "1e400"],
+)
+def test_set_file_coordinate_must_be_a_json_integer(tmp_path, evens_cert_file, evens_file, command, text):
+    # Read as the certificate loader reads a0: [[1.5]] is refused, not read as element 1, and
+    # NaN, Infinity and 1e400 are refused as bad input, not raised as ValueError or OverflowError.
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if command == "extract":
+        argv = ["extract", "--group", "8", "--out", str(tmp_path / "x.json")]
+    else:
+        argv = ["verify", "--cert", evens_cert_file]
+    code, _, err = run_cli(*argv, "--set-a", str(bad), "--set-b", evens_file)
+    assert code == 2, err
+    assert err.startswith("error: DomainError: ") and "bad.json" in err and "must be a list of integers" in err
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN1 = (DATA / "z8_evens_cert.json").read_text()  # cert/1
+GOLDEN2 = (DATA / "z8_evens_cert2.json").read_text()  # cert/2, rank block [0, 4]
+
+
+def _edited(text, key, value):
+    payload = json.loads(text)
+    payload[key] = value
+    return json.dumps(payload, indent=2)
+
+
+# Certificate texts on the loader's rarer paths, each with its exit code and a piece of its
+# message; a lenient case (exit 0) loads to the golden certificate itself.
+LOADER_CASES = {
+    "delta as a JSON number": (GOLDEN2.replace('"delta": "0.5"', '"delta": 0.5'), 0, ""),
+    "rank block separator moved": (GOLDEN2.replace("0,\n    4\n  ]", "0\n    ,4\n  ]"), 0, ""),
+    "rank block with a leading zero": (
+        GOLDEN2.replace("0,\n    4\n  ]", "0,\n   04\n  ]"), 2, "invalid certificate JSON",
+    ),
+    "text outside the rank block not JSON": (GOLDEN2 + "x", 2, "invalid certificate JSON: Extra data"),
+    "a0 entry not an integer": (
+        GOLDEN2.replace('"a0": [\n    0\n  ]', '"a0": [\n    "0"\n  ]'), 2, "a0 must be a list of integers",
+    ),
+    "cert/1 s1 not a list": (_edited(GOLDEN1, "s1", 7), 2, "S1 entry rows must be a list, got 7"),
+    "Bohr form not an object": (_edited(GOLDEN2, "bohr_char_form", [1]), 2, "malformed Bohr spec object: [1]"),
+    "certificate not an object": ("[1, 2]\n", 2, "certificate must be a JSON object"),
+    # Radius 2 ties |chi_4(2) - 1| = 2: the screen names frequency 4 of an S1 loaded as ranks only.
+    "tie named from ranks": (
+        GOLDEN2.replace('"radius": "0.1171875"', '"radius": "2"'), 1, "at element rank 1 (frequency 4)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LOADER_CASES))
+def test_verify_loader_paths(tmp_path, evens_file, name):
+    text, want, message = LOADER_CASES[name]
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    code, _, err = run_cli("verify", "--cert", str(cert), "--set-a", evens_file, "--set-b", evens_file)
+    assert code == want, err
+    assert message in err and "internal error" not in err
+    if want == 0:
+        assert certificate_to_json(certificate_from_json(text)) == GOLDEN2

@@ -224,6 +224,16 @@ def test_set_file_coords_format(tmp_path):
     assert {m.coords for m in s.members()} == {(0, 0), (1, 2)}
 
 
+def test_set_file_bool_coordinate_counts_as_an_integer(tmp_path):
+    # The certificate loader's rule: a JSON integer, where a bool counts; a float does not.
+    path = tmp_path / "s.json"
+    path.write_text("[[true, 2]]")
+    assert [m.coords for m in read_set_file(path, GroupSpec((4, 3))).members()] == [(1, 2)]
+    path.write_text("[[1.0, 2]]")
+    with pytest.raises(DomainError, match="s.json"):
+        read_set_file(path, GroupSpec((4, 3)))
+
+
 def test_set_file_scalar_coords_one_dim(tmp_path):
     path = tmp_path / "s.json"
     path.write_text("[1, 5]")
